@@ -7,7 +7,6 @@ from .analysis import (
     monte_carlo_capacity,
     outage_curve,
     outage_point,
-    sinr_outage,
 )
 from .composite import CgfEval, CompositeCgf, SirScenario, build_composite
 from .exceptions import (

@@ -16,6 +16,7 @@ from .oracles import (
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
     monte_carlo_outage,
+    sample_batches,
 )
 from .saddlepoint import SolverConfig, ccdf
 
@@ -120,12 +121,6 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     return results
 
 
-def sinr_outage(s: SirScenario,
-                solver: SolverConfig = SolverConfig()) -> OutageResult:
-    """SINR outage via the saddlepoint engine (tail at x = -q * N0)."""
-    return outage_point(s, "spa", solver)
-
-
 def ergodic_capacity(template: SirScenario, method: str = "spa",
                      solver: SolverConfig = SolverConfig(),
                      quadrature: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
@@ -165,19 +160,12 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
 def monte_carlo_capacity(template: SirScenario,
                          mc: MonteCarloConfig = MonteCarloConfig()) -> tuple[float, float]:
     """Mean of log2(1 + S / (I + N0)) over paired samples; independent capacity oracle."""
-    children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
-    base, extra = divmod(mc.samples, mc.batches)
     batch_means = np.empty(mc.batches)
-    sizes = [base + 1 if i < extra else base for i in range(mc.batches)]
-    for i, (child, n) in enumerate(zip(children, sizes)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        p0 = template.desired.sample(rng, n)
-        interference = np.zeros(n)
-        for d in template.interferers:
-            interference += d.sample(rng, n)
+    weights = np.empty(mc.batches)
+    for i, (p0, interference) in enumerate(sample_batches(template, mc)):
         cap = np.log2(1.0 + p0 / (interference + template.noise_power))
         batch_means[i] = float(np.mean(cap))
-    weights = np.asarray(sizes) / mc.samples
+        weights[i] = len(p0) / mc.samples
     mean = float(np.dot(weights, batch_means))
     if mc.batches > 1:
         std_error = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)

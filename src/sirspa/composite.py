@@ -1,20 +1,19 @@
 """Composite CGF of the outage variable: threshold * interference - signal.
 
 For a scenario with desired-signal power S, interferer powers P_1..P_L and
-linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF and
-derivatives are assembled term-wise with the chain-rule factors q, q**2,
-q**3 and the sign flips from the negated signal argument.
+linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
+one flat sum of atoms: each interferer's atoms scaled by q and the signal's
+by -1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidScenario
-from .fading import PowerDistribution, Strip
+from .fading import PowerDistribution, atoms_strip, cumulant
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class CgfEval:
 class CompositeCgf:
     """CGF of q * sum(interferers) - desired, with derivatives, strip and CF.
 
-    Immutable; all evaluation methods are pure. Term sums use exact
-    (error-free) accumulation so results do not depend on interferer order.
+    Immutable; all evaluation methods are pure. Atom sums are exactly
+    rounded, so results do not depend on interferer order.
     """
 
     def __init__(self, desired: PowerDistribution,
@@ -62,51 +61,32 @@ class CompositeCgf:
         self.desired = desired
         self.interferers = tuple(interferers)
         self.q = float(q)
-        lower = -desired.strip().upper
-        upper = min(d.strip().upper for d in self.interferers) / self.q
-        self.strip = Strip(lower, upper)
-        self.mean = self.q * math.fsum(d.mean for d in self.interferers) - desired.mean
-        self.variance = (self.q ** 2 * math.fsum(d.variance for d in self.interferers)
-                         + desired.variance)
+        self.atoms = (tuple(a.scaled(self.q) for d in self.interferers for a in d.atoms())
+                      + tuple(a.scaled(-1.0) for a in desired.atoms()))
+        self.strip = atoms_strip(self.atoms)
+        self.mean = cumulant(self.atoms, 1, 0.0)
+        self.variance = cumulant(self.atoms, 2, 0.0)
+
+    def _cumulant(self, n: int, t: float) -> float:
+        self.strip.require(t)
+        return cumulant(self.atoms, n, t)
 
     def k(self, t: float) -> float:
-        self.strip.require(t)
-        q = self.q
-        terms = [float(d._cgf(q * t)) for d in self.interferers]
-        terms.append(float(self.desired._cgf(-t)))
-        return math.fsum(terms)
+        return self._cumulant(0, t)
 
     def k1(self, t: float) -> float:
-        self.strip.require(t)
-        q = self.q
-        terms = [q * float(d._cgf_d1(q * t)) for d in self.interferers]
-        terms.append(-float(self.desired._cgf_d1(-t)))
-        return math.fsum(terms)
+        return self._cumulant(1, t)
 
     def k2(self, t: float) -> float:
-        self.strip.require(t)
-        q = self.q
-        terms = [q * q * float(d._cgf_d2(q * t)) for d in self.interferers]
-        terms.append(float(self.desired._cgf_d2(-t)))
-        return math.fsum(terms)
+        return self._cumulant(2, t)
+
+    def d3(self, t: float) -> float:
+        return self._cumulant(3, t)
 
     def eval(self, t: float) -> CgfEval:
         self.strip.require(t)
-        q = self.q
-        k = [float(d._cgf(q * t)) for d in self.interferers]
-        k1 = [q * float(d._cgf_d1(q * t)) for d in self.interferers]
-        k2 = [q * q * float(d._cgf_d2(q * t)) for d in self.interferers]
-        k.append(float(self.desired._cgf(-t)))
-        k1.append(-float(self.desired._cgf_d1(-t)))
-        k2.append(float(self.desired._cgf_d2(-t)))
-        return CgfEval(t=t, k=math.fsum(k), k1=math.fsum(k1), k2=math.fsum(k2))
-
-    def d3(self, t: float) -> float:
-        self.strip.require(t)
-        q = self.q
-        terms = [q ** 3 * d.cgf_d3(q * t) for d in self.interferers]
-        terms.append(-self.desired.cgf_d3(-t))
-        return math.fsum(terms)
+        a = self.atoms
+        return CgfEval(t=t, k=cumulant(a, 0, t), k1=cumulant(a, 1, t), k2=cumulant(a, 2, t))
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""

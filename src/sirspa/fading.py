@@ -1,23 +1,35 @@
 """Signal-power distribution families and their CGF machinery.
 
-Each family exposes the cumulant generating function K(t) = log E[exp(t X)]
-with exact first and second derivatives, a third derivative (analytic or
-finite-difference, see ``cgf_d3``), the open convergence strip of the MGF,
-the characteristic function M(jt), and an exact sampler. All power
-quantities are linear milliwatts.
+Each family's cumulant generating function K(t) = log E[exp(t X)] is a sum
+of closed-form atoms, weight * f(scale * t) for one of four shapes f:
+
+- gamma: f(u) = -log(1 - u), n-th derivative (n-1)! / (1 - u)**n;
+- noncentral: f(u) = u / (1 - u), n-th derivative n! / (1 - u)**(n+1);
+- linear: f(u) = u;
+- quadratic: f(u) = u**2 / 2.
+
+``cumulant`` gives every derivative of such a sum in closed form, so the
+CGF, its derivatives of any order, the open convergence strip of the MGF,
+the mean and the variance all follow from a family's ``atoms()``. The
+characteristic function M(jt) and the exact sampler stay per family. All
+power quantities are linear milliwatts.
+
+Near the mean of q * I - S the linear parts of the interferer and signal
+atoms cancel. So each atom's linear part, weight * scale * f'(0) * t, is
+summed once into the mean, and the shape functions return only the rest of
+f; the CGF and its first derivative then keep their relative accuracy at
+small t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exceptions import StripViolation
-
-# step scale for central finite differences of exact second derivatives
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -35,64 +47,125 @@ class Strip:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, t) -> bool:
-        t = np.asarray(t, dtype=float)
-        return bool(np.all((t > self.lower) & (t < self.upper)))
+    def contains(self, t: float) -> bool:
+        return self.lower < t < self.upper
 
-    def require(self, t) -> None:
+    def require(self, t: float) -> None:
         if not self.contains(t):
             raise StripViolation(
                 f"t={t!r} outside open convergence strip ({self.lower}, {self.upper})"
             )
 
 
+# Atom shapes f(n, u): the n-th derivative at u of f(u) - f'(0) * u.
+def gamma(n: int, u: float) -> float:
+    if n == 0:
+        # -log1p(-u) - u = u**2 / (2 - u) + 2 * (atanh(z) - z), z = u / (2 - u);
+        # the series keeps atanh(z) - z accurate for small z
+        z = u / (2.0 - u)
+        z2 = z * z
+        if abs(z) < 0.1:
+            tail = z * z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (
+                1 / 9 + z2 * (1 / 11 + z2 * (1 / 13 + z2 * (1 / 15 + z2 / 17)))))))
+        else:
+            tail = math.atanh(z) - z
+        return u * u / (2.0 - u) + 2.0 * tail
+    if n == 1:
+        return u / (1.0 - u)
+    return math.factorial(n - 1) / (1.0 - u) ** n
+
+
+def noncentral(n: int, u: float) -> float:
+    if n == 0:
+        return u * u / (1.0 - u)
+    if n == 1:
+        return u * (2.0 - u) / (1.0 - u) ** 2
+    return math.factorial(n) / (1.0 - u) ** (n + 1)
+
+
+def linear(n: int, u: float) -> float:
+    return 0.0
+
+
+def quadratic(n: int, u: float) -> float:
+    return 0.5 * u * u if n == 0 else u if n == 1 else float(n == 2)
+
+
+# f'(0) of each shape: an atom adds weight * scale * f'(0) to the mean
+_SLOPE = {gamma: 1.0, noncentral: 1.0, linear: 1.0, quadratic: 0.0}
+# shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
+_POLAR = (gamma, noncentral)
+
+
+class Atom(NamedTuple):
+    """One CGF term, weight * shape(scale * t)."""
+
+    shape: Callable[[int, float], float]
+    weight: float
+    scale: float
+
+    def scaled(self, c: float) -> "Atom":
+        """The atom of c * X: the CGF argument t becomes c * t."""
+        return Atom(self.shape, self.weight, self.scale * c)
+
+
+def cumulant(atoms, n: int, t: float) -> float:
+    """n-th derivative at t of the CGF sum of ``atoms``, unchecked against the strip.
+
+    The sums are exactly rounded (``math.fsum``), so they do not depend on
+    the order of the atoms.
+    """
+    terms = [w * s ** n * f(n, s * t) for f, w, s in atoms]
+    if n < 2:
+        mean = math.fsum([w * s * _SLOPE[f] for f, w, s in atoms])
+        terms.append(mean * t if n == 0 else mean)
+    return math.fsum(terms)
+
+
+def atoms_strip(atoms) -> Strip:
+    """Convergence strip of a sum of atoms: bounded by the nearest poles."""
+    poles = [1.0 / a.scale for a in atoms if a.shape in _POLAR]
+    return Strip(max((p for p in poles if p < 0.0), default=-math.inf),
+                 min((p for p in poles if p > 0.0), default=math.inf))
+
+
 class PowerDistribution:
     """Common interface of the power-distribution families.
 
-    Subclasses implement the unchecked ``_cgf*`` kernels; the public
-    methods enforce the strip. Kernels accept scalars or ndarrays.
+    Subclasses give ``atoms()``, the characteristic function and the
+    sampler; the CGF methods enforce the strip. CGF methods take scalars.
     """
 
-    def strip(self) -> Strip:
+    def atoms(self) -> tuple[Atom, ...]:
         raise NotImplementedError
+
+    def strip(self) -> Strip:
+        return atoms_strip(self.atoms())
 
     @property
     def mean(self) -> float:
-        raise NotImplementedError
+        return cumulant(self.atoms(), 1, 0.0)
 
     @property
     def variance(self) -> float:
-        raise NotImplementedError
+        return cumulant(self.atoms(), 2, 0.0)
 
-    def cgf(self, t):
-        self.strip().require(t)
-        return self._cgf(t)
+    def _cumulant(self, n: int, t: float) -> float:
+        atoms = self.atoms()
+        atoms_strip(atoms).require(t)
+        return cumulant(atoms, n, t)
 
-    def cgf_d1(self, t):
-        self.strip().require(t)
-        return self._cgf_d1(t)
+    def cgf(self, t: float) -> float:
+        return self._cumulant(0, t)
 
-    def cgf_d2(self, t):
-        self.strip().require(t)
-        return self._cgf_d2(t)
+    def cgf_d1(self, t: float) -> float:
+        return self._cumulant(1, t)
+
+    def cgf_d2(self, t: float) -> float:
+        return self._cumulant(2, t)
 
     def cgf_d3(self, t: float) -> float:
-        """Third CGF derivative.
-
-        Default is a central finite difference of the exact second
-        derivative; families with simple closed forms override it.
-        """
-        strip = self.strip()
-        strip.require(t)
-        h = _CBRT_EPS * max(1.0, abs(t))
-        if math.isfinite(strip.width):
-            h = max(h, _CBRT_EPS / strip.width)
-        # keep both stencil points well inside the strip
-        if math.isfinite(strip.upper):
-            h = min(h, 0.25 * (strip.upper - t))
-        if math.isfinite(strip.lower):
-            h = min(h, 0.25 * (t - strip.lower))
-        return (self._cgf_d2(t + h) - self._cgf_d2(t - h)) / (2.0 * h)
+        return self._cumulant(3, t)
 
     def characteristic_function(self, t):
         """M(jt) for real t, principal branch; finite for all real t."""
@@ -100,15 +173,6 @@ class PowerDistribution:
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw power samples whose population MGF equals the family MGF."""
-        raise NotImplementedError
-
-    def _cgf(self, t):
-        raise NotImplementedError
-
-    def _cgf_d1(self, t):
-        raise NotImplementedError
-
-    def _cgf_d2(self, t):
         raise NotImplementedError
 
 
@@ -129,29 +193,8 @@ class NakagamiM(PowerDistribution):
     def rate(self) -> float:
         return self.m / self.mean_power
 
-    def strip(self) -> Strip:
-        return Strip(-math.inf, self.rate)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_power
-
-    @property
-    def variance(self) -> float:
-        return self.mean_power ** 2 / self.m
-
-    def _cgf(self, t):
-        return -self.m * np.log1p(-np.asarray(t) / self.rate)
-
-    def _cgf_d1(self, t):
-        return self.m / (self.rate - np.asarray(t))
-
-    def _cgf_d2(self, t):
-        return self.m / (self.rate - np.asarray(t)) ** 2
-
-    def cgf_d3(self, t: float) -> float:
-        self.strip().require(t)
-        return 2.0 * self.m / (self.rate - t) ** 3
+    def atoms(self) -> tuple[Atom, ...]:
+        return (Atom(gamma, self.m, self.mean_power / self.m),)
 
     def characteristic_function(self, t):
         z = 1.0 - 1j * np.asarray(t) / self.rate
@@ -174,31 +217,9 @@ class Rician(PowerDistribution):
         if not self.mean_power > 0:
             raise ValueError(f"mean_power must be > 0, got {self.mean_power}")
 
-    def strip(self) -> Strip:
-        return Strip(-math.inf, (1.0 + self.r) / self.mean_power)
-
-    @property
-    def mean(self) -> float:
-        return self.mean_power
-
-    @property
-    def variance(self) -> float:
-        return self.mean_power ** 2 * (1.0 + 2.0 * self.r) / (1.0 + self.r) ** 2
-
-    def _cgf(self, t):
-        a = 1.0 + self.r
-        s = np.asarray(t) * self.mean_power
-        return np.log(a) - np.log(a - s) + self.r * s / (a - s)
-
-    def _cgf_d1(self, t):
-        a = 1.0 + self.r
-        s = np.asarray(t) * self.mean_power
-        return self.mean_power * (a * a - s) / (a - s) ** 2
-
-    def _cgf_d2(self, t):
-        a = 1.0 + self.r
-        s = np.asarray(t) * self.mean_power
-        return self.mean_power ** 2 * (2.0 * a * a - a - s) / (a - s) ** 3
+    def atoms(self) -> tuple[Atom, ...]:
+        theta = self.mean_power / (1.0 + self.r)
+        return (Atom(gamma, 1.0, theta), Atom(noncentral, self.r, theta))
 
     def characteristic_function(self, t):
         a = 1.0 + self.r
@@ -233,34 +254,11 @@ class Hoyt(PowerDistribution):
         if not self.mean_power > 0:
             raise ValueError(f"mean_power must be > 0, got {self.mean_power}")
 
-    def strip(self) -> Strip:
-        return Strip(-math.inf, 1.0 / (self.mean_power * (1.0 + abs(self.b))))
-
-    @property
-    def mean(self) -> float:
-        return self.mean_power
-
-    @property
-    def variance(self) -> float:
-        return self.mean_power ** 2 * (1.0 + self.b ** 2)
-
     def _halves(self):
         return self.mean_power * (1.0 - self.b), self.mean_power * (1.0 + self.b)
 
-    def _cgf(self, t):
-        lo, hi = self._halves()
-        t = np.asarray(t)
-        return -0.5 * (np.log1p(-t * lo) + np.log1p(-t * hi))
-
-    def _cgf_d1(self, t):
-        lo, hi = self._halves()
-        t = np.asarray(t)
-        return 0.5 * (lo / (1.0 - lo * t) + hi / (1.0 - hi * t))
-
-    def _cgf_d2(self, t):
-        lo, hi = self._halves()
-        t = np.asarray(t)
-        return 0.5 * (lo ** 2 / (1.0 - lo * t) ** 2 + hi ** 2 / (1.0 - hi * t) ** 2)
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(Atom(gamma, 0.5, h) for h in self._halves())
 
     def characteristic_function(self, t):
         lo, hi = self._halves()
@@ -285,29 +283,8 @@ class GaussianTest(PowerDistribution):
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
 
-    def strip(self) -> Strip:
-        return Strip(-math.inf, math.inf)
-
-    @property
-    def mean(self) -> float:
-        return self.mu
-
-    @property
-    def variance(self) -> float:
-        return self.sigma2
-
-    def _cgf(self, t):
-        t = np.asarray(t)
-        return self.mu * t + 0.5 * self.sigma2 * t * t
-
-    def _cgf_d1(self, t):
-        return self.mu + self.sigma2 * np.asarray(t)
-
-    def _cgf_d2(self, t):
-        return self.sigma2 * np.ones_like(np.asarray(t, dtype=float))
-
-    def cgf_d3(self, t: float) -> float:
-        return 0.0
+    def atoms(self) -> tuple[Atom, ...]:
+        return (Atom(linear, self.mu, 1.0), Atom(quadratic, self.sigma2, 1.0))
 
     def characteristic_function(self, t):
         t = np.asarray(t)

@@ -131,28 +131,35 @@ def _batch_sizes(samples: int, batches: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(batches)]
 
 
-def monte_carlo_outage(s: SirScenario,
-                       mc: MonteCarloConfig = MonteCarloConfig()) -> tuple[float, float]:
-    """Empirical outage frequency: fraction of draws with q*(I + N0) > S.
+def sample_batches(s: SirScenario, mc: MonteCarloConfig):
+    """Yield (signal, interference) power samples, one pair of arrays per batch.
 
     Deterministic for a fixed seed: batch b always uses the b-th spawned
-    child of SeedSequence(seed), so the result is invariant to how batches
-    are scheduled.
+    child of SeedSequence(seed), drawing the signal first and then each
+    interferer in order, so the result is invariant to how batches are
+    scheduled.
     """
     children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
-    sizes = _batch_sizes(mc.samples, mc.batches)
-    q, n0 = s.threshold_q, s.noise_power
-    hits = 0
-    batch_means = np.empty(mc.batches)
-    for i, (child, n) in enumerate(zip(children, sizes)):
+    for child, n in zip(children, _batch_sizes(mc.samples, mc.batches)):
         rng = np.random.Generator(np.random.PCG64(child))
         p0 = s.desired.sample(rng, n)
         interference = np.zeros(n)
         for d in s.interferers:
             interference += d.sample(rng, n)
+        yield p0, interference
+
+
+def monte_carlo_outage(s: SirScenario,
+                       mc: MonteCarloConfig = MonteCarloConfig()) -> tuple[float, float]:
+    """Empirical outage frequency: fraction of draws with q*(I + N0) > S,
+    over the batches of ``sample_batches``."""
+    q, n0 = s.threshold_q, s.noise_power
+    hits = 0
+    batch_means = np.empty(mc.batches)
+    for i, (p0, interference) in enumerate(sample_batches(s, mc)):
         count = int(np.count_nonzero(q * (interference + n0) > p0))
         hits += count
-        batch_means[i] = count / n if n else 0.0
+        batch_means[i] = count / len(p0)
     p = hits / mc.samples
     if mc.batches > 1:
         std_error = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)

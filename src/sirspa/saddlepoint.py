@@ -81,20 +81,22 @@ def _edge_points(edge: float, inward_scale: float):
 
 
 def _bracket(c: CompositeCgf, x: float):
-    """Bracket the root of K'(t) - x. K' is increasing, so the sign of the
-    residual at 0 tells which half of the strip holds the root."""
+    """Bracket the root of K'(t) - x as (lo, g_lo, hi, g_hi), edges with their
+    residuals. K' is increasing, so the sign of the residual at 0 tells which
+    half of the strip holds the root."""
     g0 = c.mean - x
     scale = max(1.0, abs(x)) / max(c.variance, 1e-300)
     if g0 > 0.0:  # root at t < 0
         for t in _edge_points(c.strip.lower, scale):
-            if c.k1(t) - x < 0.0:
-                return t, 0.0
-        raise NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
+            g = c.k1(t) - x
+            if g < 0.0:
+                return t, g, 0.0, g0
     else:  # root at t >= 0
         for t in _edge_points(c.strip.upper, scale):
-            if c.k1(t) - x > 0.0:
-                return 0.0, t
-        raise NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
+            g = c.k1(t) - x
+            if g > 0.0:
+                return 0.0, g0, t, g
+    raise NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
 
 
 def solve_saddle(c: CompositeCgf, x: float,
@@ -102,14 +104,15 @@ def solve_saddle(c: CompositeCgf, x: float,
     """Solve K'(t) = x by safeguarded Newton iteration from t = 0.
 
     Every iterate stays strictly inside the strip: a proposed Newton step
-    that would leave the current bracket is replaced by the midpoint of the
-    iterate and the violated bracket edge. After the residual tolerance is
+    that would leave the current bracket is replaced by the violated bracket
+    edge when that edge's residual already meets the tolerance, else by the
+    midpoint of the iterate and that edge. After the residual tolerance is
     met one extra Newton step polishes the root to near machine precision.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     scale = cfg.tol * max(1.0, abs(x), math.sqrt(c.variance))
-    lo, hi = _bracket(c, x)
+    lo, g_lo, hi, g_hi = _bracket(c, x)
     t = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
     converged = False
     iterations = 0
@@ -125,12 +128,13 @@ def solve_saddle(c: CompositeCgf, x: float,
             polish += 1
         # tighten the bracket around the root
         if g < 0.0:
-            lo = t
+            lo, g_lo = t, g
         else:
-            hi = t
+            hi, g_hi = t, g
         t_new = t - g / e.k2
         if not lo < t_new < hi:
-            t_new = 0.5 * (t + (hi if t_new >= hi else lo))
+            edge, g_edge = (hi, g_hi) if t_new >= hi else (lo, g_lo)
+            t_new = edge if abs(g_edge) <= scale else 0.5 * (t + edge)
         assert c.strip.contains(t_new)
         if t_new == t:
             break
@@ -148,15 +152,14 @@ def solve_saddle(c: CompositeCgf, x: float,
 
 
 def lugannani_rice(c: CompositeCgf, x: float, sol: SaddleSolution) -> float:
-    """Three-term Lugannani-Rice upper-tail probability at x, clamped to [0, 1]."""
+    """Three-term Lugannani-Rice upper-tail value at x, before clamping to [0, 1]."""
     if not sol.converged:
         raise DivergedSolver("saddle solver did not converge")
     if sol.near_mean:
         raise BreakdownBranchRequired(
             "saddle point too close to the mean; use ccdf_at_mean or interpolation"
         )
-    p = ndtr(-sol.w) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
-    return min(1.0, max(0.0, float(p)))
+    return float(ndtr(-sol.w)) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
@@ -167,42 +170,32 @@ def ccdf_at_mean(c: CompositeCgf) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _lr_at(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
-    sol = solve_saddle(c, x, cfg)
-    if not sol.converged:
-        raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    if sol.near_mean:
-        # interpolation anchor degenerated onto the mean; fall back
-        return ccdf_at_mean(c)
-    return lugannani_rice(c, x, sol)
-
-
 def ccdf(c: CompositeCgf, x: float,
          cfg: SolverConfig = SolverConfig()) -> tuple[float, SaddleSolution]:
     """Upper-tail probability of the composite variable at x.
 
     Routes through the Lugannani-Rice formula away from the mean. Inside
     the breakdown neighborhood (|w| below the configured threshold) the
-    value is linearly interpolated between the tail formula evaluated at
-    mean +- delta * sqrt(Var); the skewness-corrected mean value is
-    available instead via ``near_mean_method="skewness"``.
+    value is linearly interpolated between the tail values at
+    mean +- delta * sqrt(Var); an anchor that itself falls in the
+    neighborhood takes the skewness-corrected mean value, which is also
+    available directly via ``near_mean_method="skewness"``.
     """
     sol = solve_saddle(c, x, cfg)
     if not sol.converged:
         raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    if sol.near_mean:
-        if cfg.near_mean_method == "skewness":
-            p_raw = ccdf_at_mean(c)
-        else:
-            delta = cfg.interpolation_delta * math.sqrt(c.variance)
-            x_lo, x_hi = c.mean - delta, c.mean + delta
-            p_lo = _lr_at(c, x_lo, cfg)
-            p_hi = _lr_at(c, x_hi, cfg)
-            frac = (x - x_lo) / (x_hi - x_lo)
-            p_raw = (1.0 - frac) * p_lo + frac * p_hi
+    if not sol.near_mean:
+        p_raw = lugannani_rice(c, x, sol)
+    elif cfg.near_mean_method == "skewness":
+        p_raw = ccdf_at_mean(c)
     else:
-        p_raw = ndtr(-sol.w) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
-        p_raw = float(p_raw)
+        delta = cfg.interpolation_delta * math.sqrt(c.variance)
+        x_lo, x_hi = c.mean - delta, c.mean + delta
+        anchor_cfg = replace(cfg, near_mean_method="skewness")
+        p_lo = ccdf(c, x_lo, anchor_cfg)[0]
+        p_hi = ccdf(c, x_hi, anchor_cfg)[0]
+        frac = (x - x_lo) / (x_hi - x_lo)
+        p_raw = (1.0 - frac) * p_lo + frac * p_hi
     p = min(1.0, max(0.0, p_raw))
     if p != p_raw:
         sol = replace(sol, clamped=True)

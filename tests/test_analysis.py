@@ -18,7 +18,6 @@ from sirspa import (
     monte_carlo_capacity,
     outage_curve,
     outage_point,
-    sinr_outage,
 )
 from sirspa.analysis import METHODS, db_to_linear
 
@@ -120,11 +119,11 @@ class TestSinrOutage:
     def test_noise_free_limit(self):
         s0 = fig1_template(noise_power=0.0)
         s_eps = replace(s0, noise_power=1e-12)
-        assert abs(sinr_outage(s_eps).p_out - sinr_outage(s0).p_out) <= 1e-9
+        assert abs(outage_point(s_eps, "spa").p_out - outage_point(s0, "spa").p_out) <= 1e-9
 
     def test_noise_dominates(self):
         s = replace(fig1_template(), noise_power=1e6)
-        assert sinr_outage(s).p_out >= 1.0 - 1e-6
+        assert outage_point(s, "spa").p_out >= 1.0 - 1e-6
 
     def test_matches_monte_carlo(self):
         # Monte Carlo counts q*(I + N0) > S; the analytic methods evaluate
@@ -134,7 +133,7 @@ class TestSinrOutage:
         r_gp = outage_point(s, "gil_pelaez")
         p_mc, se = monte_carlo_outage(s, MonteCarloConfig(samples=10 ** 6, seed=9))
         assert abs(r_gp.p_out - p_mc) <= 3.0 * max(se, 1e-4)
-        assert abs(sinr_outage(s).p_out - r_gp.p_out) <= 1e-2
+        assert abs(outage_point(s, "spa").p_out - r_gp.p_out) <= 1e-2
 
 
 class TestErgodicCapacity:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sirspa import GaussianTest, Hoyt, NakagamiM, Rician, Strip, StripViolation
+from sirspa.fading import Atom, atoms_strip, cumulant, gamma, linear, noncentral, quadratic
 
 from conftest import central_diff, dist_to_edge, fd_step, random_distribution, strip_points
 
@@ -90,14 +91,39 @@ class TestDerivatives:
     @pytest.mark.parametrize("d", [Rician(r=1.0, mean_power=1.0),
                                    Hoyt(b=0.5, mean_power=2.0)], ids=lambda d: type(d).__name__)
     def test_d3_matches_independent_fd(self, d):
-        # 4th-order central difference of the exact second derivative,
-        # with a different step than the implementation uses
+        # 4th-order central difference of the exact second derivative
+        # against the closed-form third derivative
         strip = d.strip()
         for t in (0.0, 0.3 * strip.upper, -1.0):
             h = 3e-4 * max(1.0, dist_to_edge(strip, t))
             f = d.cgf_d2
             fd = (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
             assert d.cgf_d3(t) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+# one atom per shape and scale sign; the signal enters the composite with scale < 0
+ATOMS = [
+    Atom(gamma, 2.5, 0.8),
+    Atom(gamma, 0.5, -1.7),
+    Atom(noncentral, 3.0, 0.4),
+    Atom(noncentral, 0.7, -2.0),
+    Atom(linear, 1.3, -1.0),
+    Atom(quadratic, 0.9, 2.0),
+]
+
+
+class TestAtoms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("atom", ATOMS,
+                             ids=lambda a: f"{a.shape.__name__}{a.scale:+g}")
+    def test_derivative_matches_fd_of_order_below(self, atom, n, rng):
+        atoms = (atom,)
+        strip = atoms_strip(atoms)
+        for t in strip_points(strip, rng, 20):
+            h = fd_step(t, dist_to_edge(strip, t))
+            fd = central_diff(lambda s: cumulant(atoms, n - 1, s), t, h)
+            exact = cumulant(atoms, n, t)
+            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 class TestStrips:

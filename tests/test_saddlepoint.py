@@ -95,6 +95,21 @@ class TestSolveSaddle:
         scale = 1e-8 * max(1.0, math.sqrt(c.variance))
         assert abs(c.k1(sol.t_hat)) <= scale
 
+    @pytest.mark.parametrize("desired, interferers, q_db", [
+        (NakagamiM(m=1.5, mean_power=10.0 ** 0.5), (NakagamiM(m=0.5, mean_power=1.0),) * 5, 5.0),
+        (NakagamiM(m=1.0, mean_power=1.0), (NakagamiM(m=1.0, mean_power=1.0),), 0.0),
+    ], ids=["fig1_m0=1.5_5dB", "rayleigh_pair"])
+    def test_root_one_ulp_inside_bracket_edge(self, desired, interferers, q_db):
+        # the bracket probe at strip.lower / 2 lands one ulp past the root,
+        # so every Newton step from 0 overshoots that bracket edge
+        s = SirScenario(desired=desired, interferers=interferers,
+                        threshold_q=10.0 ** (q_db / 10.0))
+        c = build_composite(s)
+        x = math.nextafter(c.k1(c.strip.lower / 2), math.inf)
+        sol = solve_saddle(c, x)
+        assert sol.converged
+        assert sol.iterations <= 10
+
     def test_closed_form_randomized(self, rng):
         for _ in range(200):
             s, t_exact = identical_nakagami_scenario(rng)
@@ -160,6 +175,25 @@ class TestLugannaniRice:
         p = lugannani_rice(c, x, sol)
         assert p == pytest.approx(1.0 - ndtr(x), abs=1e-13)
         assert p == pytest.approx(0.05, abs=1e-10)
+
+    @pytest.mark.parametrize("fig, label", [("fig1.json", "m0=1.75"), ("fig2.json", "r0=0")])
+    def test_near_mean_matches_high_precision(self, fig, label):
+        # at -2 dB the saddle point is ~7e-4: the interferer and signal terms
+        # of K and K' nearly cancel, so their rounding shows in the tail value
+        mp = pytest.importorskip("mpmath")
+        template = next(cv.template for cv in load_config(CONFIG_DIR / fig).curves
+                        if cv.label == label)
+        c = build_composite(replace(template, threshold_q=10.0 ** -0.2))
+        p, sol = ccdf(c, 0.0)
+        shapes = {"gamma": lambda u: -mp.log1p(-u), "noncentral": lambda u: u / (1 - u)}
+        with mp.workdps(40):
+            def k(t):
+                return mp.fsum(w * shapes[f.__name__](s * t) for f, w, s in c.atoms)
+            t = mp.findroot(lambda t: mp.diff(k, t), mp.mpf(sol.t_hat))
+            w = mp.sign(t) * mp.sqrt(-2 * k(t))
+            u = t * mp.sqrt(mp.diff(k, t, 2))
+            ref = mp.ncdf(-w) + mp.npdf(w) * (1 / u - 1 / w)
+        assert abs(p - ref) <= 1e-12
 
     def test_gaussian_exactness_grid(self):
         mu, sigma2 = 2.0, 4.0
