@@ -26,6 +26,7 @@ from .oracles import (
     QuadratureConfig,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
+    monte_carlo_curve,
     monte_carlo_outage,
 )
 from .saddlepoint import (

@@ -15,6 +15,7 @@ from .oracles import (
     QuadratureConfig,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
+    monte_carlo_curve,
     monte_carlo_outage,
     sample_batches,
 )
@@ -101,23 +102,40 @@ def outage_point(s: SirScenario, method: str = "spa",
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def error_result(q_db: float, q_linear: float, method: str,
+                 exc: SirspaError) -> OutageResult:
+    """The marker a failed point carries instead of being dropped."""
+    return OutageResult(q_db=q_db, q_linear=q_linear, p_out=math.nan,
+                        method=method, error=f"{type(exc).__name__}: {exc}")
+
+
 def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa",
                  solver: SolverConfig = SolverConfig(),
                  quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
-    per point. A failed point carries an error marker instead of being dropped."""
+    per point. A failed point carries an error marker instead of being dropped.
+
+    Monte Carlo draws its samples once for the whole grid
+    (``monte_carlo_curve``); if that fails, every point carries the error."""
+    points = [(float(q_db), replace(template, threshold_q=db_to_linear(float(q_db))))
+              for q_db in grid.values_db()]
+    if method == "monte_carlo":
+        try:
+            estimates = monte_carlo_curve(
+                template, [s.threshold_q for _, s in points], monte_carlo)
+        except SirspaError as exc:
+            return [error_result(q_db, s.threshold_q, method, exc) for q_db, s in points]
+        return [OutageResult(q_db=q_db, q_linear=s.threshold_q, p_out=p,
+                             method=method, error_estimate=se)
+                for (q_db, s), (p, se) in zip(points, estimates)]
     results = []
-    for q_db in grid.values_db():
-        q = db_to_linear(float(q_db))
-        s = replace(template, threshold_q=q)
+    for q_db, s in points:
         try:
             results.append(outage_point(s, method, solver, quadrature,
-                                        monte_carlo, q_db=float(q_db)))
+                                        monte_carlo, q_db=q_db))
         except SirspaError as exc:
-            results.append(OutageResult(q_db=float(q_db), q_linear=q,
-                                        p_out=math.nan, method=method,
-                                        error=f"{type(exc).__name__}: {exc}"))
+            results.append(error_result(q_db, s.threshold_q, method, exc))
     return results
 
 

@@ -149,23 +149,46 @@ def sample_batches(s: SirScenario, mc: MonteCarloConfig):
         yield p0, interference
 
 
+# Per-batch hit counts kept for one pass over the samples. A longer grid is
+# split into blocks of thresholds, and each block redraws the same streams.
+_MAX_BLOCK_COUNTS = 2 ** 20
+
+
+def monte_carlo_curve(template: SirScenario, qs: list[float],
+                      mc: MonteCarloConfig = MonteCarloConfig()) -> list[tuple[float, float]]:
+    """Empirical outage frequency and standard error at every threshold in ``qs``.
+
+    Each batch of ``sample_batches`` is drawn once and compared with every
+    threshold: a draw is an outage at q when q*(I + N0) > S. All thresholds
+    therefore share the same samples, which makes the estimate monotone in q
+    whenever I + N0 >= 0, as for every fading family. The template's own
+    threshold is not used.
+    """
+    sizes = np.array(_batch_sizes(mc.samples, mc.batches))
+    block = max(1, _MAX_BLOCK_COUNTS // mc.batches)
+    out = []
+    for start in range(0, len(qs), block):
+        block_qs = qs[start:start + block]
+        counts = np.empty((len(block_qs), mc.batches), dtype=np.int64)
+        for i, (p0, interference) in enumerate(sample_batches(template, mc)):
+            total = interference + template.noise_power
+            for j, q in enumerate(block_qs):
+                counts[j, i] = np.count_nonzero(q * total > p0)
+        for row in counts:
+            p = int(row.sum()) / mc.samples
+            if mc.batches > 1:
+                std_error = float(np.std(row / sizes, ddof=1)) / math.sqrt(mc.batches)
+            else:
+                std_error = math.sqrt(max(p * (1.0 - p), 1.0 / mc.samples) / mc.samples)
+            out.append((p, std_error))
+    return out
+
+
 def monte_carlo_outage(s: SirScenario,
                        mc: MonteCarloConfig = MonteCarloConfig()) -> tuple[float, float]:
-    """Empirical outage frequency: fraction of draws with q*(I + N0) > S,
-    over the batches of ``sample_batches``."""
-    q, n0 = s.threshold_q, s.noise_power
-    hits = 0
-    batch_means = np.empty(mc.batches)
-    for i, (p0, interference) in enumerate(sample_batches(s, mc)):
-        count = int(np.count_nonzero(q * (interference + n0) > p0))
-        hits += count
-        batch_means[i] = count / len(p0)
-    p = hits / mc.samples
-    if mc.batches > 1:
-        std_error = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)
-    else:
-        std_error = math.sqrt(max(p * (1.0 - p), 1.0 / mc.samples) / mc.samples)
-    return p, std_error
+    """Empirical outage frequency at the scenario's threshold; one point of
+    ``monte_carlo_curve``."""
+    return monte_carlo_curve(s, [s.threshold_q], mc)[0]
 
 
 def exponential_signal_closed_form(s: SirScenario) -> float:

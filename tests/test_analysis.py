@@ -19,7 +19,9 @@ from sirspa import (
     outage_curve,
     outage_point,
 )
+from sirspa import analysis
 from sirspa.analysis import METHODS, db_to_linear
+from sirspa.exceptions import SirspaError
 
 
 def fig1_template(m0: float = 1.0, noise_power: float = 0.0) -> SirScenario:
@@ -114,6 +116,30 @@ class TestOutageCurve:
             assert r.error is not None and "DivergedSolver" in r.error
             assert math.isnan(r.p_out)
 
+
+    def test_monte_carlo_curve_matches_points(self):
+        grid = ThresholdGrid(-4.0, 8.0, 2.0)
+        mc = MonteCarloConfig(samples=3000, seed=11, batches=10)
+        template = fig1_template(m0=0.75, noise_power=0.2)
+        results = outage_curve(template, grid, "monte_carlo", monte_carlo=mc)
+        expected = [
+            outage_point(replace(template, threshold_q=db_to_linear(float(q_db))),
+                         "monte_carlo", monte_carlo=mc, q_db=float(q_db))
+            for q_db in grid.values_db()]
+        assert results == expected
+
+    def test_monte_carlo_failure_marks_every_point(self, monkeypatch):
+        def fail(template, qs, mc):
+            raise SirspaError("sampler broke")
+
+        monkeypatch.setattr(analysis, "monte_carlo_curve", fail)
+        grid = ThresholdGrid(-3.0, 3.0, 3.0)
+        results = outage_curve(fig1_template(), grid, "monte_carlo")
+        assert [r.q_db for r in results] == [-3.0, 0.0, 3.0]
+        assert [r.q_linear for r in results] == [db_to_linear(q) for q in (-3.0, 0.0, 3.0)]
+        for r in results:
+            assert r.error == "SirspaError: sampler broke"
+            assert math.isnan(r.p_out) and r.method == "monte_carlo"
 
 class TestSinrOutage:
     def test_noise_free_limit(self):

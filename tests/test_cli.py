@@ -2,9 +2,22 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
 
+from sirspa import (
+    GaussianTest,
+    Hoyt,
+    NakagamiM,
+    OutageResult,
+    QuadratureConfig,
+    QuadratureNotConverged,
+    Rician,
+    SolverConfig,
+    analysis,
+    cli,
+)
 from sirspa.cli import (
     CAPACITY_HEADER,
     EXIT_COMPARE,
@@ -205,3 +218,80 @@ class TestCompareCommand:
         cfg = base_config(methods=["spa"])
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "2 methods" in capsys.readouterr().err
+
+
+class TestRetry:
+    def test_only_the_failed_point_is_recomputed(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = analysis.outage_point
+
+        def flaky(s, method, solver, quadrature, monte_carlo, q_db=None):
+            calls.append((q_db, solver, quadrature))
+            if q_db == 2.0 and len(calls) == 4:
+                raise QuadratureNotConverged("forced")
+            return real(s, method, solver, quadrature, monte_carlo, q_db=q_db)
+
+        monkeypatch.setattr(analysis, "outage_point", flaky)
+        monkeypatch.setattr(cli, "outage_point", flaky)
+        cfg_path = write_config(tmp_path, base_config(methods=["gil_pelaez"]))
+        out = tmp_path / "out.csv"
+        assert main(["outage", cfg_path, "--output", str(out)]) == EXIT_OK
+        assert [c[0] for c in calls] == [-4.0, -2.0, 0.0, 2.0, 4.0, 2.0]
+        _, solver, quadrature = calls[-1]
+        assert solver.max_iter == 4 * SolverConfig().max_iter
+        assert quadrature.max_panels == 4 * QuadratureConfig().max_panels
+        assert quadrature.rel_tol == 1e-7
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"retry pair gil_pelaez q_db=2: rel_tol=1e-07 "
+            f"max_panels={quadrature.max_panels} max_iter={solver.max_iter}"]
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5 and all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    def test_no_retry_line_without_failure(self, tmp_path, capsys):
+        assert main(["outage", write_config(tmp_path, base_config()),
+                     "--output", str(tmp_path / "out.csv")]) == EXIT_OK
+        assert "retry" not in capsys.readouterr().err
+
+
+class TestMonteCarloSampling:
+    def test_each_batch_drawn_once_per_curve(self, tmp_path, monkeypatch):
+        calls = Counter()
+        for family in (NakagamiM, Rician, Hoyt, GaussianTest):
+            def counted(self, rng, size=None, _real=family.sample):
+                calls[type(self).__name__] += 1
+                return _real(self, rng, size)
+
+            monkeypatch.setattr(family, "sample", counted)
+        hoyt = {"family": "hoyt", "b": 0.6, "mean_power_dbm": 0.0}
+        cfg = base_config(methods=["monte_carlo"],
+                          monte_carlo={"samples": 2000, "seed": 3, "batches": 10})
+        cfg["curves"].append({
+            "label": "rice",
+            "desired": {"family": "rician", "r": 2.0, "mean_power_dbm": 3.0},
+            "interferers": [hoyt, hoyt],
+        })
+        assert main(["outage", write_config(tmp_path, cfg), "--output",
+                     str(tmp_path / "out.csv")]) == EXIT_OK
+        # batches x (L + 1) per curve, however many grid points (5 here)
+        assert calls == {"NakagamiM": 10 * 2, "Rician": 10 * 1, "Hoyt": 10 * 2}
+
+
+class TestCompareBound:
+    def test_bound_is_the_failing_points(self, tmp_path, monkeypatch, capsys):
+        # the 0 dB point of the Rayleigh pair is in breakdown, so its bound is
+        # the wider breakdown bound, not the smallest bound of the curve
+        def fake_curve(template, grid, method, *budgets):
+            return [OutageResult(q_db=float(q_db), q_linear=10.0 ** (q_db / 10.0),
+                                 p_out=0.5 + (0.2 if method == "spa" and q_db == 0.0 else 0.0),
+                                 method=method)
+                    for q_db in grid.values_db()]
+
+        monkeypatch.setattr(cli, "outage_curve", fake_curve)
+        cfg = base_config(methods=["spa", "gil_pelaez"],
+                          compare={"default_bound": 1e-2, "breakdown_bound": 5e-2})
+        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:3] == ["pair", "spa", "gil_pelaez"]
+        assert float(row[3]) == pytest.approx(0.2)
+        assert row[5] == "0.05" and row[6] == "false"

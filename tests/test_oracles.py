@@ -1,6 +1,7 @@
 """Reference methods: Gil-Pelaez inversion, Monte Carlo, closed form."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from sirspa import (
     ccdf,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
+    monte_carlo_curve,
     monte_carlo_outage,
 )
-from sirspa.oracles import RNG_ALGORITHM
+from sirspa import oracles
+from sirspa.oracles import RNG_ALGORITHM, sample_batches
 
 from conftest import random_scenario
 
@@ -143,6 +146,74 @@ class TestMonteCarlo:
             MonteCarloConfig(samples=0)
         with pytest.raises(ValueError):
             MonteCarloConfig(samples=10, batches=11)
+
+
+def per_point_reference(template: SirScenario, qs, mc: MonteCarloConfig):
+    """One full pass over the samples per threshold: the loop the shared-sample
+    curve replaces, kept here as its reference."""
+    out = []
+    for q in qs:
+        s = replace(template, threshold_q=q)
+        hits = 0
+        batch_means = np.empty(mc.batches)
+        for i, (p0, interference) in enumerate(sample_batches(s, mc)):
+            count = int(np.count_nonzero(q * (interference + s.noise_power) > p0))
+            hits += count
+            batch_means[i] = count / len(p0)
+        p = hits / mc.samples
+        if mc.batches > 1:
+            std_error = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)
+        else:
+            std_error = math.sqrt(max(p * (1.0 - p), 1.0 / mc.samples) / mc.samples)
+        out.append((p, std_error))
+    return out
+
+
+def interferer_scenario(*interferers, noise_power=0.0) -> SirScenario:
+    return SirScenario(desired=NakagamiM(m=1.0, mean_power=10.0 ** 0.5),
+                       interferers=interferers, threshold_q=1.0,
+                       noise_power=noise_power)
+
+
+QS = [10.0 ** (db / 10.0) for db in range(-10, 21, 3)]
+
+
+class TestMonteCarloCurve:
+    @pytest.mark.parametrize("template,mc", [
+        (fig1_scenario(m0=1.0, q=1.0), MonteCarloConfig(samples=4000, seed=1, batches=20)),
+        (interferer_scenario(*(NakagamiM(m=1.5, mean_power=1.0),) * 3),
+         MonteCarloConfig(samples=4000, seed=2, batches=20)),
+        (interferer_scenario(Rician(r=2.0, mean_power=1.0), Rician(r=0.5, mean_power=0.5)),
+         MonteCarloConfig(samples=4000, seed=3, batches=20)),
+        (interferer_scenario(Hoyt(b=0.9, mean_power=1.0), Hoyt(b=-0.3, mean_power=2.0)),
+         MonteCarloConfig(samples=4000, seed=4, batches=20)),
+        (interferer_scenario(NakagamiM(m=0.5, mean_power=1.0), noise_power=0.3),
+         MonteCarloConfig(samples=4000, seed=5, batches=20)),
+        (fig1_scenario(m0=1.5, q=1.0), MonteCarloConfig(samples=4001, seed=6, batches=7)),
+        (fig1_scenario(m0=0.75, q=1.0), MonteCarloConfig(samples=3000, seed=7, batches=1)),
+    ], ids=["nakagami-m0.5", "nakagami-m1.5", "rician", "hoyt", "noise",
+            "uneven-batches", "one-batch"])
+    def test_matches_per_point_loop(self, template, mc):
+        curve = monte_carlo_curve(template, QS, mc)
+        assert curve == per_point_reference(template, QS, mc)
+        ps = [p for p, _ in curve]
+        assert all(b >= a for a, b in zip(ps, ps[1:]))
+
+    def test_block_boundary(self, monkeypatch):
+        # 3 thresholds per pass: the 11-point grid takes four passes
+        monkeypatch.setattr(oracles, "_MAX_BLOCK_COUNTS", 30)
+        mc = MonteCarloConfig(samples=2000, seed=8, batches=10)
+        template = fig1_scenario(m0=0.5, q=1.0)
+        curve = monte_carlo_curve(template, QS, mc)
+        assert curve == per_point_reference(template, QS, mc)
+        ps = [p for p, _ in curve]
+        assert all(b >= a for a, b in zip(ps, ps[1:]))
+
+    def test_outage_is_one_point_of_the_curve(self):
+        s = fig1_scenario(m0=1.25, q=3.0)
+        mc = MonteCarloConfig(samples=5000, seed=9, batches=10)
+        assert monte_carlo_outage(s, mc) == monte_carlo_curve(s, [3.0], mc)[0]
+        assert monte_carlo_curve(s, [], mc) == []
 
 
 class TestClosedForm:
