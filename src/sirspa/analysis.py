@@ -39,6 +39,14 @@ class ThresholdGrid:
             raise ValueError("step_db must be > 0")
         if self._size() > 10 ** 6:
             raise ValueError("grid size exceeds 1e6 points")
+        for db in (self.start_db, self.start_db + self.step_db * (self._size() - 1)):
+            try:
+                q = db_to_linear(db)
+            except OverflowError:
+                q = math.inf
+            if not 0.0 < q < math.inf:
+                raise ValueError(f"grid point {db:g} dB is outside the range of a "
+                                 "positive finite linear threshold")
 
     def _size(self) -> int:
         return int(math.floor((self.stop_db - self.start_db) / self.step_db + 1e-9)) + 1
@@ -146,7 +154,9 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
 
     Integrates the success probability over the capacity axis c with
     q = 2**c - 1, which equals the mean by the tail-integral identity.
-    Truncates where the success probability falls below 1e-8.
+    Truncates where the success probability falls below 1e-8. If it is still
+    at or above 1e-8 at the cap c = 64, raises ``QuadratureNotConverged``
+    carrying the integral up to the cap.
     """
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
@@ -165,13 +175,18 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         return 1.0 - p
 
     c_max = 1.0
-    while success(c_max) >= 1e-8 and c_max < 64.0:
+    while (tail := success(c_max)) >= 1e-8 and c_max < 64.0:
         c_max *= 2.0
     value, err, info = quad(success, 0.0, c_max, epsabs=1e-9, epsrel=1e-8,
                             limit=400, full_output=True)[:3]
     if "last" in info and info.get("last", 0) >= 400:
         raise QuadratureNotConverged("capacity quadrature exhausted its budget",
                                      value=value, error_estimate=err)
+    if tail >= 1e-8:
+        raise QuadratureNotConverged(
+            f"success probability {tail:.3e} at the capacity cap c = {c_max:g} "
+            "is above 1e-8; the integral up to the cap is truncated",
+            value=max(0.0, float(value)))
     return max(0.0, float(value)), float(err)
 
 

@@ -8,6 +8,7 @@ by -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,15 @@ class CompositeCgf:
         self.atoms = (tuple(a.scaled(self.q) for d in self.interferers for a in d.atoms())
                       + tuple(a.scaled(-1.0) for a in desired.atoms()))
         self.strip = atoms_strip(self.atoms)
-        self.mean = cumulant(self.atoms, 1, 0.0)
-        self.variance = cumulant(self.atoms, 2, 0.0)
+        try:
+            self.mean = cumulant(self.atoms, 1, 0.0)
+            self.variance = cumulant(self.atoms, 2, 0.0)
+            finite = math.isfinite(self.mean) and math.isfinite(self.variance)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InvalidScenario(
+                f"threshold q={q!r} overflows the cumulants of q * I - S")
 
     def _cumulant(self, n: int, t: float) -> float:
         self.strip.require(t)

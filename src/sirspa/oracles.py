@@ -56,9 +56,49 @@ def _gl_batch(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Fixed-order Gauss-Legendre values for a batch of panels [a_i, b_i]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    theta = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f(theta.ravel()).reshape(theta.shape)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    vals = f(nodes.ravel()).reshape(nodes.shape)
     return half * (vals @ _GL_WEIGHTS)
+
+
+# Gil-Pelaez integrates over v in [-pi/4, pi/4]: u = sigma * t is tan(v)
+# for v >= 0 (u in [0, 1]) and cot(-v) for v < 0 (u in [1, inf)). Both ends
+# of the u axis sit at v = 0, where floats are dense; the single map
+# u = tan(theta) on [0, pi/2] resolves u only up to ~1e15, because theta near
+# pi/2 is quantised to 2e-16.
+#
+# The bulk of the integrand sits at u ~ 1, where 16 uniform panels resolve
+# it. An atom of scale s turns its CF factor at t ~ 1/|s|, i.e. at
+# u_s = sigma/|s|. For every u_s outside the bulk [1/16, 16] the first
+# panels are also cut at u_s * 4**j, from two steps beyond u_s back to the
+# bulk: the far feature starts in panels of its own size, and no first panel
+# between it and the bulk spans more than a factor of 4 in u, where a
+# power-law tail would otherwise fall between the nodes.
+_UNIFORM_EDGES = (np.pi / 32) * np.arange(-8, 9)
+_BULK = 16.0
+_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _v_of_u(u: float) -> float:
+    return math.atan(u) if u <= 1.0 else -math.atan(1.0 / u)
+
+
+def _u_of_v(v: np.ndarray) -> np.ndarray:
+    tan_v = np.tan(v)
+    return np.where(v >= 0.0, tan_v, -1.0 / tan_v)
+
+
+def _initial_edges(atoms, sigma: float) -> np.ndarray:
+    edges = set(_UNIFORM_EDGES.tolist())
+    for u in {sigma / abs(a.scale) for a in atoms}:
+        # a scale beyond the floating-point range has no panel to cut
+        if not 0.0 < u < math.inf or 1.0 / _BULK <= u <= _BULK:
+            continue
+        # ladder steps from u_s back to the edge of the bulk
+        steps = math.ceil(abs(math.log(u / _BULK if u > 1.0 else u * _BULK, 4.0)))
+        ladder = range(1 - steps, 3) if u > 1.0 else range(-2, steps)
+        edges.update(_v_of_u(u * 4.0 ** j) for j in ladder)
+    return np.array(sorted(edges))
 
 
 def gil_pelaez_ccdf(c, x: float,
@@ -66,27 +106,36 @@ def gil_pelaez_ccdf(c, x: float,
     """Upper-tail probability by numerical inversion of the characteristic function.
 
     Evaluates 1/2 + (1/pi) * integral_0^inf Im{M(jt) exp(-jtx)} / t dt with
-    the substitution t = tan(theta) mapping to a finite theta interval, then
-    adaptive panel-halving Gauss-Legendre. The integrand limit at t -> 0 is
-    supplied analytically (mean - x) to avoid 0/0 cancellation.
+    the substitution t = u / sigma, sigma the standard deviation, and
+    u = tan(v) or cot(-v) on a finite v interval, so that the bulk of the
+    integrand sits at u ~ 1 whatever the scale of the variable. The first
+    panels are cut at every atom scale far from sigma (``_initial_edges``),
+    then refined by adaptive panel-halving Gauss-Legendre. The integrand
+    limit at t -> 0 is supplied analytically ((mean - x) / sigma) to avoid
+    0/0 cancellation.
 
-    ``c`` needs only ``characteristic_function`` and ``mean``; both the
-    composite CGF object and a single power distribution qualify.
+    ``c`` needs ``characteristic_function``, ``mean``, ``variance`` and
+    ``atoms``; both the composite CGF object (atoms as a tuple) and a single
+    power distribution (atoms as a method) qualify.
 
     Returns the clamped probability and the quadrature's own error estimate
     (in probability units).
     """
     mean = c.mean
+    sigma = math.sqrt(c.variance)
+    atoms = c.atoms() if callable(c.atoms) else c.atoms
 
-    def integrand(theta):
-        t = np.tan(theta)
+    def integrand(v):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            u = _u_of_v(v)
+            t = u / sigma
             z = c.characteristic_function(t) * np.exp(-1j * t * x)
-            val = z.imag / t * (1.0 + t * t)
-        return np.where(t < 1e-12, mean - x, val)
+            # dt / t = (u + 1/u) dv on both branches
+            val = z.imag * (u + 1.0 / u)
+        return np.where(u < 1e-12, (mean - x) / sigma, val)
 
-    a = np.linspace(0.0, 0.5 * np.pi, 17)[:-1]
-    b = np.linspace(0.0, 0.5 * np.pi, 17)[1:]
+    edges = _initial_edges(atoms, sigma)
+    a, b = edges[:-1], edges[1:]
     whole = _gl_batch(integrand, a, b)
     # tolerance on the final probability, translated to per-panel integral budget
     p_guess = 0.5 + float(np.sum(whole)) / np.pi
@@ -103,7 +152,10 @@ def gil_pelaez_ccdf(c, x: float,
         left, right = child[:n], child[n:]
         refined = left + right
         err = np.abs(refined - whole)
-        ok = err <= 2.0 * tol_p * (b - a)
+        # a panel whose whole and halved values agree to rounding is done,
+        # however small its share of the budget: halving cannot improve it,
+        # and its error is at the rounding level of the sum itself
+        ok = err <= np.maximum(2.0 * tol_p * (b - a), _ROUNDOFF * np.abs(refined))
         if used >= qc.max_panels:
             exhausted = True
             ok = np.ones_like(ok)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sirspa import Hoyt, NakagamiM, Rician, SirScenario
+from sirspa import CompositeCgf, Hoyt, NakagamiM, Rician, SirScenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -65,3 +65,18 @@ def random_scenario(rng: np.random.Generator, families=("nakagami_m", "rician", 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def cf_nodes(monkeypatch):
+    """A one-item list counting the nodes at which any composite's
+    characteristic function is evaluated."""
+    count = [0]
+    characteristic_function = CompositeCgf.characteristic_function
+
+    def counting(self, t):
+        count[0] += np.size(t)
+        return characteristic_function(self, t)
+
+    monkeypatch.setattr(CompositeCgf, "characteristic_function", counting)
+    return count

@@ -21,7 +21,7 @@ from sirspa import (
 )
 from sirspa import analysis
 from sirspa.analysis import METHODS, db_to_linear
-from sirspa.exceptions import SirspaError
+from sirspa.exceptions import QuadratureNotConverged, SirspaError
 
 
 def fig1_template(m0: float = 1.0, noise_power: float = 0.0) -> SirScenario:
@@ -54,6 +54,18 @@ class TestThresholdGrid:
             ThresholdGrid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             ThresholdGrid(0.0, 2e6, 1e-3)
+
+    @pytest.mark.parametrize("start_db,stop_db", [
+        (3000.0, 3090.0),    # 10**309 overflows
+        (-3300.0, -3200.0),  # 10**-330 underflows to 0
+    ])
+    def test_end_points_outside_float_range(self, start_db, stop_db):
+        with pytest.raises(ValueError, match="dB"):
+            ThresholdGrid(start_db, stop_db, 10.0)
+
+    def test_end_points_inside_float_range(self):
+        vals = ThresholdGrid(-3000.0, 3000.0, 1000.0).values_db()
+        assert all(0.0 < db_to_linear(float(db)) < math.inf for db in vals)
 
 
 class TestOutagePoint:
@@ -185,6 +197,35 @@ class TestErgodicCapacity:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             ergodic_capacity(fig1_template(), "monte_carlo")
+
+    def test_heavy_tail_gil_pelaez(self, cf_nodes):
+        # one m=0.5 interferer: success (1 + lam*q)**-0.5 decays like
+        # 2**(-c/2), so the integral runs to c = 64 and q ~ 2e19. Exact value
+        # 2*atanh(r) / (r ln 2) with r = sqrt(1 - lam).
+        t = SirScenario(desired=NakagamiM(m=1.0, mean_power=10.0 ** 0.5),
+                        interferers=(NakagamiM(m=0.5, mean_power=1.0),),
+                        threshold_q=1.0)
+        r = math.sqrt(1.0 - 10.0 ** -0.5 / 0.5)
+        exact = 2.0 * math.atanh(r) / (r * math.log(2.0))
+        cap, _ = ergodic_capacity(t, "gil_pelaez")
+        # quadrature tolerance plus the tail beyond the 1e-8 truncation
+        assert abs(cap - exact) <= 1e-9 + 1e-8 * exact
+        assert cf_nodes[0] < 2_000_000
+
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_truncation_at_the_cap_raises(self, method):
+        # a strong signal over one m=0.5 interferer: success is still ~1e-7
+        # at c = 64
+        t = SirScenario(desired=NakagamiM(m=1.0, mean_power=1e6),
+                        interferers=(NakagamiM(m=0.5, mean_power=1.0),),
+                        threshold_q=1.0)
+        with pytest.raises(QuadratureNotConverged, match="truncated") as exc_info:
+            ergodic_capacity(t, method)
+        # the exact integral up to c = 64 is 20.9316 (scipy quad of the
+        # closed form); the saddlepoint value carries its method error
+        assert exc_info.value.value == pytest.approx(20.931587583187124, rel=1e-2)
+        if method == "gil_pelaez":
+            assert exc_info.value.value == pytest.approx(20.931587583187124, abs=1e-8)
 
     def test_monte_carlo_capacity_oracle(self):
         cap, se = monte_carlo_capacity(rayleigh_pair_template(),

@@ -22,6 +22,7 @@ from sirspa.cli import (
     CAPACITY_HEADER,
     EXIT_COMPARE,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     OUTAGE_HEADER,
     main,
@@ -137,6 +138,20 @@ class TestOutageCommand:
         assert main(["outage", write_config(tmp_path, cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "< 1" in err
+
+    @pytest.mark.parametrize("start_db,stop_db", [(3080.0, 3090.0), (-3300.0, -3200.0)])
+    def test_exit_config_error_grid_range(self, tmp_path, capsys, start_db, stop_db):
+        cfg = base_config(grid={"start_db": start_db, "stop_db": stop_db, "step_db": 10.0})
+        assert main(["outage", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "dB" in capsys.readouterr().err
+
+    def test_cumulant_overflow_fails_points(self, tmp_path, capsys):
+        cfg = base_config(grid={"start_db": 1600.0, "stop_db": 1600.0, "step_db": 1.0},
+                          methods=["spa", "gil_pelaez"])
+        assert main(["outage", write_config(tmp_path, cfg)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "FAILED pair spa q_db=1600: InvalidScenario" in err
+        assert "FAILED pair gil_pelaez q_db=1600: InvalidScenario" in err
 
     def test_unknown_method_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

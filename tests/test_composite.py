@@ -52,6 +52,13 @@ class TestScenarioValidation:
             SirScenario(desired=d, interferers=(d,), threshold_q=1.0,
                         noise_power=-0.1)
 
+    @pytest.mark.parametrize("q", [1e155, 1e300, 1.7e308])
+    def test_cumulant_overflow_is_typed(self, q):
+        # the variance q**2 * ... leaves the float range: a typed error, not
+        # a bare OverflowError or a NaN mean
+        with pytest.raises(InvalidScenario, match="overflows"):
+            build_composite(replace(fig4_scenario(), threshold_q=q))
+
 
 class TestStripAssembly:
     def test_rayleigh_pair_strip(self):

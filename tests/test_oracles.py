@@ -18,6 +18,7 @@ from sirspa import (
     UnsupportedScenario,
     build_composite,
     ccdf,
+    ergodic_capacity,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
     monte_carlo_curve,
@@ -99,6 +100,63 @@ class TestGilPelaez:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_panels=0)
+
+
+# Characteristic-function nodes of one Rayleigh-pair Gil-Pelaez capacity
+# with the unscaled substitution t = tan(theta), which this count replaced
+UNSCALED_CAPACITY_NODES = 51_512_960
+
+
+class TestGilPelaezScale:
+    """The inversion follows the scale of q * I - S, which grows with q."""
+
+    @pytest.mark.parametrize("q", [1e6, 1e8, 4e9])
+    def test_rayleigh_pair_success_at_large_q(self, q):
+        # the success probability 1/(1+q) is a feature of the signal's CF
+        # far below the scale sigma ~ q of the composite
+        qc = QuadratureConfig()
+        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0, qc)
+        tol = max(qc.abs_tol, qc.rel_tol * p) + err
+        assert abs((1.0 - p) - 1.0 / (1.0 + q)) <= tol
+
+    @pytest.mark.parametrize("q", [1e8, 4e9, 1e12])
+    def test_rayleigh_pair_success_tight_tolerance(self, q):
+        # a tolerance well below the success probability: the signal's
+        # feature must be resolved, not just stay under the default budget
+        qc = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16)
+        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0, qc)
+        tol = max(qc.abs_tol, qc.rel_tol * p) + err
+        assert abs((1.0 - p) - 1.0 / (1.0 + q)) <= tol
+
+    @pytest.mark.parametrize("q_db", [76.0, 80.0, 90.0])
+    def test_fig1_far_above_breakdown(self, q_db):
+        # the unscaled substitution returned p = 0.5 here
+        s = fig1_scenario(m0=1.0, q=10.0 ** (q_db / 10.0))
+        p, _ = gil_pelaez_ccdf(build_composite(s), 0.0)
+        assert abs(p - exponential_signal_closed_form(s)) <= 1e-9
+
+    def test_rayleigh_pair_capacity_nodes(self, cf_nodes):
+        cap, _ = ergodic_capacity(rayleigh_pair(), "gil_pelaez")
+        assert cf_nodes[0] < UNSCALED_CAPACITY_NODES / 20
+        # within the capacity quadrature's epsabs + epsrel * C of 1/ln 2
+        assert abs(cap - 1.0 / math.log(2.0)) <= 1e-9 + 1e-8 * cap
+
+    def test_no_cuts_when_every_scale_is_near_sigma(self):
+        c = build_composite(fig1_scenario(m0=1.0, q=1.0))
+        edges = oracles._initial_edges(c.atoms, math.sqrt(c.variance))
+        assert len(edges) == 17
+
+    def test_far_scale_ladder_reaches_the_bulk(self):
+        # signal scale 1 against sigma ~ 1e8: cuts from 16 * u_s down to the
+        # bulk, each a factor 4 apart in u
+        c = build_composite(rayleigh_pair(1e8))
+        sigma = math.sqrt(c.variance)
+        v = oracles._initial_edges(c.atoms, sigma)
+        u = oracles._u_of_v(v[v < 0.0])
+        far = np.sort(u[u > 16.0])
+        assert far[-1] == pytest.approx(16.0 * sigma, rel=1e-12)
+        assert far[0] <= 64.0
+        assert np.all(far[1:] / far[:-1] <= 4.0 * (1.0 + 1e-12))
 
 
 class TestMonteCarlo:
