@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .composite import SirScenario, build_composite
 from .exceptions import QuadratureNotConverged, SirspaError
@@ -154,12 +153,15 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
 
     Integrates the success probability over the capacity axis c with
     q = 2**c - 1, which equals the mean by the tail-integral identity.
-    Truncates where the success probability falls below 1e-8. If it is still
-    at or above 1e-8 at the cap c = 64, raises ``QuadratureNotConverged``
-    carrying the integral up to the cap.
+    Truncates where the success probability falls below 1e-8; the returned
+    error estimate is the quadrature's plus a bound on the dropped tail. If
+    the success probability is still at or above 1e-8 at the cap c = 64,
+    raises ``QuadratureNotConverged`` carrying the integral up to the cap.
     """
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
+    # imported here so that the rest of the package runs on numpy alone
+    from scipy.integrate import quad
 
     def success(c_val: float) -> float:
         q = 2.0 ** c_val - 1.0
@@ -174,8 +176,10 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
             p, _ = gil_pelaez_ccdf(comp, x, quadrature)
         return 1.0 - p
 
+    c_prev, s_prev = 0.0, 1.0
     c_max = 1.0
     while (tail := success(c_max)) >= 1e-8 and c_max < 64.0:
+        c_prev, s_prev = c_max, tail
         c_max *= 2.0
     value, err, info = quad(success, 0.0, c_max, epsabs=1e-9, epsrel=1e-8,
                             limit=400, full_output=True)[:3]
@@ -187,7 +191,10 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
             f"success probability {tail:.3e} at the capacity cap c = {c_max:g} "
             "is above 1e-8; the integral up to the cap is truncated",
             value=max(0.0, float(value)))
-    return max(0.0, float(value)), float(err)
+    # the integral dropped beyond c_max, with the success probability decaying
+    # exponentially at its rate between the last two probes
+    dropped = tail * (c_max - c_prev) / math.log(s_prev / tail) if tail > 0.0 else 0.0
+    return max(0.0, float(value)), float(err) + dropped
 
 
 def monte_carlo_capacity(template: SirScenario,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from dataclasses import replace
 
@@ -156,11 +155,6 @@ def cmd_capacity(cfg: RunConfig) -> int:
     return code
 
 
-def _in_breakdown(template, q_linear: float) -> bool:
-    c = build_composite(replace(template, threshold_q=q_linear))
-    return abs(c.mean) < 0.05 * math.sqrt(c.variance)
-
-
 def cmd_compare(cfg: RunConfig) -> int:
     if len(cfg.methods) < 2:
         print("compare needs at least 2 methods", file=sys.stderr)
@@ -186,7 +180,8 @@ def cmd_compare(cfg: RunConfig) -> int:
                     pair_bound = cfg.compare.bounds.get(
                         f"{m1},{m2}", cfg.compare.bounds.get(
                             f"{m2},{m1}", cfg.compare.default_bound))
-                    if _in_breakdown(curve.template, r1.q_linear):
+                    if build_composite(replace(curve.template,
+                                               threshold_q=r1.q_linear)).in_breakdown:
                         pair_bound = max(pair_bound, cfg.compare.breakdown_bound)
                     if "monte_carlo" in (m1, m2):
                         se = (r1.error_estimate if m1 == "monte_carlo"

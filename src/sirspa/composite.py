@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import InvalidScenario
-from .fading import PowerDistribution, atoms_strip, cumulant
+from .fading import PowerDistribution, atoms_strip, characteristic_function, cumulant
 
 
 @dataclass(frozen=True)
@@ -59,10 +57,8 @@ class CompositeCgf:
             raise InvalidScenario("at least one interferer is required")
         if not q > 0:
             raise InvalidScenario(f"threshold q must be > 0, got {q}")
-        self.desired = desired
         self.interferers = tuple(interferers)
-        self.q = float(q)
-        self.atoms = (tuple(a.scaled(self.q) for d in self.interferers for a in d.atoms())
+        self.atoms = (tuple(a.scaled(float(q)) for d in self.interferers for a in d.atoms())
                       + tuple(a.scaled(-1.0) for a in desired.atoms()))
         self.strip = atoms_strip(self.atoms)
         try:
@@ -74,6 +70,11 @@ class CompositeCgf:
         if not finite:
             raise InvalidScenario(
                 f"threshold q={q!r} overflows the cumulants of q * I - S")
+
+    @property
+    def in_breakdown(self) -> bool:
+        """Whether x = 0 lies within 0.05 standard deviations of the mean."""
+        return abs(self.mean) < 0.05 * math.sqrt(self.variance)
 
     def _cumulant(self, n: int, t: float) -> float:
         self.strip.require(t)
@@ -98,11 +99,7 @@ class CompositeCgf:
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""
-        t = np.asarray(t)
-        out = self.desired.characteristic_function(-t)
-        for d in self.interferers:
-            out = out * d.characteristic_function(self.q * t)
-        return out
+        return characteristic_function(self.atoms, t)
 
 
 def build_composite(s: SirScenario) -> CompositeCgf:

@@ -10,9 +10,10 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 
 ``cumulant`` gives every derivative of such a sum in closed form, so the
 CGF, its derivatives of any order, the open convergence strip of the MGF,
-the mean and the variance all follow from a family's ``atoms()``. The
-characteristic function M(jt) and the exact sampler stay per family. All
-power quantities are linear milliwatts.
+the mean and the variance all follow from a family's ``atoms()``, and so
+does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)).
+Only the exact sampler stays per family, as an independent check on the
+atoms. All power quantities are linear milliwatts.
 
 Near the mean of q * I - S the linear parts of the interferer and signal
 atoms cancel. So each atom's linear part, weight * scale * f'(0) * t, is
@@ -95,6 +96,13 @@ def quadratic(n: int, u: float) -> float:
 _SLOPE = {gamma: 1.0, noncentral: 1.0, linear: 1.0, quadratic: 0.0}
 # shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
 _POLAR = (gamma, noncentral)
+# the full f of each shape at a complex argument u
+_COMPLEX = {
+    gamma: lambda u: -np.log1p(-u),
+    noncentral: lambda u: u / (1.0 - u),
+    linear: lambda u: u,
+    quadratic: lambda u: 0.5 * u * u,
+}
 
 
 class Atom(NamedTuple):
@@ -122,6 +130,16 @@ def cumulant(atoms, n: int, t: float) -> float:
     return math.fsum(terms)
 
 
+def characteristic_function(atoms, t):
+    """M(jt) of the sum of ``atoms`` for real scalar or array t: one atom at a
+    time into one complex log array, then one exp."""
+    t = np.asarray(t, dtype=float)
+    log_cf = np.zeros(t.shape, dtype=complex)
+    for f, w, s in atoms:
+        log_cf += w * _COMPLEX[f](1j * s * t)
+    return np.exp(log_cf)
+
+
 def atoms_strip(atoms) -> Strip:
     """Convergence strip of a sum of atoms: bounded by the nearest poles."""
     poles = [1.0 / a.scale for a in atoms if a.shape in _POLAR]
@@ -132,8 +150,8 @@ def atoms_strip(atoms) -> Strip:
 class PowerDistribution:
     """Common interface of the power-distribution families.
 
-    Subclasses give ``atoms()``, the characteristic function and the
-    sampler; the CGF methods enforce the strip. CGF methods take scalars.
+    Subclasses give ``atoms()`` and the sampler; the CGF methods enforce the
+    strip and take scalars.
     """
 
     def atoms(self) -> tuple[Atom, ...]:
@@ -168,8 +186,8 @@ class PowerDistribution:
         return self._cumulant(3, t)
 
     def characteristic_function(self, t):
-        """M(jt) for real t, principal branch; finite for all real t."""
-        raise NotImplementedError
+        """M(jt) for real scalar or array t, from ``atoms()``."""
+        return characteristic_function(self.atoms(), t)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw power samples whose population MGF equals the family MGF."""
@@ -196,10 +214,6 @@ class NakagamiM(PowerDistribution):
     def atoms(self) -> tuple[Atom, ...]:
         return (Atom(gamma, self.m, self.mean_power / self.m),)
 
-    def characteristic_function(self, t):
-        z = 1.0 - 1j * np.asarray(t) / self.rate
-        return np.exp(-self.m * np.log(z))
-
     def sample(self, rng, size=None):
         return rng.gamma(shape=self.m, scale=self.mean_power / self.m, size=size)
 
@@ -220,11 +234,6 @@ class Rician(PowerDistribution):
     def atoms(self) -> tuple[Atom, ...]:
         theta = self.mean_power / (1.0 + self.r)
         return (Atom(gamma, 1.0, theta), Atom(noncentral, self.r, theta))
-
-    def characteristic_function(self, t):
-        a = 1.0 + self.r
-        denom = a - 1j * np.asarray(t) * self.mean_power
-        return (a / denom) * np.exp(self.r * 1j * np.asarray(t) * self.mean_power / denom)
 
     def sample(self, rng, size=None):
         nu = math.sqrt(self.r * self.mean_power / (1.0 + self.r))
@@ -260,11 +269,6 @@ class Hoyt(PowerDistribution):
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(Atom(gamma, 0.5, h) for h in self._halves())
 
-    def characteristic_function(self, t):
-        lo, hi = self._halves()
-        t = np.asarray(t)
-        return np.exp(-0.5 * (np.log(1.0 - 1j * t * lo) + np.log(1.0 - 1j * t * hi)))
-
     def sample(self, rng, size=None):
         lo, hi = self._halves()
         x = rng.normal(0.0, math.sqrt(hi / 2.0), size=size)
@@ -285,10 +289,6 @@ class GaussianTest(PowerDistribution):
 
     def atoms(self) -> tuple[Atom, ...]:
         return (Atom(linear, self.mu, 1.0), Atom(quadratic, self.sigma2, 1.0))
-
-    def characteristic_function(self, t):
-        t = np.asarray(t)
-        return np.exp(1j * self.mu * t - 0.5 * self.sigma2 * t * t)
 
     def sample(self, rng, size=None):
         return rng.normal(self.mu, math.sqrt(self.sigma2), size=size)

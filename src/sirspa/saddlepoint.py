@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.special import ndtr
-
 from .composite import CompositeCgf
 from .exceptions import (
     BreakdownBranchRequired,
@@ -22,6 +20,7 @@ from .exceptions import (
     NoSaddleInStrip,
 )
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # never evaluate closer to a strip edge than this fraction of its scale
 _EDGE_MARGIN = 1e-12
@@ -159,7 +158,7 @@ def lugannani_rice(c: CompositeCgf, x: float, sol: SaddleSolution) -> float:
         raise BreakdownBranchRequired(
             "saddle point too close to the mean; use ccdf_at_mean or interpolation"
         )
-    return float(ndtr(-sol.w)) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
+    return 0.5 * math.erfc(sol.w / _SQRT_2) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:

@@ -207,9 +207,11 @@ class TestErgodicCapacity:
                         threshold_q=1.0)
         r = math.sqrt(1.0 - 10.0 ** -0.5 / 0.5)
         exact = 2.0 * math.atanh(r) / (r * math.log(2.0))
-        cap, _ = ergodic_capacity(t, "gil_pelaez")
+        cap, err = ergodic_capacity(t, "gil_pelaez")
         # quadrature tolerance plus the tail beyond the 1e-8 truncation
         assert abs(cap - exact) <= 1e-9 + 1e-8 * exact
+        # the error estimate covers the dropped tail
+        assert err >= abs(cap - exact)
         assert cf_nodes[0] < 2_000_000
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])

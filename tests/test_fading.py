@@ -161,7 +161,28 @@ class TestFamilyCollapse:
                 assert abs(hoyt.cgf(t) - ref) <= 1e-12
 
 
+def textbook_cf(d, t):
+    """Each family's characteristic function in its textbook closed form."""
+    t = np.asarray(t)
+    if isinstance(d, NakagamiM):
+        return np.exp(-d.m * np.log(1.0 - 1j * t / d.rate))
+    if isinstance(d, Rician):
+        a = 1.0 + d.r
+        denom = a - 1j * t * d.mean_power
+        return (a / denom) * np.exp(d.r * 1j * t * d.mean_power / denom)
+    if isinstance(d, Hoyt):
+        lo, hi = d.mean_power * (1.0 - d.b), d.mean_power * (1.0 + d.b)
+        return np.exp(-0.5 * (np.log(1.0 - 1j * t * lo) + np.log(1.0 - 1j * t * hi)))
+    return np.exp(1j * d.mu * t - 0.5 * d.sigma2 * t * t)
+
+
 class TestCharacteristicFunction:
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
+    def test_matches_textbook_form(self, d):
+        ts = np.logspace(-6.0, 12.0, 181)
+        ts = np.concatenate([-ts[::-1], ts])
+        assert np.max(np.abs(d.characteristic_function(ts) - textbook_cf(d, ts))) <= 1e-14
+
     @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
     def test_basic_properties(self, d):
         assert d.characteristic_function(0.0) == pytest.approx(1.0 + 0.0j)
