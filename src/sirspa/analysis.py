@@ -89,11 +89,7 @@ def outage_point(s: SirScenario, method: str = "spa",
         q_db = 10.0 * math.log10(q)
     x = -q * s.noise_power
     if method == "spa":
-        c = build_composite(s)
-        p, sol = ccdf(c, x, solver)
-        return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
-                            t_hat=sol.t_hat, iterations=sol.iterations,
-                            near_mean=sol.near_mean, clamped=sol.clamped)
+        return _spa_point(s, q_db, solver)
     if method == "gil_pelaez":
         c = build_composite(s)
         p, err = gil_pelaez_ccdf(c, x, quadrature)
@@ -107,6 +103,26 @@ def outage_point(s: SirScenario, method: str = "spa",
         p = exponential_signal_closed_form(s)
         return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def _spa_point(s: SirScenario, q_db: float, solver: SolverConfig,
+               t0: float = 0.0) -> OutageResult:
+    """The saddle-point outage at x = -q * N0, its saddle point solved from t0."""
+    q = s.threshold_q
+    p, sol = ccdf(build_composite(s), -q * s.noise_power, solver, t0)
+    return OutageResult(q_db=q_db, q_linear=q, p_out=p, method="spa",
+                        t_hat=sol.t_hat, iterations=sol.iterations,
+                        near_mean=sol.near_mean, clamped=sol.clamped)
+
+
+def _warm_start(prev: OutageResult, q: float) -> float:
+    """Start of the saddle solve at threshold q from the previous grid point's
+    saddle point. A t > 0 is bounded by the interferer poles, which scale as
+    1/q, so it is scaled by q_prev / q; a t < 0 is bounded by the signal
+    poles, which do not move. After a failed point the solve starts from 0."""
+    if prev.t_hat is None:
+        return 0.0
+    return prev.t_hat * (prev.q_linear / q) if prev.t_hat > 0.0 else prev.t_hat
 
 
 def error_result(q_db: float, q_linear: float, method: str,
@@ -124,7 +140,9 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     per point. A failed point carries an error marker instead of being dropped.
 
     Monte Carlo draws its samples once for the whole grid
-    (``monte_carlo_curve``); if that fails, every point carries the error."""
+    (``monte_carlo_curve``); if that fails, every point carries the error.
+    The saddle-point solve of each point starts from the previous point's
+    saddle point (``_warm_start``)."""
     points = [(float(q_db), replace(template, threshold_q=db_to_linear(float(q_db))))
               for q_db in grid.values_db()]
     if method == "monte_carlo":
@@ -139,8 +157,12 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     results = []
     for q_db, s in points:
         try:
-            results.append(outage_point(s, method, solver, quadrature,
-                                        monte_carlo, q_db=q_db))
+            if method == "spa":
+                t0 = _warm_start(results[-1], s.threshold_q) if results else 0.0
+                results.append(_spa_point(s, q_db, solver, t0))
+            else:
+                results.append(outage_point(s, method, solver, quadrature,
+                                            monte_carlo, q_db=q_db))
         except SirspaError as exc:
             results.append(error_result(q_db, s.threshold_q, method, exc))
     return results

@@ -3,7 +3,8 @@
 For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
-by -1.
+by -1, with atoms of the same shape and scale merged into one. K, K' and K''
+come from one pass over these atoms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,15 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import InvalidScenario
-from .fading import PowerDistribution, atoms_strip, characteristic_function, cumulant
+from .fading import (
+    PowerDistribution,
+    atoms_mean,
+    atoms_strip,
+    cgf_012,
+    characteristic_function,
+    cumulant,
+    merge_atoms,
+)
 
 
 @dataclass(frozen=True)
@@ -58,11 +67,15 @@ class CompositeCgf:
         if not q > 0:
             raise InvalidScenario(f"threshold q must be > 0, got {q}")
         self.interferers = tuple(interferers)
-        self.atoms = (tuple(a.scaled(float(q)) for d in self.interferers for a in d.atoms())
-                      + tuple(a.scaled(-1.0) for a in desired.atoms()))
+        # built as a list: CPython grows a tuple from a generator by resizing
+        # it, and such a tuple, once freed, adds to the free list of its size
+        # instead of having come from it; over many composites that held ~2 MB
+        atoms = [a.scaled(float(q)) for d in self.interferers for a in d.atoms()]
+        atoms += [a.scaled(-1.0) for a in desired.atoms()]
+        self.atoms = merge_atoms(tuple(atoms))
         self.strip = atoms_strip(self.atoms)
         try:
-            self.mean = cumulant(self.atoms, 1, 0.0)
+            self.mean = atoms_mean(self.atoms)
             self.variance = cumulant(self.atoms, 2, 0.0)
             finite = math.isfinite(self.mean) and math.isfinite(self.variance)
         except OverflowError:
@@ -76,26 +89,26 @@ class CompositeCgf:
         """Whether x = 0 lies within 0.05 standard deviations of the mean."""
         return abs(self.mean) < 0.05 * math.sqrt(self.variance)
 
-    def _cumulant(self, n: int, t: float) -> float:
+    def _cgf_012(self, t: float) -> tuple[float, float, float]:
         self.strip.require(t)
-        return cumulant(self.atoms, n, t)
+        return cgf_012(self.atoms, self.mean, t)
 
     def k(self, t: float) -> float:
-        return self._cumulant(0, t)
+        return self._cgf_012(t)[0]
 
     def k1(self, t: float) -> float:
-        return self._cumulant(1, t)
+        return self._cgf_012(t)[1]
 
     def k2(self, t: float) -> float:
-        return self._cumulant(2, t)
+        return self._cgf_012(t)[2]
 
     def d3(self, t: float) -> float:
-        return self._cumulant(3, t)
+        self.strip.require(t)
+        return cumulant(self.atoms, 3, t)
 
     def eval(self, t: float) -> CgfEval:
-        self.strip.require(t)
-        a = self.atoms
-        return CgfEval(t=t, k=cumulant(a, 0, t), k1=cumulant(a, 1, t), k2=cumulant(a, 2, t))
+        k, k1, k2 = self._cgf_012(t)
+        return CgfEval(t=t, k=k, k1=k1, k2=k2)
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -51,9 +52,15 @@ class RunConfig:
     compare: CompareSpec
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The config schema's validator, built once: the schema itself is checked
+    against its meta-schema only here, not on every load."""
     text = resources.files("sirspa").joinpath("schemas/config.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _parse_distribution(spec: dict, where: str) -> PowerDistribution:
@@ -85,9 +92,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, _schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
+    if exc is not None:
         loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config field {loc}: {exc.message}") from exc
 

@@ -64,6 +64,8 @@ def gamma(n: int, u: float) -> float:
         # -log1p(-u) - u = u**2 / (2 - u) + 2 * (atanh(z) - z), z = u / (2 - u);
         # the series keeps atanh(z) - z accurate for small z
         z = u / (2.0 - u)
+        if z == -1.0:  # u below about -2**54: nothing left to cancel
+            return -math.log1p(-u) - u
         z2 = z * z
         if abs(z) < 0.1:
             tail = z * z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (
@@ -117,6 +119,11 @@ class Atom(NamedTuple):
         return Atom(self.shape, self.weight, self.scale * c)
 
 
+def atoms_mean(atoms) -> float:
+    """Mean of the sum of ``atoms``: its linear parts, exactly rounded."""
+    return math.fsum([w * s * _SLOPE[f] for f, w, s in atoms])
+
+
 def cumulant(atoms, n: int, t: float) -> float:
     """n-th derivative at t of the CGF sum of ``atoms``, unchecked against the strip.
 
@@ -125,9 +132,39 @@ def cumulant(atoms, n: int, t: float) -> float:
     """
     terms = [w * s ** n * f(n, s * t) for f, w, s in atoms]
     if n < 2:
-        mean = math.fsum([w * s * _SLOPE[f] for f, w, s in atoms])
+        mean = atoms_mean(atoms)
         terms.append(mean * t if n == 0 else mean)
     return math.fsum(terms)
+
+
+def cgf_012(atoms, mean: float, t: float) -> tuple[float, float, float]:
+    """K, K' and K'' at t of the CGF sum of ``atoms`` in one pass over them,
+    given their ``atoms_mean``; unchecked against the strip.
+
+    Each term and each exactly rounded sum is the one ``cumulant`` forms, so
+    the three values equal ``cumulant(atoms, n, t)`` for n = 0, 1, 2.
+    """
+    k0, k1, k2 = [mean * t], [mean], []
+    for f, w, s in atoms:
+        u = s * t
+        k0.append(w * f(0, u))
+        k1.append(w * s * f(1, u))
+        k2.append(w * s ** 2 * f(2, u))
+    return math.fsum(k0), math.fsum(k1), math.fsum(k2)
+
+
+def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
+    """Atoms of the same shape and scale merged into one, their weights added
+    (exactly rounded): a sum of such atoms is one atom of the summed weight.
+
+    Without two atoms of one (shape, scale) the tuple is returned as it is.
+    """
+    if len({(a.shape, a.scale) for a in atoms}) == len(atoms):
+        return atoms
+    weights: dict[tuple, list[float]] = {}
+    for f, w, s in atoms:
+        weights.setdefault((f, s), []).append(w)
+    return tuple([Atom(f, math.fsum(ws), s) for (f, s), ws in weights.items()])
 
 
 def characteristic_function(atoms, t):
@@ -162,7 +199,7 @@ class PowerDistribution:
 
     @property
     def mean(self) -> float:
-        return cumulant(self.atoms(), 1, 0.0)
+        return atoms_mean(self.atoms())
 
     @property
     def variance(self) -> float:

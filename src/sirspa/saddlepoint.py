@@ -2,10 +2,11 @@
 
 The saddle point solves K'(t) = x on the composite CGF. K' is strictly
 increasing on the strip (convexity), so the root is unique; a safeguarded
-Newton iteration from t = 0 with a bisection fallback toward the bracket
-is guaranteed to find it. The tail probability is the three-term
-Lugannani-Rice value, with a breakdown branch near the mean where the
-1/w singularity would otherwise blow up.
+Newton iteration with a bisection fallback toward the bracket is
+guaranteed to find it from any start inside the strip, so a curve can
+start each point from its neighbour's saddle point. The tail probability
+is the three-term Lugannani-Rice value, with a breakdown branch near the
+mean where the 1/w singularity would otherwise blow up.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .composite import CompositeCgf
+from .composite import CgfEval, CompositeCgf
 from .exceptions import (
     BreakdownBranchRequired,
     DivergedSolver,
@@ -64,61 +65,68 @@ def _phi(w: float) -> float:
     return math.exp(-0.5 * w * w) / _SQRT_2PI
 
 
-def _edge_points(edge: float, inward_scale: float):
-    """Points approaching a finite or infinite strip edge from zero."""
+def _edge_points(start: float, edge: float, step: float):
+    """Points approaching a finite or infinite strip edge from ``start``: halving
+    the distance to a finite edge, doubling ``step`` toward an infinite one."""
     if math.isfinite(edge):
         margin = _EDGE_MARGIN * max(abs(edge), 1.0)
         for i in range(1, 60):
-            t = edge * (1.0 - 0.5 ** i)
+            t = start + (edge - start) * (1.0 - 0.5 ** i)
             if abs(edge - t) < margin:
                 return
             yield t
     else:
         sign = 1.0 if edge > 0 else -1.0
         for i in range(0, 512):
-            yield sign * inward_scale * 2.0 ** i
+            yield start + sign * step * 2.0 ** i
 
 
-def _bracket(c: CompositeCgf, x: float):
+def _bracket(c: CompositeCgf, x: float, start: CgfEval):
     """Bracket the root of K'(t) - x as (lo, g_lo, hi, g_hi), edges with their
-    residuals. K' is increasing, so the sign of the residual at 0 tells which
-    half of the strip holds the root."""
-    g0 = c.mean - x
-    scale = max(1.0, abs(x)) / max(c.variance, 1e-300)
-    if g0 > 0.0:  # root at t < 0
-        for t in _edge_points(c.strip.lower, scale):
+    residuals, searching outward from the evaluated ``start``. K' is
+    increasing, so the sign of the residual there tells which side of the
+    start holds the root. Toward an infinite edge the probes double the
+    Newton step from the start."""
+    t0, g0 = start.t, start.k1 - x
+    step = (abs(g0) or max(1.0, abs(x))) / start.k2
+    if g0 > 0.0:  # root below the start
+        for t in _edge_points(t0, c.strip.lower, step):
             g = c.k1(t) - x
             if g < 0.0:
-                return t, g, 0.0, g0
-    else:  # root at t >= 0
-        for t in _edge_points(c.strip.upper, scale):
+                return t, g, t0, g0
+    else:  # root at or above the start
+        for t in _edge_points(t0, c.strip.upper, step):
             g = c.k1(t) - x
             if g > 0.0:
-                return 0.0, g0, t, g
+                return t0, g0, t, g
     raise NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
 
 
 def solve_saddle(c: CompositeCgf, x: float,
-                 cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
-    """Solve K'(t) = x by safeguarded Newton iteration from t = 0.
+                 cfg: SolverConfig = SolverConfig(), t0: float = 0.0) -> SaddleSolution:
+    """Solve K'(t) = x by safeguarded Newton iteration from t0, or from 0 when
+    t0 is not inside the strip.
 
-    Every iterate stays strictly inside the strip: a proposed Newton step
-    that would leave the current bracket is replaced by the violated bracket
-    edge when that edge's residual already meets the tolerance, else by the
-    midpoint of the iterate and that edge. After the residual tolerance is
-    met one extra Newton step polishes the root to near machine precision.
+    The bracket is searched outward from the start. Every iterate stays
+    strictly inside the strip: a proposed Newton step that would leave the
+    current bracket is replaced by the violated bracket edge when that
+    edge's residual already meets the tolerance, else by the midpoint of the
+    iterate and that edge. After the residual tolerance is met one extra
+    Newton step polishes the root to near machine precision. The last
+    evaluation then gives w, u and one more Newton step without a new
+    evaluation, so every start lands on the same root to rounding.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     scale = cfg.tol * max(1.0, abs(x), math.sqrt(c.variance))
-    lo, g_lo, hi, g_hi = _bracket(c, x)
-    t = 0.0 if lo <= 0.0 <= hi else 0.5 * (lo + hi)
+    t = t0 if c.strip.contains(t0) else 0.0
+    e = c.eval(t)
+    lo, g_lo, hi, g_hi = _bracket(c, x, e)
     converged = False
     iterations = 0
     polish = 0
     while iterations < cfg.max_iter:
         iterations += 1
-        e = c.eval(t)
         g = e.k1 - x
         if abs(g) <= scale:
             converged = True
@@ -138,11 +146,14 @@ def solve_saddle(c: CompositeCgf, x: float,
         if t_new == t:
             break
         t = t_new
-    if not converged:
-        g_final = c.k1(t) - x
-        converged = abs(g_final) <= scale
-    e = c.eval(t)
-    arg = 2.0 * (x * t - e.k)
+        e = c.eval(t)
+    g = e.k1 - x
+    converged = converged or abs(g) <= scale
+    # once converged, one more Newton step without a new evaluation: x*t - K(t)
+    # is stationary at the root, so the step adds -g*dt/2 to it (second order)
+    dt = -g / e.k2 if converged else 0.0
+    arg = 2.0 * (x * t - e.k) - g * dt
+    t += dt
     w = math.copysign(math.sqrt(max(arg, 0.0)), t)
     u = t * math.sqrt(e.k2)
     near_mean = t == 0.0 or abs(w) < cfg.near_mean_w_threshold
@@ -169,9 +180,10 @@ def ccdf_at_mean(c: CompositeCgf) -> float:
     return min(1.0, max(0.0, p))
 
 
-def ccdf(c: CompositeCgf, x: float,
-         cfg: SolverConfig = SolverConfig()) -> tuple[float, SaddleSolution]:
-    """Upper-tail probability of the composite variable at x.
+def ccdf(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig(),
+         t0: float = 0.0) -> tuple[float, SaddleSolution]:
+    """Upper-tail probability of the composite variable at x, with the saddle
+    point solved from t0 (see ``solve_saddle``).
 
     Routes through the Lugannani-Rice formula away from the mean. Inside
     the breakdown neighborhood (|w| below the configured threshold) the
@@ -180,7 +192,7 @@ def ccdf(c: CompositeCgf, x: float,
     neighborhood takes the skewness-corrected mean value, which is also
     available directly via ``near_mean_method="skewness"``.
     """
-    sol = solve_saddle(c, x, cfg)
+    sol = solve_saddle(c, x, cfg, t0)
     if not sol.converged:
         raise DivergedSolver(f"saddle solver did not converge at x={x}")
     if not sol.near_mean:

@@ -19,9 +19,12 @@ from sirspa import (
     outage_curve,
     outage_point,
 )
-from sirspa import analysis
+from sirspa import analysis, build_composite
 from sirspa.analysis import METHODS, db_to_linear
-from sirspa.exceptions import QuadratureNotConverged, SirspaError
+from sirspa.config import load_config
+from sirspa.exceptions import DivergedSolver, QuadratureNotConverged, SirspaError
+
+from conftest import CONFIG_DIR, random_scenario
 
 
 def fig1_template(m0: float = 1.0, noise_power: float = 0.0) -> SirScenario:
@@ -152,6 +155,80 @@ class TestOutageCurve:
         for r in results:
             assert r.error == "SirspaError: sampler broke"
             assert math.isnan(r.p_out) and r.method == "monte_carlo"
+
+def assert_curve_matches_points(template, grid, solver=SolverConfig(), t_rel=1e-13):
+    """The warm-started spa curve against cold per-point solves."""
+    results = outage_curve(template, grid, "spa", solver)
+    for r in results:
+        ref = outage_point(replace(template, threshold_q=r.q_linear), "spa", solver,
+                           q_db=r.q_db)
+        assert r.error == ref.error
+        if ref.error is None:
+            assert abs(r.p_out - ref.p_out) <= 1e-12
+            assert abs(r.t_hat - ref.t_hat) <= t_rel * abs(ref.t_hat)
+            assert (r.near_mean, r.clamped) == (ref.near_mean, ref.clamped)
+    return results
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
+    def test_curve_matches_points_on_figures(self, fig):
+        cfg = load_config(CONFIG_DIR / f"{fig}.json")
+        iterations = []
+        for curve in cfg.curves:
+            results = assert_curve_matches_points(curve.template, cfg.grid, cfg.solver)
+            iterations += [r.iterations for r in results]
+        # solved from t = 0, these curves take 7.6 to 8.3 iterations per point
+        assert sum(iterations) / len(iterations) <= 5.5
+
+    def test_curve_matches_points_random(self, rng):
+        grid = ThresholdGrid(-20.0, 30.0, 2.5)
+        for i in range(20):
+            s = random_scenario(rng)
+            if i % 2:
+                s = replace(s, noise_power=float(rng.uniform(0.0, 0.5)) * s.desired.mean)
+            assert_curve_matches_points(s, grid)
+
+    def test_heavy_interferer_start_beyond_next_strip(self):
+        # t > 0 near the interferer pole 1/(q * s): unscaled, the previous
+        # point's saddle point lies outside the next point's strip
+        template = SirScenario(desired=NakagamiM(m=2.0, mean_power=10.0),
+                               interferers=(NakagamiM(m=0.5, mean_power=1.0),) * 2,
+                               threshold_q=1.0)
+        grid = ThresholdGrid(-40.0, 20.0, 2.0)
+        # the root is known to ~1e-13 relative here: at t ~ 1e3 the signal
+        # atom's K' term cancels its mean part from 10 down to 1e-3, and a
+        # solve from 0 lies up to 1.1e-13 from the 50-digit root
+        results = assert_curve_matches_points(template, grid, t_rel=5e-13)
+        beyond = [b for a, b in zip(results, results[1:])
+                  if a.t_hat > build_composite(replace(template, threshold_q=b.q_linear)).strip.upper]
+        assert len(beyond) >= 10
+        assert all(b.iterations <= 6 for b in beyond)
+
+    def test_failed_point_restarts_cold(self, monkeypatch):
+        starts = []
+        ccdf = analysis.ccdf
+
+        def fail_fourth(c, x, cfg, t0=0.0):
+            starts.append(t0)
+            if len(starts) == 4:
+                raise DivergedSolver("forced")
+            return ccdf(c, x, cfg, t0)
+
+        monkeypatch.setattr(analysis, "ccdf", fail_fourth)
+        grid = ThresholdGrid(-6.0, 6.0, 1.5)
+        results = outage_curve(fig1_template(), grid, "spa")
+        monkeypatch.undo()
+        assert results[3].error == "DivergedSolver: forced"
+        assert [i for i, t0 in enumerate(starts) if t0 == 0.0] == [0, 4]
+        assert [r.error for r in results].count(None) == 8
+        for r in results[:3] + results[4:]:
+            ref = outage_point(replace(fig1_template(), threshold_q=r.q_linear), "spa")
+            assert abs(r.p_out - ref.p_out) <= 1e-12
+        assert results[4] == outage_point(
+            replace(fig1_template(), threshold_q=results[4].q_linear), "spa",
+            q_db=results[4].q_db)
+
 
 class TestSinrOutage:
     def test_noise_free_limit(self):

@@ -3,7 +3,9 @@
 import json
 import math
 from collections import Counter
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 from sirspa import (
@@ -17,6 +19,7 @@ from sirspa import (
     SolverConfig,
     analysis,
     cli,
+    config,
 )
 from sirspa.cli import (
     CAPACITY_HEADER,
@@ -104,6 +107,41 @@ class TestConfigLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
+
+    def test_validator_built_once(self, tmp_path, monkeypatch):
+        def rebuilds(*args, **kwargs):
+            raise AssertionError("jsonschema.validate rebuilds the validator")
+
+        monkeypatch.setattr(jsonschema, "validate", rebuilds)
+        config._validator.cache_clear()
+        for i in range(5):
+            load_config(write_config(tmp_path, base_config(), f"run{i}.json"))
+        with pytest.raises(ConfigError, match="extra_field"):
+            load_config(write_config(tmp_path, base_config(extra_field=1)))
+        assert config._validator.cache_info().misses == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(extra_field=1),
+        lambda c: c["curves"][0]["desired"].update(family="lognormal"),
+        lambda c: c["grid"].update(step_db="1"),
+        lambda c: c.update(curves=[]),
+        lambda c: c["grid"].pop("step_db"),
+        lambda c: c.update(methods=["spa", "newton"]),
+        lambda c: c["curves"][0].update(interferers=[]),
+        lambda c: c.update(solver={"tol": "small"}),
+    ], ids=["extra_field", "unknown_family", "string_step", "no_curves", "missing_step",
+            "unknown_method", "no_interferers", "string_tol"])
+    def test_messages_match_jsonschema_validate(self, tmp_path, edit):
+        raw = base_config()
+        edit(raw)
+        schema = json.loads(
+            (Path(config.__file__).parent / "schemas/config.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, schema)
+        loc = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            load_config(write_config(tmp_path, raw))
+        assert str(got.value) == f"config field {loc}: {expected.value.message}"
 
 
 class TestOutageCommand:

@@ -17,6 +17,7 @@ from sirspa import (
     StripViolation,
     build_composite,
 )
+from sirspa.fading import characteristic_function, cumulant
 
 from conftest import central_diff, dist_to_edge, fd_step, random_scenario, strip_points
 
@@ -226,3 +227,54 @@ class TestCharacteristicFunction:
         gamma -= s.desired.sample(gen, n)
         emp = np.mean(np.exp(1j * t * gamma))
         assert abs(emp - complex(c.characteristic_function(t))) <= 1e-3
+
+
+def fig1_scenario(q: float = 1.0) -> SirScenario:
+    return SirScenario(desired=NakagamiM(m=1.0, mean_power=10.0 ** 0.5),
+                       interferers=(NakagamiM(m=0.5, mean_power=1.0),) * 5,
+                       threshold_q=q)
+
+
+def unmerged_atoms(s: SirScenario) -> tuple:
+    return (tuple(a.scaled(s.threshold_q) for d in s.interferers for a in d.atoms())
+            + tuple(a.scaled(-1.0) for a in s.desired.atoms()))
+
+
+class TestMergedAtoms:
+    def test_fig1_merges_to_two_atoms(self):
+        c = build_composite(fig1_scenario())
+        assert len(c.atoms) == 2
+        assert sorted(a.weight for a in c.atoms) == [1.0, 2.5]
+        assert len(c.interferers) == 5
+
+    @pytest.mark.parametrize("s", [
+        fig1_scenario(q=10.0 ** 0.35),
+        SirScenario(desired=Rician(r=2.0, mean_power=10.0 ** 0.5),
+                    interferers=(Rician(r=0.5, mean_power=1.0),) * 5, threshold_q=1.7),
+        SirScenario(desired=Hoyt(b=0.3, mean_power=2.0),
+                    interferers=(NakagamiM(m=1.15, mean_power=0.7),) * 3
+                    + (Hoyt(b=0.3, mean_power=0.9),) * 4, threshold_q=0.31),
+        SirScenario(desired=GaussianTest(mu=1.3, sigma2=0.7),
+                    interferers=(GaussianTest(mu=0.3, sigma2=0.11),) * 3, threshold_q=2.9),
+    ], ids=["fig1", "fig2_style", "mixed", "gaussian"])
+    def test_merged_matches_unmerged_sum(self, s, rng):
+        c = build_composite(s)
+        atoms = unmerged_atoms(s)
+        assert len(c.atoms) < len(atoms)
+        # relative to the magnitude of the summed terms: the sums cancel
+        # near the mean, and both sides round each term once
+        for t in strip_points(c.strip, rng, 20):
+            e = c.eval(t)
+            for value, n in ((e.k, 0), (e.k1, 1), (e.k2, 2)):
+                size = sum(abs(w * s ** n * f(n, s * t)) for f, w, s in atoms)
+                size += sum(abs(w * s) for f, w, s in atoms) * abs(t) ** (1 - n) if n < 2 else 0.0
+                assert abs(value - cumulant(atoms, n, t)) <= 1e-15 * size
+        # relative to |M| times |log M|: M is the exp of the summed log terms
+        ts = np.linspace(-20.0, 20.0, 81) / math.sqrt(c.variance)
+        merged, unmerged = c.characteristic_function(ts), characteristic_function(atoms, ts)
+        size = np.abs(unmerged) * np.maximum(1.0, np.abs(np.log(unmerged)))
+        assert np.all(np.abs(merged - unmerged) <= 1e-15 * size)
+
+    def test_distinct_atoms_kept_as_they_are(self):
+        s = fig4_scenario(q=2.0)
+        assert build_composite(s).atoms == unmerged_atoms(s)

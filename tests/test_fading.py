@@ -125,6 +125,11 @@ class TestAtoms:
             exact = cumulant(atoms, n, t)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
+    @pytest.mark.parametrize("u", [-1e3, -1e15, -2.0 ** 54, -5.8e17, -1e154, -1e300])
+    def test_gamma_far_below_zero(self, u):
+        # an interferer atom at q ~ 1e18 and t ~ -0.5: u / (2 - u) rounds to -1
+        assert gamma(0, u) == pytest.approx(-math.log1p(-u) - u, rel=1e-15)
+
 
 class TestStrips:
     def test_strip_examples(self):

@@ -15,6 +15,7 @@ from scipy.special import ndtr
 import sirspa
 from sirspa import (
     BreakdownBranchRequired,
+    CompositeCgf,
     DivergedSolver,
     GaussianTest,
     NakagamiM,
@@ -170,6 +171,60 @@ class TestSolveSaddle:
         c = gaussian_composite()
         with pytest.raises(ValueError):
             solve_saddle(c, math.inf)
+
+    def test_bracket_probe_far_below_interferer_scale(self):
+        # q = 2**60 on the Rayleigh pair: the probe at t = -0.5 evaluates K at
+        # u = q * t ~ -5.8e17 for the interferer atom
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        c = build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=2.0 ** 60))
+        assert math.isfinite(c.k(-0.5))
+        p, sol = ccdf(c, 0.0)
+        assert 0.0 <= p <= 1.0 and sol.converged
+
+
+class TestWarmStart:
+    def test_start_outside_strip_is_cold(self, rng):
+        for _ in range(50):
+            c = build_composite(random_scenario(rng))
+            cold = solve_saddle(c, 0.0)
+            for t0 in (c.strip.upper, c.strip.lower, 2.0 * c.strip.upper, math.inf, -math.inf):
+                assert solve_saddle(c, 0.0, t0=t0) == cold
+
+    def test_warm_start_finds_the_cold_root(self, rng):
+        for _ in range(200):
+            s, t_exact = identical_nakagami_scenario(rng)
+            c = build_composite(s)
+            cold = solve_saddle(c, 0.0)
+            for f in (0.5, 0.97, 1.03, 2.0):
+                t0 = f * t_exact
+                if not c.strip.contains(t0):
+                    continue
+                warm = solve_saddle(c, 0.0, t0=t0)
+                assert warm.converged
+                assert abs(warm.t_hat - cold.t_hat) <= 1e-13 * abs(cold.t_hat)
+                if f in (0.97, 1.03):
+                    assert warm.iterations <= cold.iterations
+
+    def test_one_evaluation_per_iteration(self, rng, monkeypatch):
+        evals = [0]
+        evaluate = CompositeCgf.eval
+
+        def counting(self, t):
+            evals[0] += 1
+            return evaluate(self, t)
+
+        monkeypatch.setattr(CompositeCgf, "eval", counting)
+        for _ in range(50):
+            c = build_composite(random_scenario(rng))
+            evals[0] = 0
+            sol = solve_saddle(c, 0.0)
+            assert sol.converged and evals[0] == sol.iterations
+        # out of iterations: the last iterate is evaluated once, for its
+        # residual and for w and u
+        c = build_composite(random_scenario(rng))
+        evals[0] = 0
+        sol = solve_saddle(c, 0.0, SolverConfig(tol=1e-15, max_iter=1))
+        assert not sol.converged and evals[0] == 2
 
 
 class TestLugannaniRice:
