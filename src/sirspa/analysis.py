@@ -14,9 +14,9 @@ from .oracles import (
     QuadratureConfig,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
+    map_batches,
     monte_carlo_curve,
     monte_carlo_outage,
-    sample_batches,
 )
 from .saddlepoint import SolverConfig, ccdf
 
@@ -179,23 +179,27 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     error estimate is the quadrature's plus a bound on the dropped tail. If
     the success probability is still at or above 1e-8 at the cap c = 64,
     raises ``QuadratureNotConverged`` carrying the integral up to the cap.
+    Each saddle-point solve of the integrand starts from the previous
+    evaluation's saddle point (``_warm_start``).
     """
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
     # imported here so that the rest of the package runs on numpy alone
     from scipy.integrate import quad
 
+    prev = None
+
     def success(c_val: float) -> float:
+        nonlocal prev
         q = 2.0 ** c_val - 1.0
         if q <= 0.0:
             return 1.0
         s = replace(template, threshold_q=q)
-        comp = build_composite(s)
-        x = -q * s.noise_power
         if method == "spa":
-            p, _ = ccdf(comp, x, solver)
-        else:
-            p, _ = gil_pelaez_ccdf(comp, x, quadrature)
+            t0 = _warm_start(prev, q) if prev is not None else 0.0
+            prev = _spa_point(s, 10.0 * math.log10(q), solver, t0)
+            return 1.0 - prev.p_out
+        p, _ = gil_pelaez_ccdf(build_composite(s), -q * s.noise_power, quadrature)
         return 1.0 - p
 
     c_prev, s_prev = 0.0, 1.0
@@ -221,16 +225,22 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
 
 def monte_carlo_capacity(template: SirScenario,
                          mc: MonteCarloConfig = MonteCarloConfig()) -> tuple[float, float]:
-    """Mean of log2(1 + S / (I + N0)) over paired samples; independent capacity oracle."""
-    batch_means = np.empty(mc.batches)
-    weights = np.empty(mc.batches)
-    for i, (p0, interference) in enumerate(sample_batches(template, mc)):
+    """Mean of log2(1 + S / (I + N0)) over paired samples; independent capacity oracle.
+
+    The standard error is the spread of the batch means. With one batch it is
+    the sample standard deviation over the square root of the sample count,
+    and with one sample it is ``math.inf``: no estimate.
+    """
+    def batch(p0, interference):
         cap = np.log2(1.0 + p0 / (interference + template.noise_power))
-        batch_means[i] = float(np.mean(cap))
-        weights[i] = len(p0) / mc.samples
-    mean = float(np.dot(weights, batch_means))
+        # one batch has no spread of batch means; its own samples give the error
+        spread = float(np.std(cap, ddof=1)) if mc.batches == 1 and len(cap) > 1 else math.inf
+        return len(cap) / mc.samples, float(np.mean(cap)), spread
+
+    weights, means, spreads = zip(*map_batches(template, mc, batch))
+    mean = float(np.dot(weights, means))
     if mc.batches > 1:
-        std_error = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)
+        std_error = float(np.std(means, ddof=1)) / math.sqrt(mc.batches)
     else:
-        std_error = math.nan
+        std_error = spreads[0] / math.sqrt(mc.samples)
     return mean, std_error

@@ -7,6 +7,7 @@ selectable computation methods in their own right.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,22 +184,48 @@ def _batch_sizes(samples: int, batches: int) -> list[int]:
     return [base + 1 if i < extra else base for i in range(batches)]
 
 
-def sample_batches(s: SirScenario, mc: MonteCarloConfig):
-    """Yield (signal, interference) power samples, one pair of arrays per batch.
+def _workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def map_batches(s: SirScenario, mc: MonteCarloConfig, reduce) -> list:
+    """``reduce(signal, interference)`` of every batch of power samples, in
+    batch order.
 
     Deterministic for a fixed seed: batch b always uses the b-th spawned
     child of SeedSequence(seed), drawing the signal first and then each
-    interferer in order, so the result is invariant to how batches are
-    scheduled.
+    interferer in order, so the result does not depend on how batches are
+    scheduled. Batches are drawn and reduced on a pool of up to one thread
+    per available CPU (numpy releases the interpreter lock while it fills
+    and reduces arrays), so at most that many batches are in memory at once
+    and only the reduced values are kept. If a batch raises, the batches not
+    yet started are cancelled and the first error in batch order is raised.
     """
-    children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
-    for child, n in zip(children, _batch_sizes(mc.samples, mc.batches)):
+    # imported here, like scipy's quad, so that importing sirspa does not pay for it
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    def batch(child: np.random.SeedSequence, n: int):
         rng = np.random.Generator(np.random.PCG64(child))
         p0 = s.desired.sample(rng, n)
         interference = np.zeros(n)
         for d in s.interferers:
             interference += d.sample(rng, n)
-        yield p0, interference
+        return reduce(p0, interference)
+
+    children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
+    pool = ThreadPoolExecutor(min(_workers(), mc.batches))
+    try:
+        futures = [pool.submit(batch, child, n)
+                   for child, n in zip(children, _batch_sizes(mc.samples, mc.batches))]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    # every batch before a failed one has run, so this raises the first error
+    return [f.result() for f in futures]
 
 
 # Per-batch hit counts kept for one pass over the samples. A longer grid is
@@ -210,7 +237,7 @@ def monte_carlo_curve(template: SirScenario, qs: list[float],
                       mc: MonteCarloConfig = MonteCarloConfig()) -> list[tuple[float, float]]:
     """Empirical outage frequency and standard error at every threshold in ``qs``.
 
-    Each batch of ``sample_batches`` is drawn once and compared with every
+    Each batch of ``map_batches`` is drawn once and compared with every
     threshold: a draw is an outage at q when q*(I + N0) > S. All thresholds
     therefore share the same samples, which makes the estimate monotone in q
     whenever I + N0 >= 0, as for every fading family. The template's own
@@ -221,11 +248,12 @@ def monte_carlo_curve(template: SirScenario, qs: list[float],
     out = []
     for start in range(0, len(qs), block):
         block_qs = qs[start:start + block]
-        counts = np.empty((len(block_qs), mc.batches), dtype=np.int64)
-        for i, (p0, interference) in enumerate(sample_batches(template, mc)):
+
+        def hits(p0, interference):
             total = interference + template.noise_power
-            for j, q in enumerate(block_qs):
-                counts[j, i] = np.count_nonzero(q * total > p0)
+            return [np.count_nonzero(q * total > p0) for q in block_qs]
+
+        counts = np.array(map_batches(template, mc, hits), dtype=np.int64).T
         for row in counts:
             p = int(row.sum()) / mc.samples
             if mc.batches > 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,37 @@ def random_scenario(rng: np.random.Generator, families=("nakagami_m", "rician", 
     interferers = tuple(random_distribution(rng, families) for _ in range(n))
     q = float(10.0 ** (rng.uniform(-10.0, 20.0) / 10.0))
     return SirScenario(desired=desired, interferers=interferers, threshold_q=q)
+
+
+def serial_batches(s: SirScenario, mc):
+    """(signal, interference) of every Monte Carlo batch, drawn one after
+    another in this thread: the serial loop the thread pool of
+    ``oracles.map_batches`` must reproduce exactly."""
+    base, extra = divmod(mc.samples, mc.batches)
+    children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
+    for b, child in enumerate(children):
+        n = base + 1 if b < extra else base
+        rng = np.random.Generator(np.random.PCG64(child))
+        p0 = s.desired.sample(rng, n)
+        interference = np.zeros(n)
+        for d in s.interferers:
+            interference += d.sample(rng, n)
+        yield p0, interference
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Patch the Monte Carlo pool to ``request.param`` threads, with a short
+    switch interval so that the threads interleave often."""
+    from sirspa import oracles
+
+    monkeypatch.setattr(oracles, "_workers", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
 from sirspa.exceptions import DivergedSolver, QuadratureNotConverged, SirspaError
 
-from conftest import CONFIG_DIR, random_scenario
+from conftest import CONFIG_DIR, random_scenario, serial_batches
 
 
 def fig1_template(m0: float = 1.0, noise_power: float = 0.0) -> SirScenario:
@@ -291,6 +291,29 @@ class TestErgodicCapacity:
         assert err >= abs(cap - exact)
         assert cf_nodes[0] < 2_000_000
 
+    @pytest.mark.parametrize("template", [rayleigh_pair_template(),
+                                          fig1_template(m0=1.5, noise_power=0.3)],
+                             ids=["rayleigh-pair", "fig1-noise"])
+    def test_spa_integrand_warm_start(self, template, monkeypatch):
+        # each integrand solve starts from the previous saddle point: fewer
+        # Newton iterations, and the capacity within 1e-9 of cold solves
+        iterations = [0]
+        real_ccdf = analysis.ccdf
+
+        def counting(c, x, cfg, t0=0.0):
+            p, sol = real_ccdf(c, x, cfg, t0)
+            iterations[0] += sol.iterations
+            return p, sol
+
+        monkeypatch.setattr(analysis, "ccdf", counting)
+        warm = ergodic_capacity(template, "spa")
+        warm_iterations = iterations[0]
+        monkeypatch.setattr(analysis, "_warm_start", lambda prev, q: 0.0)
+        iterations[0] = 0
+        cold = ergodic_capacity(template, "spa")
+        assert warm[0] == pytest.approx(cold[0], abs=1e-9)
+        assert warm_iterations < 0.9 * iterations[0]
+
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_truncation_at_the_cap_raises(self, method):
         # a strong signal over one m=0.5 interferer: success is still ~1e-7
@@ -316,3 +339,32 @@ class TestErgodicCapacity:
         mc = MonteCarloConfig(samples=10 ** 5, seed=12)
         assert (monte_carlo_capacity(rayleigh_pair_template(), mc)
                 == monte_carlo_capacity(rayleigh_pair_template(), mc))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("mc", [MonteCarloConfig(samples=20001, seed=13, batches=30),
+                                    MonteCarloConfig(samples=5000, seed=14, batches=1)],
+                             ids=["30-batches", "one-batch"])
+    def test_monte_carlo_capacity_independent_of_workers(self, workers, mc):
+        # the serial loop the thread pool replaces, kept as the reference
+        template = fig1_template(m0=0.75, noise_power=0.2)
+        caps = [np.log2(1.0 + p0 / (interference + template.noise_power))
+                for p0, interference in serial_batches(template, mc)]
+        weights = np.array([len(cap) / mc.samples for cap in caps])
+        batch_means = np.array([float(np.mean(cap)) for cap in caps])
+        if mc.batches > 1:
+            se = float(np.std(batch_means, ddof=1)) / math.sqrt(mc.batches)
+        else:
+            se = float(np.std(caps[0], ddof=1)) / math.sqrt(mc.samples)
+        expected = (float(np.dot(weights, batch_means)), se)
+        assert monte_carlo_capacity(template, mc) == expected
+
+    def test_monte_carlo_capacity_one_batch_error(self):
+        # one batch: the within-batch spread, not a NaN
+        cap, se = monte_carlo_capacity(rayleigh_pair_template(),
+                                       MonteCarloConfig(samples=1000, seed=15, batches=1))
+        assert 0.0 < se < 0.1
+        assert abs(cap - 1.0 / math.log(2.0)) <= 4.0 * se
+        # one sample: no estimate
+        cap, se = monte_carlo_capacity(rayleigh_pair_template(),
+                                       MonteCarloConfig(samples=1, seed=15, batches=1))
+        assert math.isfinite(cap) and se == math.inf

@@ -1,6 +1,8 @@
 """Reference methods: Gil-Pelaez inversion, Monte Carlo, closed form."""
 
 import math
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -25,9 +27,9 @@ from sirspa import (
     monte_carlo_outage,
 )
 from sirspa import oracles
-from sirspa.oracles import RNG_ALGORITHM, sample_batches
+from sirspa.oracles import RNG_ALGORITHM, map_batches
 
-from conftest import random_scenario
+from conftest import random_scenario, serial_batches
 
 
 def rayleigh_pair(q: float = 1.0) -> SirScenario:
@@ -216,7 +218,7 @@ def per_point_reference(template: SirScenario, qs, mc: MonteCarloConfig):
         s = replace(template, threshold_q=q)
         hits = 0
         batch_means = np.empty(mc.batches)
-        for i, (p0, interference) in enumerate(sample_batches(s, mc)):
+        for i, (p0, interference) in enumerate(map_batches(s, mc, lambda a, b: (a, b))):
             count = int(np.count_nonzero(q * (interference + s.noise_power) > p0))
             hits += count
             batch_means[i] = count / len(p0)
@@ -274,6 +276,95 @@ class TestMonteCarloCurve:
         mc = MonteCarloConfig(samples=5000, seed=9, batches=10)
         assert monte_carlo_outage(s, mc) == monte_carlo_curve(s, [3.0], mc)[0]
         assert monte_carlo_curve(s, [], mc) == []
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingSignal(NakagamiM):
+    """A Nakagami signal whose draw for batch 3 raises; it records which
+    batches it drew, and each draw takes a little time."""
+
+    def __init__(self, drawn: set, lock: threading.Lock):
+        super().__init__(m=1.0, mean_power=1.0)
+        object.__setattr__(self, "drawn", drawn)
+        object.__setattr__(self, "lock", lock)
+
+    def sample(self, rng, size=None):
+        (batch,) = rng.bit_generator.seed_seq.spawn_key
+        with self.lock:
+            self.drawn.add(batch)
+        if batch == 3:
+            raise Boom("batch 3")
+        time.sleep(0.005)
+        return super().sample(rng, size)
+
+
+POOL_CASES = [
+    (fig1_scenario(m0=0.75, q=1.0), MonteCarloConfig(samples=4001, seed=21, batches=7)),
+    (interferer_scenario(Rician(r=2.0, mean_power=1.0), Hoyt(b=0.5, mean_power=0.5),
+                         noise_power=0.1),
+     MonteCarloConfig(samples=3000, seed=22, batches=30)),
+    (fig1_scenario(m0=1.5, q=1.0), MonteCarloConfig(samples=500, seed=23, batches=1)),
+]
+
+
+class TestMapBatches:
+    @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("template,mc", POOL_CASES, ids=["fig1", "mixed-noise", "one-batch"])
+    def test_matches_serial_loop(self, workers, template, mc):
+        pooled = map_batches(template, mc, lambda a, b: (a, b))
+        serial = list(serial_batches(template, mc))
+        assert len(pooled) == len(serial) == mc.batches
+        for (p0, i0), (p1, i1) in zip(pooled, serial):
+            assert np.array_equal(p0, p1) and np.array_equal(i0, i1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("template,mc", POOL_CASES, ids=["fig1", "mixed-noise", "one-batch"])
+    def test_curve_independent_of_workers(self, workers, template, mc):
+        curve = monte_carlo_curve(template, QS, mc)
+        serial = []
+        for q in QS:
+            counts = [int(np.count_nonzero(q * (i + template.noise_power) > p0))
+                      for p0, i in serial_batches(template, mc)]
+            serial.append(sum(counts))
+        assert [round(p * mc.samples) for p, _ in curve] == serial
+        assert curve == per_point_reference(template, QS, mc)
+
+    @pytest.mark.parametrize("workers", [2, 3], indirect=True)
+    def test_at_most_workers_batches_at_once(self, workers):
+        lock = threading.Lock()
+        active = [0, 0]  # now, most seen
+
+        def reduce(p0, interference):
+            with lock:
+                active[0] += 1
+                active[1] = max(active[1], active[0])
+            time.sleep(0.002)
+            with lock:
+                active[0] -= 1
+            return len(p0)
+
+        mc = MonteCarloConfig(samples=2000, seed=24, batches=40)
+        sizes = map_batches(fig1_scenario(m0=1.0, q=1.0), mc, reduce)
+        assert sizes == [50] * 40
+        assert active == [0, active[1]] and 1 <= active[1] <= workers
+
+    @pytest.mark.parametrize("workers", [1, 2], indirect=True)
+    def test_error_cancels_later_batches(self, workers):
+        # drawing all 1000 batches would take at least 5 s / workers
+        drawn: set = set()
+        s = SirScenario(desired=FailingSignal(drawn, threading.Lock()),
+                        interferers=(NakagamiM(m=1.0, mean_power=1.0),),
+                        threshold_q=1.0)
+        mc = MonteCarloConfig(samples=1000, seed=25, batches=1000)
+        start = time.perf_counter()
+        with pytest.raises(Boom, match="batch 3"):
+            monte_carlo_curve(s, [1.0], mc)
+        assert time.perf_counter() - start < 1.0
+        assert {0, 1, 2, 3} <= drawn
+        assert len(drawn) < 50
 
 
 class TestClosedForm:
