@@ -12,6 +12,7 @@ from .exceptions import QuadratureNotConverged, SirspaError
 from .oracles import (
     MonteCarloConfig,
     QuadratureConfig,
+    adaptive_gl,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
     map_batches,
@@ -168,6 +169,10 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     return results
 
 
+# Panel budget of the capacity integral.
+_CAPACITY_PANELS = 400
+
+
 def ergodic_capacity(template: SirScenario, method: str = "spa",
                      solver: SolverConfig = SolverConfig(),
                      quadrature: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
@@ -175,17 +180,19 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
 
     Integrates the success probability over the capacity axis c with
     q = 2**c - 1, which equals the mean by the tail-integral identity.
-    Truncates where the success probability falls below 1e-8; the returned
-    error estimate is the quadrature's plus a bound on the dropped tail. If
-    the success probability is still at or above 1e-8 at the cap c = 64,
-    raises ``QuadratureNotConverged`` carrying the integral up to the cap.
+    Truncates where the success probability falls below 1e-8. The integral
+    runs over s = sqrt(c) with integrand 2s * success(s**2) (``adaptive_gl``,
+    to an absolute tolerance of max(1e-9, 1e-8 * |C|)): the success
+    probability goes as 1 - O(c**m0) near c = 0, which is smooth in s. The
+    returned error estimate is the quadrature's plus a bound on the dropped
+    tail. Raises ``QuadratureNotConverged`` carrying the integral so far if
+    the panel budget runs out with the error above tolerance, or if the
+    success probability is still at or above 1e-8 at the cap c = 64.
     Each saddle-point solve of the integrand starts from the previous
     evaluation's saddle point (``_warm_start``).
     """
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
-    # imported here so that the rest of the package runs on numpy alone
-    from scipy.integrate import quad
 
     prev = None
 
@@ -202,25 +209,34 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         p, _ = gil_pelaez_ccdf(build_composite(s), -q * s.noise_power, quadrature)
         return 1.0 - p
 
+    def integrand(s_nodes: np.ndarray) -> np.ndarray:
+        # one scalar call per node, in node order, so the warm start chains
+        return np.array([2.0 * s * success(s * s) for s in s_nodes.tolist()])
+
     c_prev, s_prev = 0.0, 1.0
     c_max = 1.0
     while (tail := success(c_max)) >= 1e-8 and c_max < 64.0:
         c_prev, s_prev = c_max, tail
         c_max *= 2.0
-    value, err, info = quad(success, 0.0, c_max, epsabs=1e-9, epsrel=1e-8,
-                            limit=400, full_output=True)[:3]
-    if "last" in info and info.get("last", 0) >= 400:
-        raise QuadratureNotConverged("capacity quadrature exhausted its budget",
-                                     value=value, error_estimate=err)
+
+    def tol(estimate: float) -> float:
+        return max(1e-9, 1e-8 * abs(estimate))
+
+    value, err, exhausted = adaptive_gl(
+        integrand, np.array([0.0, math.sqrt(c_max)]), tol, _CAPACITY_PANELS)
+    if exhausted and err > tol(value):
+        raise QuadratureNotConverged(
+            f"capacity error estimate {err:.3e} above tolerance at "
+            f"{_CAPACITY_PANELS} panels", value=value, error_estimate=err)
     if tail >= 1e-8:
         raise QuadratureNotConverged(
             f"success probability {tail:.3e} at the capacity cap c = {c_max:g} "
             "is above 1e-8; the integral up to the cap is truncated",
-            value=max(0.0, float(value)))
+            value=value)
     # the integral dropped beyond c_max, with the success probability decaying
     # exponentially at its rate between the last two probes
     dropped = tail * (c_max - c_prev) / math.log(s_prev / tail) if tail > 0.0 else 0.0
-    return max(0.0, float(value)), float(err) + dropped
+    return value, err + dropped
 
 
 def monte_carlo_capacity(template: SirScenario,

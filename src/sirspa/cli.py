@@ -202,18 +202,27 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
+    """The config with the command-line overrides applied; an override the
+    config schema would reject in a file raises ``ConfigError``."""
     if args.output is not None:
         cfg = dataclasses.replace(cfg, output_path=args.output)
     if args.format is not None:
         cfg = dataclasses.replace(cfg, output_format=args.format)
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, monte_carlo=replace(cfg.monte_carlo, seed=args.seed))
+        try:
+            cfg = dataclasses.replace(
+                cfg, monte_carlo=replace(cfg.monte_carlo, seed=args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if args.method is not None:
         methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
         unknown = [m for m in methods if m not in analysis.METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}")
+        if not methods:
+            raise ConfigError("--method names no method")
+        if len(set(methods)) < len(methods):
+            raise ConfigError(f"--method repeats a method: {args.method!r}")
         cfg = dataclasses.replace(cfg, methods=methods)
     return cfg
 

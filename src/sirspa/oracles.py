@@ -25,7 +25,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive Gauss-Legendre tolerances and panel budget."""
+    """Tolerances and panel budget of the Gil-Pelaez inversion's adaptive
+    Gauss-Legendre quadrature."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -51,6 +52,8 @@ class MonteCarloConfig:
             raise ValueError("samples must be >= 1")
         if not 1 <= self.batches <= self.samples:
             raise ValueError("batches must be in [1, samples]")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _gl_batch(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,6 +105,52 @@ def _initial_edges(atoms, sigma: float) -> np.ndarray:
     return np.array(sorted(edges))
 
 
+def adaptive_gl(f, edges, tol, max_panels: int) -> tuple[float, float, bool]:
+    """Integral of ``f`` from ``edges[0]`` to ``edges[-1]`` by adaptive
+    panel-halving Gauss-Legendre.
+
+    ``f`` maps an array of nodes to an array of values. The first panels lie
+    between consecutive ``edges``. ``tol(estimate)`` is the absolute
+    tolerance on the whole integral, taken from the first pass's estimate;
+    each panel's share of it is proportional to its length. A panel is
+    accepted when its value and the sum of its two halves agree within that
+    share, and is halved otherwise. Once ``max_panels`` panels have been
+    used, every open panel is accepted as it stands.
+
+    Returns the integral, the error estimate (the sum of the accepted
+    panels' halving differences) and whether the panel budget ran out.
+    """
+    a, b = edges[:-1], edges[1:]
+    whole = _gl_batch(f, a, b)
+    share = tol(float(np.sum(whole))) / (edges[-1] - edges[0])
+    accepted: list[float] = []
+    errors: list[float] = []
+    used = len(a)
+    exhausted = False
+    while len(a) > 0:
+        n = len(a)
+        mid = 0.5 * (a + b)
+        child = _gl_batch(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        left, right = child[:n], child[n:]
+        refined = left + right
+        err = np.abs(refined - whole)
+        # a panel whose whole and halved values agree to rounding is done,
+        # however small its share of the budget: halving cannot improve it,
+        # and its error is at the rounding level of the sum itself
+        ok = err <= np.maximum(share * (b - a), _ROUNDOFF * np.abs(refined))
+        if used >= max_panels:
+            exhausted = True
+            ok = np.ones_like(ok)
+        accepted.extend(refined[ok].tolist())
+        errors.extend(err[ok].tolist())
+        keep = ~ok
+        a = np.concatenate([a[keep], mid[keep]])
+        b = np.concatenate([mid[keep], b[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+        used += int(keep.sum())
+    return math.fsum(accepted), math.fsum(errors), exhausted
+
+
 def gil_pelaez_ccdf(c, x: float,
                     qc: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
     """Upper-tail probability by numerical inversion of the characteristic function.
@@ -111,9 +160,8 @@ def gil_pelaez_ccdf(c, x: float,
     u = tan(v) or cot(-v) on a finite v interval, so that the bulk of the
     integrand sits at u ~ 1 whatever the scale of the variable. The first
     panels are cut at every atom scale far from sigma (``_initial_edges``),
-    then refined by adaptive panel-halving Gauss-Legendre. The integrand
-    limit at t -> 0 is supplied analytically ((mean - x) / sigma) to avoid
-    0/0 cancellation.
+    then refined by ``adaptive_gl``. The integrand limit at t -> 0 is
+    supplied analytically ((mean - x) / sigma) to avoid 0/0 cancellation.
 
     ``c`` needs ``characteristic_function``, ``mean``, ``variance`` and
     ``atoms``; both the composite CGF object (atoms as a tuple) and a single
@@ -135,44 +183,16 @@ def gil_pelaez_ccdf(c, x: float,
             val = z.imag * (u + 1.0 / u)
         return np.where(u < 1e-12, (mean - x) / sigma, val)
 
-    edges = _initial_edges(atoms, sigma)
-    a, b = edges[:-1], edges[1:]
-    whole = _gl_batch(integrand, a, b)
-    # tolerance on the final probability, translated to per-panel integral budget
-    p_guess = 0.5 + float(np.sum(whole)) / np.pi
-    tol_p = max(qc.abs_tol, qc.rel_tol * max(abs(p_guess), 1e-3))
-    accepted: list[float] = []
-    errors: list[float] = []
-    used = len(a)
-    exhausted = False
-    while len(a) > 0:
-        n = len(a)
-        mid = 0.5 * (a + b)
-        child = _gl_batch(integrand,
-                          np.concatenate([a, mid]), np.concatenate([mid, b]))
-        left, right = child[:n], child[n:]
-        refined = left + right
-        err = np.abs(refined - whole)
-        # a panel whose whole and halved values agree to rounding is done,
-        # however small its share of the budget: halving cannot improve it,
-        # and its error is at the rounding level of the sum itself
-        ok = err <= np.maximum(2.0 * tol_p * (b - a), _ROUNDOFF * np.abs(refined))
-        if used >= qc.max_panels:
-            exhausted = True
-            ok = np.ones_like(ok)
-        accepted.extend(refined[ok].tolist())
-        errors.extend(err[ok].tolist())
-        keep = ~ok
-        a = np.concatenate([a[keep], mid[keep]])
-        b = np.concatenate([mid[keep], b[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
-        used += int(keep.sum())
-    integral = math.fsum(accepted)
-    err_p = math.fsum(errors) / np.pi
-    p_raw = 0.5 + integral / np.pi
-    p = min(1.0, max(0.0, p_raw))
-    tol_final = max(qc.abs_tol, qc.rel_tol * max(abs(p_raw), 1e-3))
-    if exhausted and err_p > tol_final:
+    def tol(integral: float) -> float:
+        # the tolerance on the probability, in integral units
+        p = 0.5 + integral / np.pi
+        return np.pi * max(qc.abs_tol, qc.rel_tol * max(abs(p), 1e-3))
+
+    integral, err, exhausted = adaptive_gl(
+        integrand, _initial_edges(atoms, sigma), tol, qc.max_panels)
+    err_p = err / np.pi
+    p = min(1.0, max(0.0, 0.5 + integral / np.pi))
+    if exhausted and err > tol(integral):
         raise QuadratureNotConverged(
             f"error estimate {err_p:.3e} above tolerance at {qc.max_panels} panels",
             value=p, error_estimate=err_p)
@@ -205,7 +225,7 @@ def map_batches(s: SirScenario, mc: MonteCarloConfig, reduce) -> list:
     and only the reduced values are kept. If a batch raises, the batches not
     yet started are cancelled and the first error in batch order is raised.
     """
-    # imported here, like scipy's quad, so that importing sirspa does not pay for it
+    # imported here so that importing sirspa does not pay for it
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
     def batch(child: np.random.SeedSequence, n: int):

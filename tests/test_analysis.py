@@ -315,6 +315,38 @@ class TestErgodicCapacity:
         assert warm_iterations < 0.9 * iterations[0]
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_exhausted_budget_raises(self, method, monkeypatch):
+        # m0 = 0.75 takes two rounds of halving; one panel stops after the first
+        monkeypatch.setattr(analysis, "_CAPACITY_PANELS", 1)
+        with pytest.raises(QuadratureNotConverged, match="panels") as exc_info:
+            ergodic_capacity(fig1_template(m0=0.75), method)
+        assert math.isfinite(exc_info.value.value)
+        assert math.isfinite(exc_info.value.error_estimate)
+        assert exc_info.value.error_estimate > 1e-9
+
+    @pytest.mark.parametrize("template", [rayleigh_pair_template(), fig1_template(m0=0.5),
+                                          fig1_template(m0=0.75)],
+                             ids=["rayleigh-pair", "fig1-m0.5", "fig1-m0.75"])
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_integrand_calls(self, template, method, monkeypatch):
+        # the success probability 1 - O(c**m0) is smooth at 0 on s = sqrt(c);
+        # on the c axis the halving refines towards c = 0 (Rayleigh pair: 706
+        # calls)
+        calls = [0]
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "_spa_point", counting(analysis._spa_point))
+        monkeypatch.setattr(analysis, "gil_pelaez_ccdf",
+                            counting(analysis.gil_pelaez_ccdf))
+        ergodic_capacity(template, method)
+        assert calls[0] <= 160
+
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_truncation_at_the_cap_raises(self, method):
         # a strong signal over one m=0.5 interferer: success is still ~1e-7
         # at c = 64

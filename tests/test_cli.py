@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -195,6 +199,21 @@ class TestOutageCommand:
         cfg_path = write_config(tmp_path, base_config())
         assert main(["outage", cfg_path, "--method", "magic"]) == EXIT_CONFIG
 
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config())
+        assert main(["outage", cfg_path, "--seed", "-1"]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", [",", "spa,spa"], ids=["empty", "repeated"])
+    def test_method_override_schema(self, tmp_path, capsys, methods):
+        # the method list the schema requires in a file: non-empty, no repeats
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out.csv"
+        assert main(["outage", cfg_path, "--method", methods,
+                     "--output", str(out)]) == EXIT_CONFIG
+        assert "method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         cfg = base_config(methods=["spa", "monte_carlo"],
                           monte_carlo={"samples": 20000, "seed": 7, "batches": 10})
@@ -348,3 +367,33 @@ class TestCompareBound:
         assert row[:3] == ["pair", "spa", "gil_pelaez"]
         assert float(row[3]) == pytest.approx(0.2)
         assert row[5] == "0.05" and row[6] == "false"
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    # every command and method runs on the runtime dependencies alone; scipy
+    # is a test-only oracle
+    cfg = base_config(grid={"start_db": -2.0, "stop_db": 2.0, "step_db": 2.0},
+                      monte_carlo={"samples": 2000, "seed": 1, "batches": 4})
+    cfg_path = write_config(tmp_path, cfg)
+    runs = [["capacity", cfg_path, "--method", "spa,gil_pelaez,monte_carlo",
+             "--output", str(tmp_path / "capacity.csv")],
+            ["outage", cfg_path, "--method", "spa,gil_pelaez,monte_carlo,closed_form",
+             "--output", str(tmp_path / "outage.csv")]]
+    code = ("import json, sys\n"
+            "from sirspa.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        assert sorted(re.match(r"[\w.-]+", d).group() for d in deps) == [
+            "jsonschema", "numpy"]

@@ -1,18 +1,13 @@
 """Saddle solver and Lugannani-Rice tail: roots, branches, exactness."""
 
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-import sirspa
 from sirspa import (
     BreakdownBranchRequired,
     CompositeCgf,
@@ -360,15 +355,3 @@ class TestCcdf:
             SolverConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolverConfig(near_mean_method="nearest")
-
-
-def test_spa_path_imports_no_scipy():
-    # the CGF, composite and saddle point modules run on numpy alone
-    src = str(Path(sirspa.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, sirspa.fading, sirspa.composite, sirspa.saddlepoint; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
