@@ -11,7 +11,6 @@ import dataclasses
 import sys
 from dataclasses import replace
 
-from . import analysis
 from .analysis import (
     OutageResult,
     ergodic_capacity,
@@ -21,7 +20,7 @@ from .analysis import (
     outage_point,
 )
 from .composite import build_composite
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_methods
 from .exceptions import ConfigError, SirspaError
 
 EXIT_OK = 0
@@ -203,11 +202,9 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     """The config with the command-line overrides applied; an override the
-    config schema would reject in a file raises ``ConfigError``."""
+    config reader would reject in a file raises ``ConfigError``."""
     if args.output is not None:
         cfg = dataclasses.replace(cfg, output_path=args.output)
-    if args.format is not None:
-        cfg = dataclasses.replace(cfg, output_format=args.format)
     if args.seed is not None:
         try:
             cfg = dataclasses.replace(
@@ -215,15 +212,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
     if args.method is not None:
-        methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-        unknown = [m for m in methods if m not in analysis.METHODS]
-        if unknown:
-            raise ConfigError(f"unknown method(s) {unknown}")
-        if not methods:
-            raise ConfigError("--method names no method")
-        if len(set(methods)) < len(methods):
-            raise ConfigError(f"--method repeats a method: {args.method!r}")
-        cfg = dataclasses.replace(cfg, methods=methods)
+        methods = [m.strip() for m in args.method.split(",") if m.strip()]
+        cfg = dataclasses.replace(cfg, methods=parse_methods(methods, "--method"))
     return cfg
 
 

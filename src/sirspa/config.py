@@ -1,22 +1,36 @@
-"""Run-configuration parsing: strict-schema JSON into scenario objects."""
+"""Run-configuration parsing: strict JSON into scenario objects.
+
+The dataclasses are the schema. The reader checks the shape of the JSON (no
+unknown or missing keys, no empty lists) and the type of every value (finite
+numbers, whole counts, non-empty strings) while it builds them, and each
+dataclass's ``__post_init__`` checks its own domain. Every error is a
+``ConfigError`` whose message begins ``config field <path>:``.
+"""
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
+from .analysis import METHODS, ThresholdGrid
 from .composite import SirScenario
 from .exceptions import ConfigError
 from .fading import GaussianTest, Hoyt, NakagamiM, PowerDistribution, Rician
-from .analysis import ThresholdGrid
 from .oracles import MonteCarloConfig, QuadratureConfig
 from .saddlepoint import SolverConfig
+
+# family -> (class, the keys of its two arguments); a *_dbm key is read in mW
+_FAMILIES = {
+    "nakagami_m": (NakagamiM, "m", "mean_power_dbm"),
+    "rician": (Rician, "r", "mean_power_dbm"),
+    "hoyt": (Hoyt, "b", "mean_power_dbm"),
+    "gaussian": (GaussianTest, "mean_mw", "variance_mw2"),
+}
+_KINDS = {float: "finite number", int: "whole number", str: "non-empty string"}
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -38,6 +52,11 @@ class CompareSpec:
     mc_std_errors: float = 4.0
     bounds: dict = field(default_factory=dict)  # "methodA,methodB" -> bound
 
+    def __post_init__(self):
+        for name in ("default_bound", "breakdown_bound", "mc_std_errors"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -48,43 +67,131 @@ class RunConfig:
     quadrature: QuadratureConfig
     monte_carlo: MonteCarloConfig
     output_path: str | None
-    output_format: str
     compare: CompareSpec
 
 
-@functools.cache
-def _validator():
-    """The config schema's validator, built once: the schema itself is checked
-    against its meta-schema only here, not on every load."""
-    text = resources.files("sirspa").joinpath("schemas/config.schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _fail(where: str, message) -> typing.NoReturn:
+    raise ConfigError(f"config field {where or '<root>'}: {message}")
 
 
-def _parse_distribution(spec: dict, where: str) -> PowerDistribution:
-    family = spec["family"]
+def _object(raw, where: str, required=(), optional=()) -> dict:
+    """``raw`` if it is a JSON object with every required key and no key
+    outside ``required`` and ``optional``; ``optional=None`` allows any."""
+    if not isinstance(raw, dict):
+        _fail(where, f"{raw!r} is not an object")
+    for key in required:
+        if key not in raw:
+            _fail(where, f"{key!r} is a required property")
+    for key in raw:
+        if optional is not None and key not in required and key not in optional:
+            _fail(where, f"unknown field {key!r}")
+    return raw
+
+
+def _array(raw, where: str) -> list:
+    if not isinstance(raw, list) or not raw:
+        _fail(where, f"{raw!r} is not a non-empty array")
+    return raw
+
+
+def _value(raw: dict, key: str, where: str, kind: type):
+    """``raw[key]`` checked as ``kind``: float for a finite number, int for a
+    whole number (a whole float becomes an int), str for a non-empty string.
+    A bool is none of these."""
+    value = raw[key]
+    if kind is str:
+        ok = isinstance(value, str) and value != ""
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif kind is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        ok = isinstance(value, int)
+    else:
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            ok = False
+    if not ok:
+        _fail(f"{where}/{key}", f"{value!r} is not a {_KINDS[kind]}")
+    return value
+
+
+def _build(cls, raw, where: str, **parsed):
+    """``cls`` from the JSON object ``raw``, whose keys are its fields: a field
+    without a default is required. ``parsed`` gives fields read already."""
+    fields = dataclasses.fields(cls)
+    spec = _object(raw, where, [f.name for f in fields
+                                if f.default is f.default_factory is dataclasses.MISSING],
+                   [f.name for f in fields])
+    kinds = typing.get_type_hints(cls)
     try:
-        if family == "nakagami_m":
-            return NakagamiM(m=spec["m"], mean_power=dbm_to_mw(spec["mean_power_dbm"]))
-        if family == "rician":
-            return Rician(r=spec["r"], mean_power=dbm_to_mw(spec["mean_power_dbm"]))
-        if family == "hoyt":
-            return Hoyt(b=spec["b"], mean_power=dbm_to_mw(spec["mean_power_dbm"]))
-        if family == "gaussian":
-            return GaussianTest(mu=spec["mean_mw"], sigma2=spec["variance_mw2"])
+        return cls(**{k: _value(spec, k, where, kinds[k]) for k in spec if k not in parsed},
+                   **parsed)
+    except (ValueError, OverflowError) as exc:
+        _fail(where, exc)
+
+
+def _mw(raw: dict, key: str, where: str) -> float:
+    """The dBm field ``key`` in mW."""
+    dbm = _value(raw, key, where, float)
+    try:
+        return dbm_to_mw(dbm)
+    except OverflowError:
+        _fail(f"{where}/{key}", f"{dbm!r} dBm overflows in mW")
+
+
+def _distribution(raw, where: str) -> PowerDistribution:
+    # the other keys depend on the family
+    family = _value(_object(raw, where, ("family",), None), "family", where, str)
+    if family not in _FAMILIES:
+        _fail(f"{where}/family", f"{family!r} is not one of {list(_FAMILIES)}")
+    cls, *keys = _FAMILIES[family]
+    spec = _object(raw, where, ("family", *keys))
+    args = [_mw(spec, k, where) if k.endswith("_dbm") else _value(spec, k, where, float)
+            for k in keys]
+    try:
+        return cls(*args)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown family {family!r}")
+        _fail(where, exc)
+
+
+def _curve(raw, where: str) -> CurveSpec:
+    cv = _object(raw, where, ("label", "desired", "interferers"), ("noise_power_dbm",))
+    interferers = _array(cv["interferers"], f"{where}/interferers")
+    template = SirScenario(
+        desired=_distribution(cv["desired"], f"{where}/desired"),
+        interferers=tuple(_distribution(d, f"{where}/interferers/{j}")
+                          for j, d in enumerate(interferers)),
+        threshold_q=1.0,
+        noise_power=(0.0 if cv.get("noise_power_dbm") is None
+                     else _mw(cv, "noise_power_dbm", where)))
+    return CurveSpec(label=_value(cv, "label", where, str), template=template)
+
+
+def _bounds(raw, where: str) -> dict:
+    """The per-pair compare bounds: each a finite number > 0."""
+    bounds = _object(raw, where, (), None)
+    for pair in bounds:
+        if not _value(bounds, pair, where, float) > 0:
+            _fail(f"{where}/{pair}", f"{bounds[pair]!r} must be > 0")
+    return dict(bounds)
+
+
+def parse_methods(raw, where: str) -> tuple[str, ...]:
+    """The method list: non-empty, no method twice, each one of ``METHODS``."""
+    methods = _array(raw, where)
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            _fail(f"{where}/{i}", f"{method!r} is not one of {list(METHODS)}")
+        if method in methods[:i]:
+            _fail(f"{where}/{i}", f"{method!r} is listed twice")
+    return tuple(methods)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Load, schema-validate and materialize a run configuration.
-
-    Unknown fields are rejected; domain violations (e.g. Nakagami m < 0.5 or
-    Hoyt |b| >= 1) raise ConfigError naming the offending field.
-    """
+    """Load, check and materialize a run configuration; any violation, e.g. an
+    unknown field or Nakagami m < 0.5, raises ConfigError naming the field."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -92,49 +199,26 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_validator().iter_errors(raw))
-    if exc is not None:
-        loc = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {loc}: {exc.message}") from exc
-
-    curves = []
-    for i, cv in enumerate(raw["curves"]):
-        where = f"curves/{i}"
-        desired = _parse_distribution(cv["desired"], f"{where}/desired")
-        interferers = tuple(
-            _parse_distribution(d, f"{where}/interferers/{j}")
-            for j, d in enumerate(cv["interferers"]))
-        noise_dbm = cv.get("noise_power_dbm")
-        noise = dbm_to_mw(noise_dbm) if noise_dbm is not None else 0.0
-        template = SirScenario(desired=desired, interferers=interferers,
-                               threshold_q=1.0, noise_power=noise)
-        curves.append(CurveSpec(label=cv["label"], template=template))
-
-    g = raw["grid"]
-    try:
-        grid = ThresholdGrid(g["start_db"], g["stop_db"], g["step_db"])
-        solver = SolverConfig(**raw.get("solver", {}))
-        quadrature = QuadratureConfig(**raw.get("quadrature", {}))
-        monte_carlo = MonteCarloConfig(**raw.get("monte_carlo", {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    out = raw.get("output", {})
-    comp = raw.get("compare", {})
-    compare = CompareSpec(
-        default_bound=comp.get("default_bound", 1e-2),
-        breakdown_bound=comp.get("breakdown_bound", 5e-2),
-        mc_std_errors=comp.get("mc_std_errors", 4.0),
-        bounds=dict(comp.get("bounds", {})),
-    )
+    raw = _object(raw, "", ("curves", "grid", "methods"),
+                  ("solver", "quadrature", "monte_carlo", "output", "compare"))
+    curves = tuple(_curve(cv, f"curves/{i}")
+                   for i, cv in enumerate(_array(raw["curves"], "curves")))
+    labels = [c.label for c in curves]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            _fail(f"curves/{i}/label", f"{label!r} is the label of an earlier curve")
+    out = _object(raw.get("output", {}), "output", (), ("path", "format"))
+    if out.get("format", "csv") != "csv":
+        _fail("output/format", f"{out['format']!r} is not one of ['csv']")
+    comp = _object(raw.get("compare", {}), "compare", (), None)  # _build checks the keys
+    bounds = _bounds(comp.get("bounds", {}), "compare/bounds")
     return RunConfig(
-        curves=tuple(curves),
-        grid=grid,
-        methods=tuple(raw["methods"]),
-        solver=solver,
-        quadrature=quadrature,
-        monte_carlo=monte_carlo,
-        output_path=out.get("path"),
-        output_format=out.get("format", "csv"),
-        compare=compare,
+        curves=curves,
+        grid=_build(ThresholdGrid, raw["grid"], "grid"),
+        methods=parse_methods(raw["methods"], "methods"),
+        solver=_build(SolverConfig, raw.get("solver", {}), "solver"),
+        quadrature=_build(QuadratureConfig, raw.get("quadrature", {}), "quadrature"),
+        monte_carlo=_build(MonteCarloConfig, raw.get("monte_carlo", {}), "monte_carlo"),
+        output_path=_value(out, "path", "output", str) if "path" in out else None,
+        compare=_build(CompareSpec, comp, "compare", bounds=bounds),
     )

@@ -330,10 +330,3 @@ class GaussianTest(PowerDistribution):
     def sample(self, rng, size=None):
         return rng.normal(self.mu, math.sqrt(self.sigma2), size=size)
 
-
-FAMILIES = {
-    "nakagami_m": NakagamiM,
-    "rician": Rician,
-    "hoyt": Hoyt,
-    "gaussian": GaussianTest,
-}
