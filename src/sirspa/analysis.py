@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace, field
 
 import numpy as np
 
-from .composite import SirScenario, build_composite
+from .composite import CompositeCgf, SirScenario, build_composite
 from .exceptions import QuadratureNotConverged, SirspaError
 from .oracles import (
     MonteCarloConfig,
@@ -90,10 +90,9 @@ def outage_point(s: SirScenario, method: str = "spa",
         q_db = 10.0 * math.log10(q)
     x = -q * s.noise_power
     if method == "spa":
-        return _spa_point(s, q_db, solver)
+        return _spa_point(build_composite(s), q_db, x, solver)
     if method == "gil_pelaez":
-        c = build_composite(s)
-        p, err = gil_pelaez_ccdf(c, x, quadrature)
+        p, err = gil_pelaez_ccdf(build_composite(s), x, quadrature)
         return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
                             error_estimate=err)
     if method == "monte_carlo":
@@ -106,12 +105,11 @@ def outage_point(s: SirScenario, method: str = "spa",
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _spa_point(s: SirScenario, q_db: float, solver: SolverConfig,
+def _spa_point(c: CompositeCgf, q_db: float, x: float, solver: SolverConfig,
                t0: float = 0.0) -> OutageResult:
     """The saddle-point outage at x = -q * N0, its saddle point solved from t0."""
-    q = s.threshold_q
-    p, sol = ccdf(build_composite(s), -q * s.noise_power, solver, t0)
-    return OutageResult(q_db=q_db, q_linear=q, p_out=p, method="spa",
+    p, sol = ccdf(c, x, solver, t0)
+    return OutageResult(q_db=q_db, q_linear=c.q, p_out=p, method="spa",
                         t_hat=sol.t_hat, iterations=sol.iterations,
                         near_mean=sol.near_mean, clamped=sol.clamped)
 
@@ -144,28 +142,31 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     (``monte_carlo_curve``); if that fails, every point carries the error.
     The saddle-point solve of each point starts from the previous point's
     saddle point (``_warm_start``)."""
-    points = [(float(q_db), replace(template, threshold_q=db_to_linear(float(q_db))))
-              for q_db in grid.values_db()]
+    points = [(float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
     if method == "monte_carlo":
         try:
-            estimates = monte_carlo_curve(
-                template, [s.threshold_q for _, s in points], monte_carlo)
+            estimates = monte_carlo_curve(template, [q for _, q in points], monte_carlo)
         except SirspaError as exc:
-            return [error_result(q_db, s.threshold_q, method, exc) for q_db, s in points]
-        return [OutageResult(q_db=q_db, q_linear=s.threshold_q, p_out=p,
-                             method=method, error_estimate=se)
-                for (q_db, s), (p, se) in zip(points, estimates)]
-    results = []
-    for q_db, s in points:
+            return [error_result(q_db, q, method, exc) for q_db, q in points]
+        return [OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method, error_estimate=se)
+                for (q_db, q), (p, se) in zip(points, estimates)]
+    results, base = [], None
+    for q_db, q in points:
         try:
+            if method in ("spa", "gil_pelaez"):  # built at the first point, then moved
+                base = base.at(q) if base else build_composite(replace(template, threshold_q=q))
             if method == "spa":
-                t0 = _warm_start(results[-1], s.threshold_q) if results else 0.0
-                results.append(_spa_point(s, q_db, solver, t0))
+                t0 = _warm_start(results[-1], q) if results else 0.0
+                results.append(_spa_point(base, q_db, -q * template.noise_power, solver, t0))
+            elif method == "gil_pelaez":
+                p, err = gil_pelaez_ccdf(base, -q * template.noise_power, quadrature)
+                results.append(OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
+                                            error_estimate=err))
             else:
-                results.append(outage_point(s, method, solver, quadrature,
-                                            monte_carlo, q_db=q_db))
+                results.append(outage_point(replace(template, threshold_q=q), method, solver,
+                                            quadrature, monte_carlo, q_db=q_db))
         except SirspaError as exc:
-            results.append(error_result(q_db, s.threshold_q, method, exc))
+            results.append(error_result(q_db, q, method, exc))
     return results
 
 
@@ -194,29 +195,29 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
 
-    prev = None
+    prev, base = None, build_composite(replace(template, threshold_q=1.0))  # q at c = 1
 
     def success(c_val: float) -> float:
         nonlocal prev
         q = 2.0 ** c_val - 1.0
         if q <= 0.0:
             return 1.0
-        s = replace(template, threshold_q=q)
+        c, x = base.at(q), -q * template.noise_power
         if method == "spa":
             t0 = _warm_start(prev, q) if prev is not None else 0.0
-            prev = _spa_point(s, 10.0 * math.log10(q), solver, t0)
+            prev = _spa_point(c, 10.0 * math.log10(q), x, solver, t0)
             return 1.0 - prev.p_out
-        p, _ = gil_pelaez_ccdf(build_composite(s), -q * s.noise_power, quadrature)
+        p, _ = gil_pelaez_ccdf(c, x, quadrature)
         return 1.0 - p
 
     def integrand(s_nodes: np.ndarray) -> np.ndarray:
         # one scalar call per node, in node order, so the warm start chains
         return np.array([2.0 * s * success(s * s) for s in s_nodes.tolist()])
 
-    c_prev, s_prev = 0.0, 1.0
+    probes = [(0.0, 1.0)]  # (c, success probability)
     c_max = 1.0
     while (tail := success(c_max)) >= 1e-8 and c_max < 64.0:
-        c_prev, s_prev = c_max, tail
+        probes.append((c_max, tail))
         c_max *= 2.0
 
     def tol(estimate: float) -> float:
@@ -234,8 +235,10 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
             "is above 1e-8; the integral up to the cap is truncated",
             value=value)
     # the integral dropped beyond c_max, with the success probability decaying
-    # exponentially at its rate between the last two probes
-    dropped = tail * (c_max - c_prev) / math.log(s_prev / tail) if tail > 0.0 else 0.0
+    # exponentially at the slower of its last two rates that are decays
+    last = probes[-2:] + [(c_max, tail)]
+    dropped = tail * max((c1 - c0) / math.log(s0 / s1) for (c0, s0), (c1, s1)
+                         in zip(last, last[1:]) if s0 > s1) if tail > 0.0 else 0.0
     return value, err + dropped
 
 

@@ -171,6 +171,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     print("curve,method_a,method_b,max_abs_dev,mean_abs_dev,bound,ok")
     for curve in cfg.curves:
         per_method = by_curve[curve.label]
+        base = build_composite(replace(curve.template,
+                                       threshold_q=per_method[methods[0]][0].q_linear))
         for i, m1 in enumerate(methods):
             for m2 in methods[i + 1:]:
                 devs, bounds = [], []
@@ -179,8 +181,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                     pair_bound = cfg.compare.bounds.get(
                         f"{m1},{m2}", cfg.compare.bounds.get(
                             f"{m2},{m1}", cfg.compare.default_bound))
-                    if build_composite(replace(curve.template,
-                                               threshold_q=r1.q_linear)).in_breakdown:
+                    if base.at(r1.q_linear).in_breakdown:
                         pair_bound = max(pair_bound, cfg.compare.breakdown_bound)
                     if "monte_carlo" in (m1, m2):
                         se = (r1.error_estimate if m1 == "monte_carlo"

@@ -3,21 +3,22 @@
 For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
-by -1, with atoms of the same shape and scale merged into one. K, K' and K''
-come from one pass over these atoms.
+by -1, with atoms of the same shape and scale merged into one. A curve builds
+them once and moves them to each q (``at``); K is summed only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exceptions import InvalidScenario
 from .fading import (
     PowerDistribution,
     atoms_mean,
     atoms_strip,
-    cgf_012,
+    cgf_12,
+    cgf_12_terms,
     characteristic_function,
     cumulant,
     merge_atoms,
@@ -45,12 +46,16 @@ class SirScenario:
 
 @dataclass(frozen=True)
 class CgfEval:
-    """CGF value and first two derivatives at a point."""
+    """K' and K'' at a point, and K, computed from ``composite`` when read."""
 
     t: float
-    k: float
     k1: float
     k2: float
+    composite: "CompositeCgf" = field(repr=False, compare=False)
+
+    @property
+    def k(self) -> float:
+        return self.composite.k(self.t)
 
 
 class CompositeCgf:
@@ -62,21 +67,31 @@ class CompositeCgf:
 
     def __init__(self, desired: PowerDistribution,
                  interferers: tuple[PowerDistribution, ...], q: float):
-        if len(interferers) < 1:
-            raise InvalidScenario("at least one interferer is required")
+        self.interferers = tuple(interferers)
+        self._unit = [a for d in self.interferers for a in d.atoms()]
+        self._signal = [a.scaled(-1.0) for a in desired.atoms()]
+        self._place(q)
+
+    def at(self, q: float) -> "CompositeCgf":
+        """The composite at threshold q, from this one's atoms: a build at q."""
         if not q > 0:
             raise InvalidScenario(f"threshold q must be > 0, got {q}")
-        self.interferers = tuple(interferers)
-        # built as a list: CPython grows a tuple from a generator by resizing
-        # it, and such a tuple, once freed, adds to the free list of its size
-        # instead of having come from it; over many composites that held ~2 MB
-        atoms = [a.scaled(float(q)) for d in self.interferers for a in d.atoms()]
-        atoms += [a.scaled(-1.0) for a in desired.atoms()]
+        c = object.__new__(CompositeCgf)
+        c.interferers, c._unit, c._signal = self.interferers, self._unit, self._signal
+        c._place(q)
+        return c
+
+    def _place(self, q: float) -> None:
+        self.q, scale = q, float(q)
+        # a list, not a generator: a tuple grown from a generator is resized, and
+        # once freed it swells a free list it never came from (~2 MB over a run)
+        atoms = [a.scaled(scale) for a in self._unit] + self._signal
         self.atoms = merge_atoms(tuple(atoms))
         self.strip = atoms_strip(self.atoms)
         try:
             self.mean = atoms_mean(self.atoms)
-            self.variance = cumulant(self.atoms, 2, 0.0)
+            self._terms = cgf_12_terms(self.atoms)
+            self.variance = cgf_12(self._terms, self.mean, 0.0)[1]
             finite = math.isfinite(self.mean) and math.isfinite(self.variance)
         except OverflowError:
             finite = False
@@ -89,26 +104,25 @@ class CompositeCgf:
         """Whether x = 0 lies within 0.05 standard deviations of the mean."""
         return abs(self.mean) < 0.05 * math.sqrt(self.variance)
 
-    def _cgf_012(self, t: float) -> tuple[float, float, float]:
-        self.strip.require(t)
-        return cgf_012(self.atoms, self.mean, t)
-
     def k(self, t: float) -> float:
-        return self._cgf_012(t)[0]
+        self.strip.require(t)
+        return cumulant(self.atoms, 0, t)
 
     def k1(self, t: float) -> float:
-        return self._cgf_012(t)[1]
+        self.strip.require(t)
+        return cgf_12(self._terms, self.mean, t)[0]
 
     def k2(self, t: float) -> float:
-        return self._cgf_012(t)[2]
+        self.strip.require(t)
+        return cgf_12(self._terms, self.mean, t)[1]
 
     def d3(self, t: float) -> float:
         self.strip.require(t)
         return cumulant(self.atoms, 3, t)
 
     def eval(self, t: float) -> CgfEval:
-        k, k1, k2 = self._cgf_012(t)
-        return CgfEval(t=t, k=k, k1=k1, k2=k2)
+        self.strip.require(t)
+        return CgfEval(t, *cgf_12(self._terms, self.mean, t), self)
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""

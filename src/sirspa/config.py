@@ -170,9 +170,11 @@ def _curve(raw, where: str) -> CurveSpec:
 
 
 def _bounds(raw, where: str) -> dict:
-    """The per-pair compare bounds: each a finite number > 0."""
+    """Per-pair compare bounds: keys "a,b" of two different ``METHODS``, values > 0."""
     bounds = _object(raw, where, (), None)
     for pair in bounds:
+        if pair.count(",") != 1 or len(set(pair.split(",")) & set(METHODS)) != 2:
+            _fail(f"{where}/{pair}", f"{pair!r} is not 'a,b' with a != b in {list(METHODS)}")
         if not _value(bounds, pair, where, float) > 0:
             _fail(f"{where}/{pair}", f"{bounds[pair]!r} must be > 0")
     return dict(bounds)

@@ -12,6 +12,7 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 CGF, its derivatives of any order, the open convergence strip of the MGF,
 the mean and the variance all follow from a family's ``atoms()``, and so
 does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)).
+The Newton loop's K' and K'' alone come from one pass of ``cgf_12``.
 Only the exact sampler stays per family, as an independent check on the
 atoms. All power quantities are linear milliwatts.
 
@@ -73,16 +74,16 @@ def gamma(n: int, u: float) -> float:
         else:
             tail = math.atanh(z) - z
         return u * u / (2.0 - u) + 2.0 * tail
-    if n == 1:
-        return u / (1.0 - u)
+    if n <= 2:
+        return _D12[gamma](u)[n - 1]
     return math.factorial(n - 1) / (1.0 - u) ** n
 
 
 def noncentral(n: int, u: float) -> float:
     if n == 0:
         return u * u / (1.0 - u)
-    if n == 1:
-        return u * (2.0 - u) / (1.0 - u) ** 2
+    if n <= 2:
+        return _D12[noncentral](u)[n - 1]
     return math.factorial(n) / (1.0 - u) ** (n + 1)
 
 
@@ -91,11 +92,15 @@ def linear(n: int, u: float) -> float:
 
 
 def quadratic(n: int, u: float) -> float:
-    return 0.5 * u * u if n == 0 else u if n == 1 else float(n == 2)
+    return 0.5 * u * u if n == 0 else _D12[quadratic](u)[n - 1] if n <= 2 else 0.0
 
 
 # f'(0) of each shape: an atom adds weight * scale * f'(0) to the mean
 _SLOPE = {gamma: 1.0, noncentral: 1.0, linear: 1.0, quadratic: 0.0}
+# (f'(u), f''(u)) of each shape: the terms of K' and K''
+_D12 = {gamma: lambda u: (u / (1.0 - u), 1.0 / (1.0 - u) ** 2),
+        noncentral: lambda u: (u * (2.0 - u) / (1.0 - u) ** 2, 2.0 / (1.0 - u) ** 3),
+        linear: lambda u: (0.0, 0.0), quadratic: lambda u: (u, 1.0)}
 # shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
 _POLAR = (gamma, noncentral)
 # the full f of each shape at a complex argument u
@@ -137,20 +142,20 @@ def cumulant(atoms, n: int, t: float) -> float:
     return math.fsum(terms)
 
 
-def cgf_012(atoms, mean: float, t: float) -> tuple[float, float, float]:
-    """K, K' and K'' at t of the CGF sum of ``atoms`` in one pass over them,
-    given their ``atoms_mean``; unchecked against the strip.
+def cgf_12_terms(atoms) -> tuple:
+    return tuple([(_D12[f], w * s, w * s ** 2, s) for f, w, s in atoms])
 
-    Each term and each exactly rounded sum is the one ``cumulant`` forms, so
-    the three values equal ``cumulant(atoms, n, t)`` for n = 0, 1, 2.
-    """
-    k0, k1, k2 = [mean * t], [mean], []
-    for f, w, s in atoms:
-        u = s * t
-        k0.append(w * f(0, u))
-        k1.append(w * s * f(1, u))
-        k2.append(w * s ** 2 * f(2, u))
-    return math.fsum(k0), math.fsum(k1), math.fsum(k2)
+
+def cgf_12(terms, mean: float, t: float) -> tuple[float, float]:
+    """K' and K'' at t of a sum of atoms from its ``atoms_mean`` and its
+    ``cgf_12_terms`` (per atom the shape's (f', f''), w*s, w*s**2 and s),
+    unchecked against the strip; terms and sums as ``cumulant`` forms them."""
+    k1, k2 = [mean], []
+    for d12, ws, ws2, s in terms:
+        f1, f2 = d12(s * t)
+        k1.append(ws * f1)
+        k2.append(ws2 * f2)
+    return math.fsum(k1), math.fsum(k2)
 
 
 def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:

@@ -4,9 +4,9 @@ The saddle point solves K'(t) = x on the composite CGF. K' is strictly
 increasing on the strip (convexity), so the root is unique; a safeguarded
 Newton iteration with a bisection fallback toward the bracket is
 guaranteed to find it from any start inside the strip, so a curve can
-start each point from its neighbour's saddle point. The tail probability
-is the three-term Lugannani-Rice value, with a breakdown branch near the
-mean where the 1/w singularity would otherwise blow up.
+start each point from its neighbour's saddle point. It reads K' and K''
+only; K is summed once, at the root, for w. The tail is the three-term
+Lugannani-Rice value, with a breakdown branch where 1/w would blow up.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from sirspa import (
+    CompositeCgf,
     MonteCarloConfig,
     NakagamiM,
     OutageResult,
@@ -156,6 +158,47 @@ class TestOutageCurve:
             assert r.error == "SirspaError: sampler broke"
             assert math.isnan(r.p_out) and r.method == "monte_carlo"
 
+
+def count_builds(monkeypatch) -> list[int]:
+    """Count the composites built from a scenario (``CompositeCgf.__init__``)."""
+    builds = [0]
+    init = CompositeCgf.__init__
+
+    def counting(self, *args):
+        builds[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(CompositeCgf, "__init__", counting)
+    return builds
+
+
+class TestOneCompositePerCall:
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_outage_curve(self, method, monkeypatch):
+        template = fig1_template(m0=1.5, noise_power=0.2)
+        grid = ThresholdGrid(-10.0, 10.0, 2.0)
+        builds = count_builds(monkeypatch)
+        results = outage_curve(template, grid, method)
+        assert builds == [1]
+        assert len(results) == 11 and all(r.error is None for r in results)
+        monkeypatch.undo()
+        if method == "gil_pelaez":  # no warm start: the points' own values
+            assert results == [outage_point(replace(template, threshold_q=r.q_linear),
+                                            method, q_db=r.q_db) for r in results]
+
+    def test_outage_curve_without_a_composite(self):
+        # no threshold has finite cumulants: every point carries the error
+        template = replace(fig1_template(), interferers=(NakagamiM(1.0, 1e300),))
+        results = outage_curve(template, ThresholdGrid(0.0, 4.0, 2.0), "spa")
+        assert [r.error.split(":")[0] for r in results] == ["InvalidScenario"] * 3
+
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_ergodic_capacity(self, method, monkeypatch):
+        builds = count_builds(monkeypatch)
+        ergodic_capacity(fig1_template(m0=1.5), method)
+        assert builds == [1]
+
+
 def assert_curve_matches_points(template, grid, solver=SolverConfig(), t_rel=1e-13):
     """The warm-started spa curve against cold per-point solves."""
     results = outage_curve(template, grid, "spa", solver)
@@ -290,6 +333,26 @@ class TestErgodicCapacity:
         # the error estimate covers the dropped tail
         assert err >= abs(cap - exact)
         assert cf_nodes[0] < 2_000_000
+
+    def test_dropped_tail_covers_a_decay_that_slows_beyond_the_cap(self, monkeypatch):
+        # success exp(-psi(c)): rate 0.5, a faster drop of 5 nepers centred at
+        # c = 24, then rate 0.5 again. The probes stop at c_max = 32, and the
+        # rate between 16 and 32 (0.81) is faster than the rate beyond; the
+        # rate between 8 and 16 (0.50) is not
+        def psi(c):
+            return 0.5 * c + 2.5 * (1.0 + math.tanh((c - 24.0) / 2.0))
+
+        def success(c):
+            return math.exp(-psi(c))
+
+        monkeypatch.setattr(analysis, "gil_pelaez_ccdf", lambda c, x, qc: (
+            -math.expm1(-psi(math.log2(1.0 + c.q))), 0.0))
+        cap, err = ergodic_capacity(rayleigh_pair_template(), "gil_pelaez")
+        tail = quad(success, 32.0, math.inf, epsabs=1e-18, epsrel=1e-12)[0]
+        exact = quad(success, 0.0, 32.0, epsabs=1e-14, epsrel=1e-13, limit=200)[0] + tail
+        assert err >= abs(cap - exact) >= 1.5e-9
+        # at the rate between the last two probes the tail would be 0.94e-9
+        assert success(32.0) * 16.0 / (psi(32.0) - psi(16.0)) < 0.95e-9 < 0.99 * tail
 
     @pytest.mark.parametrize("template", [rayleigh_pair_template(),
                                           fig1_template(m0=1.5, noise_power=0.3)],

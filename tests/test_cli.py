@@ -332,6 +332,30 @@ class TestCompareCommand:
                           compare={"default_bound": 1e-12, "mc_std_errors": 1e-9})
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
 
+    @pytest.mark.parametrize("key", ["spa,gil_pelez", "spa,spa", "spa",
+                                     "spa, gil_pelaez", "spa,gil_pelaez,closed_form"],
+                             ids=["misspelled", "repeated", "one_name", "space",
+                                  "three_names"])
+    def test_bounds_key_must_name_a_pair(self, tmp_path, key):
+        # a key that names no method pair would never be read: cmd_compare
+        # would silently apply default_bound instead
+        cfg = base_config(compare={"bounds": {key: 1e-9}})
+        with pytest.raises(ConfigError) as got:
+            load_config(write_config(tmp_path, cfg))
+        assert str(got.value).startswith(f"config field compare/bounds/{key}: ")
+
+    @pytest.mark.parametrize("key", ["spa,gil_pelaez", "gil_pelaez,spa"])
+    def test_bounds_key_applies_in_either_order(self, tmp_path, capsys, key):
+        # a bound below the spa/gil_pelaez deviation fails the pair,
+        # whichever order the key names the methods in
+        cfg = base_config(methods=["spa", "gil_pelaez"],
+                          compare={"default_bound": 1.0, "breakdown_bound": 1e-9,
+                                   "bounds": {key: 1e-9}})
+        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1:3] == ["spa", "gil_pelaez"]
+        assert row[5:] == ["1e-09", "false"]
+
     def test_single_method_exit_config(self, tmp_path, capsys):
         cfg = base_config(methods=["spa"])
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -340,22 +364,28 @@ class TestCompareCommand:
 
 class TestRetry:
     def test_only_the_failed_point_is_recomputed(self, tmp_path, monkeypatch, capsys):
-        calls = []
-        real = analysis.outage_point
+        # the curve's Gil-Pelaez points and the retry's outage_point both call
+        # analysis.gil_pelaez_ccdf; only the retry passes a solver
+        calls, solvers = [], []
+        real_gp, real_outage_point = analysis.gil_pelaez_ccdf, cli.outage_point
 
-        def flaky(s, method, solver, quadrature, monte_carlo, q_db=None):
-            calls.append((q_db, solver, quadrature))
-            if q_db == 2.0 and len(calls) == 4:
+        def flaky(c, x, quadrature):
+            calls.append((round(10.0 * math.log10(c.q), 9), quadrature))
+            if calls[-1][0] == 2.0 and len(calls) == 4:
                 raise QuadratureNotConverged("forced")
-            return real(s, method, solver, quadrature, monte_carlo, q_db=q_db)
+            return real_gp(c, x, quadrature)
 
-        monkeypatch.setattr(analysis, "outage_point", flaky)
-        monkeypatch.setattr(cli, "outage_point", flaky)
+        def retry(s, method, solver, *budgets, **kwargs):
+            solvers.append(solver)
+            return real_outage_point(s, method, solver, *budgets, **kwargs)
+
+        monkeypatch.setattr(analysis, "gil_pelaez_ccdf", flaky)
+        monkeypatch.setattr(cli, "outage_point", retry)
         cfg_path = write_config(tmp_path, base_config(methods=["gil_pelaez"]))
         out = tmp_path / "out.csv"
         assert main(["outage", cfg_path, "--output", str(out)]) == EXIT_OK
         assert [c[0] for c in calls] == [-4.0, -2.0, 0.0, 2.0, 4.0, 2.0]
-        _, solver, quadrature = calls[-1]
+        (solver,), (_, quadrature) = solvers, calls[-1]
         assert solver.max_iter == 4 * SolverConfig().max_iter
         assert quadrature.max_panels == 4 * QuadratureConfig().max_panels
         assert quadrature.rel_tol == 1e-7

@@ -59,6 +59,36 @@ class TestScenarioValidation:
         # a bare OverflowError or a NaN mean
         with pytest.raises(InvalidScenario, match="overflows"):
             build_composite(replace(fig4_scenario(), threshold_q=q))
+        with pytest.raises(InvalidScenario, match="overflows"):
+            build_composite(fig4_scenario()).at(q)
+
+
+class TestAt:
+    def test_matches_a_fresh_build(self, rng):
+        # the composite moved to q has the atoms, strip, mean and variance of
+        # one built at q, and bit-identical K, K' and K''
+        for _ in range(40):
+            s = random_scenario(rng)
+            base = build_composite(s)
+            for q in [1e-4, 2.0 ** 60] + [float(q) for q in 10.0 ** rng.uniform(-4, 18, 4)]:
+                c, fresh = base.at(q), build_composite(replace(s, threshold_q=q))
+                assert (c.q, c.atoms, c.strip) == (fresh.q, fresh.atoms, fresh.strip)
+                assert (c.mean, c.variance) == (fresh.mean, fresh.variance)
+                for t in list(strip_points(c.strip, rng, 4)) + [0.0]:
+                    e, f = c.eval(t), fresh.eval(t)
+                    assert (e.k, e.k1, e.k2) == (f.k, f.k1, f.k2)
+                    assert (c.k(t), c.k1(t), c.k2(t)) == (e.k, e.k1, e.k2)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    def test_threshold_positive(self, q):
+        with pytest.raises(InvalidScenario, match="must be > 0"):
+            build_composite(fig4_scenario()).at(q)
+
+    def test_chains(self):
+        # a composite moved twice is the one moved once: every move starts
+        # from the atoms at q = 1
+        c = build_composite(fig4_scenario())
+        assert c.at(3.0).at(0.25).atoms == c.at(0.25).atoms
 
 
 class TestStripAssembly:
@@ -161,6 +191,13 @@ class TestEval:
         for t in (-0.2, 0.0, 0.1, 0.3):
             e1, e2 = c1.eval(t), c2.eval(t)
             assert (e1.k, e1.k1, e1.k2) == (e2.k, e2.k1, e2.k2)
+        # and through the curve-level constructor
+        for q in (1e-3, 0.7, 2.0 ** 20):
+            m1, m2 = c1.at(q), c2.at(q)
+            assert (m1.mean, m1.variance) == (m2.mean, m2.variance)
+            for t in (-0.2, 0.0, 0.1 / q, 0.3 / q):
+                e1, e2 = m1.eval(t), m2.eval(t)
+                assert (e1.k, e1.k1, e1.k2) == (e2.k, e2.k1, e2.k2)
 
     def test_monte_carlo_moments(self, rng):
         for _ in range(5):

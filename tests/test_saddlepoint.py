@@ -24,6 +24,7 @@ from sirspa import (
     lugannani_rice,
     solve_saddle,
 )
+from sirspa import composite
 from sirspa.config import load_config
 
 from conftest import CONFIG_DIR, random_scenario
@@ -199,6 +200,26 @@ class TestWarmStart:
                 assert abs(warm.t_hat - cold.t_hat) <= 1e-13 * abs(cold.t_hat)
                 if f in (0.97, 1.03):
                     assert warm.iterations <= cold.iterations
+
+    def test_one_k_pass_per_solve(self, rng, monkeypatch):
+        # the Newton loop and the bracket read K' and K'' only; K, whose
+        # gamma shape costs a series or an atanh, is summed once, at the root
+        passes = []
+        cumulant = composite.cumulant
+
+        def counting(atoms, n, t):
+            passes.append(n)
+            return cumulant(atoms, n, t)
+
+        monkeypatch.setattr(composite, "cumulant", counting)
+        iterations = 0
+        for _ in range(50):
+            c = build_composite(random_scenario(rng))
+            passes.clear()
+            sol = solve_saddle(c, 0.0)
+            assert sol.converged and passes == [0]
+            iterations += sol.iterations
+        assert iterations >= 150
 
     def test_one_evaluation_per_iteration(self, rng, monkeypatch):
         evals = [0]
