@@ -11,7 +11,11 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 ``cumulant`` gives every derivative of such a sum in closed form, so the
 CGF, its derivatives of any order, the open convergence strip of the MGF,
 the mean and the variance all follow from a family's ``atoms()``, and so
-does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)).
+does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)),
+with each f(j*u) taken as its real and imaginary parts in real arithmetic:
+-log1p(u**2) / 2 and arctan(u) for gamma, -u**2 / (1 + u**2) and
+u / (1 + u**2) for noncentral, 0 and u for linear, -u**2 / 2 and 0 for
+quadratic.
 The Newton loop's K' and K'' alone come from one pass of ``cgf_12``.
 Only the exact sampler stays per family, as an independent check on the
 atoms. All power quantities are linear milliwatts.
@@ -103,13 +107,46 @@ _D12 = {gamma: lambda u: (u / (1.0 - u), 1.0 / (1.0 - u) ** 2),
         linear: lambda u: (0.0, 0.0), quadratic: lambda u: (u, 1.0)}
 # shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
 _POLAR = (gamma, noncentral)
-# the full f of each shape at a complex argument u
-_COMPLEX = {
-    gamma: lambda u: -np.log1p(-u),
-    noncentral: lambda u: u / (1.0 - u),
-    linear: lambda u: u,
-    quadratic: lambda u: 0.5 * u * u,
-}
+
+
+# The full f of each shape at j*u for real u, as (real part, imaginary part).
+# No finite u gives a NaN, an overflow or a division by zero.
+# Beyond |u| = _HUGE, log1p(u**2) / 2 = log|u| + log1p(u**-2) / 2 rounds to
+# log|u|: the second term, below 2**-55, is under half an ulp of log|u| > 18.
+_HUGE = 2.0 ** 27
+
+
+def _gamma_jt(u):
+    """-log(1 - j*u) = -log1p(u**2) / 2 + j * arctan(u); the real part is
+    -log|u| beyond |u| = _HUGE, where u**2 may overflow."""
+    a = np.abs(u)
+    re = np.log1p(np.square(np.minimum(a, _HUGE)))
+    re *= 0.5
+    np.log(a, out=re, where=a > _HUGE)
+    return -re, np.arctan(u)
+
+
+def _noncentral_jt(u):
+    """j*u / (1 - j*u) = -u**2 / (1 + u**2) + j * u / (1 + u**2), with
+    u**2 / (1 + u**2) = u * im; once |u| > 1, u**2 is never formed."""
+    big = np.maximum(np.abs(u), 1.0)
+    p = u / big  # u, or its sign once |u| > 1
+    im = p / (big + p * p / big)
+    return -u * im, im
+
+
+def _linear_jt(u):
+    return np.zeros_like(u), u
+
+
+def _quadratic_jt(u):
+    """(j*u)**2 / 2 = -u**2 / 2; -inf where u**2 overflows (|u| >= 2**512)."""
+    u2 = np.square(u, out=np.full_like(u, np.inf), where=np.abs(u) < 2.0 ** 512)
+    return -0.5 * u2, np.zeros_like(u)
+
+
+_JT = {gamma: _gamma_jt, noncentral: _noncentral_jt,
+       linear: _linear_jt, quadratic: _quadratic_jt}
 
 
 class Atom(NamedTuple):
@@ -173,13 +210,27 @@ def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
 
 
 def characteristic_function(atoms, t):
-    """M(jt) of the sum of ``atoms`` for real scalar or array t: one atom at a
-    time into one complex log array, then one exp."""
+    """M(jt) of the sum of ``atoms`` for real scalar or array t: the real and
+    imaginary parts of every w * f(j*s*t), summed in real arithmetic, then
+    one complex exp. The atoms of one shape are evaluated as one
+    (atoms x nodes) block.
+
+    Underflow is ignored: a term below 1e-300, or M(jt) itself rounding to 0
+    at large t. No t for which every s*t is finite gives a NaN.
+    """
     t = np.asarray(t, dtype=float)
-    log_cf = np.zeros(t.shape, dtype=complex)
-    for f, w, s in atoms:
-        log_cf += w * _COMPLEX[f](1j * s * t)
-    return np.exp(log_cf)
+    nodes = t.ravel()
+    log_cf = np.zeros(nodes.shape, dtype=complex)
+    with np.errstate(under="ignore"):
+        for shape, jt in _JT.items():
+            ws = [(w, s) for f, w, s in atoms if f is shape]
+            if not ws:
+                continue
+            w, s = np.array(ws).T
+            re, im = jt(np.multiply.outer(s, nodes))
+            log_cf.real += np.einsum("a,an->n", w, re)
+            log_cf.imag += np.einsum("a,an->n", w, im)
+        return np.exp(log_cf.reshape(t.shape))
 
 
 def atoms_strip(atoms) -> Strip:

@@ -222,12 +222,11 @@ def map_batches(s: SirScenario, mc: MonteCarloConfig, reduce) -> list:
     scheduled. Batches are drawn and reduced on a pool of up to one thread
     per available CPU (numpy releases the interpreter lock while it fills
     and reduces arrays), so at most that many batches are in memory at once
-    and only the reduced values are kept. If a batch raises, the batches not
-    yet started are cancelled and the first error in batch order is raised.
+    and only the reduced values are kept. A pool of one thread would only
+    hand each batch over, so then the batches run in the calling thread. If a
+    batch raises, the batches not yet started are cancelled and the first
+    error in batch order is raised.
     """
-    # imported here so that importing sirspa does not pay for it
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
     def batch(child: np.random.SeedSequence, n: int):
         rng = np.random.Generator(np.random.PCG64(child))
         p0 = s.desired.sample(rng, n)
@@ -236,11 +235,17 @@ def map_batches(s: SirScenario, mc: MonteCarloConfig, reduce) -> list:
             interference += d.sample(rng, n)
         return reduce(p0, interference)
 
-    children = np.random.SeedSequence(mc.seed).spawn(mc.batches)
-    pool = ThreadPoolExecutor(min(_workers(), mc.batches))
+    jobs = list(zip(np.random.SeedSequence(mc.seed).spawn(mc.batches),
+                    _batch_sizes(mc.samples, mc.batches)))
+    threads = min(_workers(), mc.batches)
+    if threads == 1:
+        return [batch(child, n) for child, n in jobs]
+    # imported here so that importing sirspa does not pay for it
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(threads)
     try:
-        futures = [pool.submit(batch, child, n)
-                   for child, n in zip(children, _batch_sizes(mc.samples, mc.batches))]
+        futures = [pool.submit(batch, child, n) for child, n in jobs]
         wait(futures, return_when=FIRST_EXCEPTION)
     finally:
         pool.shutdown(cancel_futures=True)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sirspa import CompositeCgf, Hoyt, NakagamiM, Rician, SirScenario
+from sirspa.fading import gamma, linear, noncentral, quadratic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +98,19 @@ def workers(request, monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def complex_log_cf(atoms, t):
+    """M(jt) of a sum of atoms from each shape's full f at the complex
+    argument j*s*t, in numpy's complex arithmetic: the reference the
+    real-arithmetic ``fading.characteristic_function`` is checked against."""
+    full_f = {gamma: lambda z: -np.log1p(-z), noncentral: lambda z: z / (1.0 - z),
+              linear: lambda z: z, quadratic: lambda z: 0.5 * z * z}
+    t = np.asarray(t, dtype=float)
+    log_cf = np.zeros(t.shape, dtype=complex)
+    for f, w, s in atoms:
+        log_cf += w * full_f[f](1j * s * t)
+    return np.exp(log_cf)
 
 
 @pytest.fixture

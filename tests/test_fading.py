@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from sirspa import GaussianTest, Hoyt, NakagamiM, Rician, Strip, StripViolation
+from sirspa import fading
 from sirspa.fading import Atom, atoms_strip, cumulant, gamma, linear, noncentral, quadratic
 
 from conftest import central_diff, dist_to_edge, fd_step, random_distribution, strip_points
@@ -210,6 +212,61 @@ class TestCharacteristicFunction:
         cf = complex(d.characteristic_function(t))
         assert abs(cf) <= 1.0
         assert abs(emp - cf) <= 1e-3
+
+
+# |u| at which each shape's (real, imaginary) pair is checked; 1e-6 and 1e-8
+# are where numpy's complex log1p loses the gamma real part
+KERNEL_U = [0.0, 1e-8, 1e-6, 1e-3, 0.5, 1.0, 1e3, 1e150, 1e200]
+EXACT_F = {gamma: lambda z: -mpmath.log(1 - z), noncentral: lambda z: z / (1 - z),
+           linear: lambda z: z, quadratic: lambda z: z * z / 2}
+
+
+class TestCfKernels:
+    """Each shape's f(j*u) as the real and imaginary parts that
+    ``characteristic_function`` adds up."""
+
+    @pytest.mark.parametrize("shape", [gamma, noncentral, linear, quadratic],
+                             ids=lambda f: f.__name__)
+    def test_parts_match_mpmath(self, shape):
+        u = np.array([x for v in KERNEL_U for x in (v, -v)])
+        with np.errstate(all="raise"):
+            re, im = fading._JT[shape](u)
+        assert re.shape == im.shape == u.shape
+        for x, got_re, got_im in zip(u.tolist(), re.tolist(), im.tolist()):
+            with mpmath.workdps(50):
+                exact = EXACT_F[shape](mpmath.mpc(0, x))
+            for got, want in ((got_re, exact.real), (got_im, exact.imag)):
+                if want == 0:
+                    assert got == 0.0, (x, got)
+                elif abs(want) > np.finfo(float).max:
+                    # -u**2 / 2 beyond the float range
+                    assert got == -math.inf, (x, got)
+                else:
+                    assert abs((got - want) / want) <= 1e-15, (x, got, want)
+
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
+    def test_no_nan_or_warning_at_extreme_t(self, d):
+        # every atom scale here is below 4, so every s*t stays finite
+        ts = np.array([0.0, 5e-324, 1e-200, 1e-8, 1.0, 1e8, 1e150, 1e200, 1e300])
+        ts = np.concatenate([-ts[::-1], ts])
+        with np.errstate(all="raise"):
+            cf = d.characteristic_function(ts)
+        assert np.all(np.isfinite(cf))
+        assert np.all(np.abs(cf) <= 1.0 + 1e-15)
+        assert cf[len(ts) // 2] == 1.0
+
+    def test_shape_and_dtype_follow_t(self):
+        d = Rician(r=3.0, mean_power=1.0)
+        ts = np.linspace(-3.0, 3.0, 6)
+        flat = d.characteristic_function(ts)
+        assert flat.dtype == np.complex128 and flat.shape == (6,)
+        grid = d.characteristic_function(ts.reshape(2, 3))
+        assert grid.dtype == np.complex128 and grid.shape == (2, 3)
+        assert np.array_equal(grid.ravel(), flat)
+        for t in (ts[1], float(ts[1]), np.array(ts[1])):
+            cf = d.characteristic_function(t)
+            assert type(cf) is np.complex128
+            assert cf == flat[1]
 
 
 class TestSamplers:

@@ -27,9 +27,10 @@ from sirspa import (
     monte_carlo_outage,
 )
 from sirspa import oracles
+from sirspa.config import load_config
 from sirspa.oracles import RNG_ALGORITHM, map_batches
 
-from conftest import random_scenario, serial_batches
+from conftest import CONFIG_DIR, complex_log_cf, random_scenario, serial_batches
 
 
 def rayleigh_pair(q: float = 1.0) -> SirScenario:
@@ -107,6 +108,39 @@ class TestGilPelaez:
 # Characteristic-function nodes of one Rayleigh-pair Gil-Pelaez capacity
 # with the unscaled substitution t = tan(theta), which this count replaced
 UNSCALED_CAPACITY_NODES = 51_512_960
+
+
+class ComplexLogCf:
+    """A composite whose characteristic function is ``complex_log_cf``, the
+    complex-arithmetic reference; counts the nodes it is evaluated at."""
+
+    def __init__(self, c):
+        self.mean, self.variance, self.atoms = c.mean, c.variance, c.atoms
+        self.nodes = 0
+
+    def characteristic_function(self, t):
+        self.nodes += np.size(t)
+        return complex_log_cf(self.atoms, t)
+
+
+class TestRealArithmeticParity:
+    """Gil-Pelaez with the real-arithmetic M(jt) against the complex-log form."""
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
+    def test_same_p_from_the_same_nodes(self, fig, cf_nodes):
+        for curve in load_config(CONFIG_DIR / f"{fig}.json").curves:
+            for q_db in (-10.0, 5.0, 20.0):
+                q = 10.0 ** (q_db / 10.0)
+                c = build_composite(replace(curve.template, threshold_q=q))
+                # without noise, and with noise power 0.1 mW (x = -q * N0)
+                for x in (0.0, -0.1 * q):
+                    before = cf_nodes[0]
+                    p, err = gil_pelaez_ccdf(c, x)
+                    ref = ComplexLogCf(c)
+                    p_ref, err_ref = gil_pelaez_ccdf(ref, x)
+                    assert abs(p - p_ref) <= 1e-14, (curve.label, q_db, x)
+                    assert cf_nodes[0] - before == ref.nodes
+                    assert err == pytest.approx(err_ref, rel=1e-6, abs=1e-15)
 
 
 class TestGilPelaezScale:
@@ -350,6 +384,22 @@ class TestMapBatches:
         sizes = map_batches(fig1_scenario(m0=1.0, q=1.0), mc, reduce)
         assert sizes == [50] * 40
         assert active == [0, active[1]] and 1 <= active[1] <= workers
+
+    @pytest.mark.parametrize("workers,batches", [(1, 30), (2, 1), (3, 1)],
+                             indirect=["workers"])
+    def test_no_thread_starts_for_a_one_thread_pool(self, workers, batches, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        template = fig1_scenario(m0=0.75, q=1.0)
+        mc = MonteCarloConfig(samples=3000, seed=26, batches=batches)
+        assert map_batches(template, mc, lambda a, b: len(a)) == [3000 // batches] * batches
+        assert started == []
 
     @pytest.mark.parametrize("workers", [1, 2], indirect=True)
     def test_error_cancels_later_batches(self, workers):
