@@ -8,9 +8,8 @@ from .analysis import (
     outage_curve,
     outage_point,
 )
-from .composite import CgfEval, CompositeCgf, SirScenario, build_composite
+from .composite import CompositeCgf, SirScenario, build_composite
 from .exceptions import (
-    BreakdownBranchRequired,
     ConfigError,
     DivergedSolver,
     InvalidScenario,
@@ -34,7 +33,6 @@ from .saddlepoint import (
     SolverConfig,
     ccdf,
     ccdf_at_mean,
-    lugannani_rice,
     solve_saddle,
 )
 

@@ -171,17 +171,18 @@ def cmd_compare(cfg: RunConfig) -> int:
     print("curve,method_a,method_b,max_abs_dev,mean_abs_dev,bound,ok")
     for curve in cfg.curves:
         per_method = by_curve[curve.label]
-        base = build_composite(replace(curve.template,
-                                       threshold_q=per_method[methods[0]][0].q_linear))
+        points = per_method[methods[0]]
+        base = build_composite(replace(curve.template, threshold_q=points[0].q_linear))
+        in_breakdown = [base.at(r.q_linear).in_breakdown for r in points]
         for i, m1 in enumerate(methods):
             for m2 in methods[i + 1:]:
                 devs, bounds = [], []
-                for r1, r2 in zip(per_method[m1], per_method[m2]):
+                for r1, r2, breakdown in zip(per_method[m1], per_method[m2], in_breakdown):
                     devs.append(abs(r1.p_out - r2.p_out))
                     pair_bound = cfg.compare.bounds.get(
                         f"{m1},{m2}", cfg.compare.bounds.get(
                             f"{m2},{m1}", cfg.compare.default_bound))
-                    if base.at(r1.q_linear).in_breakdown:
+                    if breakdown:
                         pair_bound = max(pair_bound, cfg.compare.breakdown_bound)
                     if "monte_carlo" in (m1, m2):
                         se = (r1.error_estimate if m1 == "monte_carlo"

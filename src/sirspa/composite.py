@@ -10,7 +10,7 @@ them once and moves them to each q (``at``); K is summed only when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import InvalidScenario
 from .fading import (
@@ -42,20 +42,6 @@ class SirScenario:
             raise InvalidScenario(f"threshold_q must be > 0, got {self.threshold_q}")
         if not self.noise_power >= 0:
             raise InvalidScenario(f"noise_power must be >= 0, got {self.noise_power}")
-
-
-@dataclass(frozen=True)
-class CgfEval:
-    """K' and K'' at a point, and K, computed from ``composite`` when read."""
-
-    t: float
-    k1: float
-    k2: float
-    composite: "CompositeCgf" = field(repr=False, compare=False)
-
-    @property
-    def k(self) -> float:
-        return self.composite.k(self.t)
 
 
 class CompositeCgf:
@@ -120,9 +106,10 @@ class CompositeCgf:
         self.strip.require(t)
         return cumulant(self.atoms, 3, t)
 
-    def eval(self, t: float) -> CgfEval:
+    def eval(self, t: float) -> tuple[float, float]:
+        """(K'(t), K''(t)) from one pass over the atoms."""
         self.strip.require(t)
-        return CgfEval(t, *cgf_12(self._terms, self.mean, t), self)
+        return cgf_12(self._terms, self.mean, t)
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""

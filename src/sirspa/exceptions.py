@@ -21,10 +21,6 @@ class DivergedSolver(SirspaError):
     """Newton iteration hit the iteration budget without meeting tolerance."""
 
 
-class BreakdownBranchRequired(SirspaError):
-    """Saddle point is too close to zero for the tail formula; use the mean branch."""
-
-
 class QuadratureNotConverged(SirspaError):
     """Adaptive quadrature exceeded its panel budget with the error estimate above tolerance."""
 

@@ -128,11 +128,12 @@ def _gamma_jt(u):
 
 def _noncentral_jt(u):
     """j*u / (1 - j*u) = -u**2 / (1 + u**2) + j * u / (1 + u**2), with
-    u**2 / (1 + u**2) = u * im; once |u| > 1, u**2 is never formed."""
+    u**2 / (1 + u**2) = u * im; once |u| > 1, u**2 is never formed. At
+    |u| = inf it is the limit, -1 + 0j."""
     big = np.maximum(np.abs(u), 1.0)
-    p = u / big  # u, or its sign once |u| > 1
+    p = np.clip(u, -1.0, 1.0)  # u / big: u, or its sign once |u| > 1
     im = p / (big + p * p / big)
-    return -u * im, im
+    return -np.multiply(u, im, out=np.ones_like(u), where=np.isfinite(u)), im
 
 
 def _linear_jt(u):
@@ -216,7 +217,8 @@ def characteristic_function(atoms, t):
     (atoms x nodes) block.
 
     Underflow is ignored: a term below 1e-300, or M(jt) itself rounding to 0
-    at large t. No t for which every s*t is finite gives a NaN.
+    at large t. No finite t gives a NaN: where s*t overflows, each shape
+    takes its limit at |u| = inf.
     """
     t = np.asarray(t, dtype=float)
     nodes = t.ravel()
@@ -227,7 +229,9 @@ def characteristic_function(atoms, t):
             if not ws:
                 continue
             w, s = np.array(ws).T
-            re, im = jt(np.multiply.outer(s, nodes))
+            with np.errstate(over="ignore"):  # |s*t| = inf takes each kernel's limit
+                u = np.multiply.outer(s, nodes)
+            re, im = jt(u)
             log_cf.real += np.einsum("a,an->n", w, re)
             log_cf.imag += np.einsum("a,an->n", w, im)
         return np.exp(log_cf.reshape(t.shape))

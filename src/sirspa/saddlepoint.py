@@ -6,7 +6,8 @@ Newton iteration with a bisection fallback toward the bracket is
 guaranteed to find it from any start inside the strip, so a curve can
 start each point from its neighbour's saddle point. It reads K' and K''
 only; K is summed once, at the root, for w. The tail is the three-term
-Lugannani-Rice value, with a breakdown branch where 1/w would blow up.
+Lugannani-Rice value; near the mean, where its 1/u - 1/w term cancels,
+``ccdf`` interpolates between two tail values around the mean instead.
 """
 
 from __future__ import annotations
@@ -14,38 +15,31 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .composite import CgfEval, CompositeCgf
-from .exceptions import (
-    BreakdownBranchRequired,
-    DivergedSolver,
-    NoSaddleInStrip,
-)
+from .composite import CompositeCgf
+from .exceptions import DivergedSolver, NoSaddleInStrip
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # never evaluate closer to a strip edge than this fraction of its scale
 _EDGE_MARGIN = 1e-12
+# a saddle point with |w| below this is too close to the mean for the tail formula
+_NEAR_MEAN_W = 1e-4
+# the near-mean branch interpolates between mean -+ this many standard deviations
+_NEAR_MEAN_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton-solver and breakdown-branch parameters."""
+    """Newton-solver tolerance and iteration budget."""
 
     tol: float = 1e-8
     max_iter: int = 50
-    near_mean_w_threshold: float = 1e-4
-    interpolation_delta: float = 1e-3  # in units of sqrt(Var)
-    near_mean_method: str = "interpolate"  # or "skewness"
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if not (self.near_mean_w_threshold > 0 and self.interpolation_delta > 0):
-            raise ValueError("thresholds must be > 0")
-        if self.near_mean_method not in ("interpolate", "skewness"):
-            raise ValueError(f"unknown near_mean_method {self.near_mean_method!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +75,14 @@ def _edge_points(start: float, edge: float, step: float):
             yield start + sign * step * 2.0 ** i
 
 
-def _bracket(c: CompositeCgf, x: float, start: CgfEval):
+def _bracket(c: CompositeCgf, x: float, t0: float, k1: float, k2: float):
     """Bracket the root of K'(t) - x as (lo, g_lo, hi, g_hi), edges with their
-    residuals, searching outward from the evaluated ``start``. K' is
-    increasing, so the sign of the residual there tells which side of the
-    start holds the root. Toward an infinite edge the probes double the
-    Newton step from the start."""
-    t0, g0 = start.t, start.k1 - x
-    step = (abs(g0) or max(1.0, abs(x))) / start.k2
+    residuals, searching outward from t0, where K' = k1 and K'' = k2. K' is
+    increasing, so the sign of the residual there tells which side of t0
+    holds the root. Toward an infinite edge the probes double the Newton
+    step from t0."""
+    g0 = k1 - x
+    step = (abs(g0) or max(1.0, abs(x))) / k2
     if g0 > 0.0:  # root below the start
         for t in _edge_points(t0, c.strip.lower, step):
             g = c.k1(t) - x
@@ -120,14 +114,14 @@ def solve_saddle(c: CompositeCgf, x: float,
         raise ValueError(f"x must be finite, got {x}")
     scale = cfg.tol * max(1.0, abs(x), math.sqrt(c.variance))
     t = t0 if c.strip.contains(t0) else 0.0
-    e = c.eval(t)
-    lo, g_lo, hi, g_hi = _bracket(c, x, e)
+    k1, k2 = c.eval(t)
+    lo, g_lo, hi, g_hi = _bracket(c, x, t, k1, k2)
     converged = False
     iterations = 0
     polish = 0
     while iterations < cfg.max_iter:
         iterations += 1
-        g = e.k1 - x
+        g = k1 - x
         if abs(g) <= scale:
             converged = True
             if polish >= 1 or g == 0.0:
@@ -138,7 +132,7 @@ def solve_saddle(c: CompositeCgf, x: float,
             lo, g_lo = t, g
         else:
             hi, g_hi = t, g
-        t_new = t - g / e.k2
+        t_new = t - g / k2
         if not lo < t_new < hi:
             edge, g_edge = (hi, g_hi) if t_new >= hi else (lo, g_lo)
             t_new = edge if abs(g_edge) <= scale else 0.5 * (t + edge)
@@ -146,30 +140,19 @@ def solve_saddle(c: CompositeCgf, x: float,
         if t_new == t:
             break
         t = t_new
-        e = c.eval(t)
-    g = e.k1 - x
+        k1, k2 = c.eval(t)
+    g = k1 - x
     converged = converged or abs(g) <= scale
     # once converged, one more Newton step without a new evaluation: x*t - K(t)
     # is stationary at the root, so the step adds -g*dt/2 to it (second order)
-    dt = -g / e.k2 if converged else 0.0
-    arg = 2.0 * (x * t - e.k) - g * dt
+    dt = -g / k2 if converged else 0.0
+    arg = 2.0 * (x * t - c.k(t)) - g * dt
     t += dt
     w = math.copysign(math.sqrt(max(arg, 0.0)), t)
-    u = t * math.sqrt(e.k2)
-    near_mean = t == 0.0 or abs(w) < cfg.near_mean_w_threshold
+    u = t * math.sqrt(k2)
+    near_mean = t == 0.0 or abs(w) < _NEAR_MEAN_W
     return SaddleSolution(t_hat=t, w=w, u=u, iterations=iterations,
                           converged=converged, near_mean=near_mean)
-
-
-def lugannani_rice(c: CompositeCgf, x: float, sol: SaddleSolution) -> float:
-    """Three-term Lugannani-Rice upper-tail value at x, before clamping to [0, 1]."""
-    if not sol.converged:
-        raise DivergedSolver("saddle solver did not converge")
-    if sol.near_mean:
-        raise BreakdownBranchRequired(
-            "saddle point too close to the mean; use ccdf_at_mean or interpolation"
-        )
-    return 0.5 * math.erfc(sol.w / _SQRT_2) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
@@ -180,33 +163,39 @@ def ccdf_at_mean(c: CompositeCgf) -> float:
     return min(1.0, max(0.0, p))
 
 
-def ccdf(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig(),
-         t0: float = 0.0) -> tuple[float, SaddleSolution]:
-    """Upper-tail probability of the composite variable at x, with the saddle
-    point solved from t0 (see ``solve_saddle``).
-
-    Routes through the Lugannani-Rice formula away from the mean. Inside
-    the breakdown neighborhood (|w| below the configured threshold) the
-    value is linearly interpolated between the tail values at
-    mean +- delta * sqrt(Var); an anchor that itself falls in the
-    neighborhood takes the skewness-corrected mean value, which is also
-    available directly via ``near_mean_method="skewness"``.
-    """
+def _solve(c: CompositeCgf, x: float, cfg: SolverConfig, t0: float) -> SaddleSolution:
     sol = solve_saddle(c, x, cfg, t0)
     if not sol.converged:
         raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    if not sol.near_mean:
-        p_raw = lugannani_rice(c, x, sol)
-    elif cfg.near_mean_method == "skewness":
-        p_raw = ccdf_at_mean(c)
-    else:
-        delta = cfg.interpolation_delta * math.sqrt(c.variance)
+    return sol
+
+
+def _lugannani_rice(sol: SaddleSolution) -> float:
+    return 0.5 * math.erfc(sol.w / _SQRT_2) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
+
+
+def ccdf(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig(),
+         t0: float = 0.0) -> tuple[float, SaddleSolution]:
+    """Upper-tail probability of the composite variable at x, with the saddle
+    point solved from t0 (see ``solve_saddle``), clamped to [0, 1].
+
+    Away from the mean this is the Lugannani-Rice value. Near it (|w| below
+    1e-4) the value is linearly interpolated between the tail values at
+    mean -+ 1e-3 standard deviations, each solved from 0 and clamped; an
+    anchor that is itself near the mean takes ``ccdf_at_mean``. Raises
+    ``DivergedSolver`` when a solve runs out of iterations.
+    """
+    sol = _solve(c, x, cfg, t0)
+    if sol.near_mean:
+        delta = _NEAR_MEAN_DELTA * math.sqrt(c.variance)
         x_lo, x_hi = c.mean - delta, c.mean + delta
-        anchor_cfg = replace(cfg, near_mean_method="skewness")
-        p_lo = ccdf(c, x_lo, anchor_cfg)[0]
-        p_hi = ccdf(c, x_hi, anchor_cfg)[0]
+        p_lo, p_hi = (
+            min(1.0, max(0.0, ccdf_at_mean(c) if a.near_mean else _lugannani_rice(a)))
+            for a in (_solve(c, xa, cfg, 0.0) for xa in (x_lo, x_hi)))
         frac = (x - x_lo) / (x_hi - x_lo)
         p_raw = (1.0 - frac) * p_lo + frac * p_hi
+    else:
+        p_raw = _lugannani_rice(sol)
     p = min(1.0, max(0.0, p_raw))
     if p != p_raw:
         sol = replace(sol, clamped=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from sirspa import (
+    CompositeCgf,
     GaussianTest,
     Hoyt,
     NakagamiM,
@@ -125,9 +126,13 @@ class TestConfigLoading:
         (lambda c: c.update(compare={"bounds": {"spa,gil_pelaez": -1.0}}),
          "compare/bounds/spa,gil_pelaez"),
         (lambda c: c.update(monte_carlo={"samples": 2000.5}), "monte_carlo/samples"),
+        (lambda c: c.update(solver={"near_mean_method": "skewness"}), "solver"),
+        (lambda c: c.update(solver={"interpolation_delta": 1e-3}), "solver"),
+        (lambda c: c.update(solver={"near_mean_w_threshold": 1e-4}), "solver"),
     ], ids=["extra_field", "unknown_family", "string_step", "no_curves", "missing_step",
             "unknown_method", "no_interferers", "string_tol", "bool_m", "xml_format",
-            "negative_bound", "fractional_samples"])
+            "negative_bound", "fractional_samples", "removed_near_mean_method",
+            "removed_interpolation_delta", "removed_near_mean_w_threshold"])
     def test_messages_name_the_field(self, tmp_path, edit, where):
         raw = base_config()
         edit(raw)
@@ -443,6 +448,28 @@ class TestCompareBound:
         assert row[:3] == ["pair", "spa", "gil_pelaez"]
         assert float(row[3]) == pytest.approx(0.2)
         assert row[5] == "0.05" and row[6] == "false"
+
+    def test_one_composite_per_point_and_curve(self, tmp_path, monkeypatch, capsys):
+        # the breakdown flag of each point is found once per curve, not once
+        # per method pair; the curves are stubbed, so every move is compare's
+        def fake_curve(template, grid, method, *budgets):
+            return [OutageResult(q_db=float(q_db), q_linear=10.0 ** (q_db / 10.0),
+                                 p_out=0.5, method=method) for q_db in grid.values_db()]
+
+        moves = []
+        at = CompositeCgf.at
+
+        def counting(self, q):
+            moves.append(q)
+            return at(self, q)
+
+        monkeypatch.setattr(cli, "outage_curve", fake_curve)
+        monkeypatch.setattr(CompositeCgf, "at", counting)
+        cfg = base_config()  # three methods, so three pairs, and five points
+        cfg["curves"].append(dict(cfg["curves"][0], label="other"))
+        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
+        assert len(moves) == 2 * 5
 
 
 def test_runtime_imports_no_scipy(tmp_path):

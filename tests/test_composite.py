@@ -75,9 +75,9 @@ class TestAt:
                 assert (c.q, c.atoms, c.strip) == (fresh.q, fresh.atoms, fresh.strip)
                 assert (c.mean, c.variance) == (fresh.mean, fresh.variance)
                 for t in list(strip_points(c.strip, rng, 4)) + [0.0]:
-                    e, f = c.eval(t), fresh.eval(t)
-                    assert (e.k, e.k1, e.k2) == (f.k, f.k1, f.k2)
-                    assert (c.k(t), c.k1(t), c.k2(t)) == (e.k, e.k1, e.k2)
+                    e = (c.k(t), *c.eval(t))
+                    assert e == (fresh.k(t), *fresh.eval(t))
+                    assert (c.k(t), c.k1(t), c.k2(t)) == e
 
     @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
     def test_threshold_positive(self, q):
@@ -127,8 +127,8 @@ class TestStripAssembly:
     def test_strip_edges(self):
         c = build_composite(rayleigh_pair())
         width = c.strip.width
-        e = c.eval(c.strip.upper - 1e-9 * width)
-        assert math.isfinite(e.k) and math.isfinite(e.k1) and math.isfinite(e.k2)
+        t = c.strip.upper - 1e-9 * width
+        assert all(math.isfinite(v) for v in (c.k(t), *c.eval(t)))
         with pytest.raises(StripViolation):
             c.eval(c.strip.upper)
         with pytest.raises(StripViolation):
@@ -142,19 +142,19 @@ class TestEval:
         for _ in range(50):
             s = random_scenario(rng)
             c = build_composite(s)
-            e = c.eval(0.0)
+            k, k1, k2 = c.k(0.0), *c.eval(0.0)
             mean = s.threshold_q * sum(d.mean for d in s.interferers) - s.desired.mean
             var = (s.threshold_q ** 2 * sum(d.variance for d in s.interferers)
                    + s.desired.variance)
-            assert e.k == 0.0
-            assert e.k1 == pytest.approx(mean, rel=1e-12, abs=1e-12)
-            assert e.k2 == pytest.approx(var, rel=1e-12)
+            assert k == 0.0
+            assert k1 == pytest.approx(mean, rel=1e-12, abs=1e-12)
+            assert k2 == pytest.approx(var, rel=1e-12)
             assert c.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
             assert c.variance == pytest.approx(var, rel=1e-12)
 
     def test_rayleigh_pair_point(self):
-        e = build_composite(rayleigh_pair()).eval(0.5)
-        assert e.k == pytest.approx(-math.log(0.5) - math.log(1.5), abs=1e-14)
+        k = build_composite(rayleigh_pair()).k(0.5)
+        assert k == pytest.approx(-math.log(0.5) - math.log(1.5), abs=1e-14)
 
     def test_fig4_point_term_recomputation(self):
         s = fig4_scenario()
@@ -170,34 +170,29 @@ class TestEval:
             c = build_composite(s)
             for t in strip_points(c.strip, rng, 100):
                 h = fd_step(t, dist_to_edge(c.strip, t))
-                e = c.eval(t)
-                assert abs(central_diff(c.k, t, h) - e.k1) <= 1e-6 * max(1.0, abs(e.k1))
-                assert abs(central_diff(c.k1, t, h) - e.k2) <= 1e-6 * max(1.0, abs(e.k2))
-                assert e.k2 > 0.0
+                k1, k2 = c.eval(t)
+                assert abs(central_diff(c.k, t, h) - k1) <= 1e-6 * max(1.0, abs(k1))
+                assert abs(central_diff(c.k1, t, h) - k2) <= 1e-6 * max(1.0, abs(k2))
+                assert k2 > 0.0
 
     def test_eval_matches_split_methods(self, rng):
         s = random_scenario(rng)
         c = build_composite(s)
         for t in strip_points(c.strip, rng, 20):
-            e = c.eval(t)
-            assert e.k == c.k(t)
-            assert e.k1 == c.k1(t)
-            assert e.k2 == c.k2(t)
+            assert c.eval(t) == (c.k1(t), c.k2(t))
 
     def test_permutation_bit_identity(self):
         s = fig4_scenario()
         c1 = CompositeCgf(s.desired, s.interferers, s.threshold_q)
         c2 = CompositeCgf(s.desired, tuple(reversed(s.interferers)), s.threshold_q)
         for t in (-0.2, 0.0, 0.1, 0.3):
-            e1, e2 = c1.eval(t), c2.eval(t)
-            assert (e1.k, e1.k1, e1.k2) == (e2.k, e2.k1, e2.k2)
+            assert (c1.k(t), *c1.eval(t)) == (c2.k(t), *c2.eval(t))
         # and through the curve-level constructor
         for q in (1e-3, 0.7, 2.0 ** 20):
             m1, m2 = c1.at(q), c2.at(q)
             assert (m1.mean, m1.variance) == (m2.mean, m2.variance)
             for t in (-0.2, 0.0, 0.1 / q, 0.3 / q):
-                e1, e2 = m1.eval(t), m2.eval(t)
-                assert (e1.k, e1.k1, e1.k2) == (e2.k, e2.k1, e2.k2)
+                assert (m1.k(t), *m1.eval(t)) == (m2.k(t), *m2.eval(t))
 
     def test_monte_carlo_moments(self, rng):
         for _ in range(5):
@@ -301,8 +296,7 @@ class TestMergedAtoms:
         # relative to the magnitude of the summed terms: the sums cancel
         # near the mean, and both sides round each term once
         for t in strip_points(c.strip, rng, 20):
-            e = c.eval(t)
-            for value, n in ((e.k, 0), (e.k1, 1), (e.k2, 2)):
+            for n, value in enumerate((c.k(t), *c.eval(t))):
                 size = sum(abs(w * s ** n * f(n, s * t)) for f, w, s in atoms)
                 size += sum(abs(w * s) for f, w, s in atoms) * abs(t) ** (1 - n) if n < 2 else 0.0
                 assert abs(value - cumulant(atoms, n, t)) <= 1e-15 * size

@@ -246,8 +246,9 @@ class TestCfKernels:
 
     @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: type(d).__name__)
     def test_no_nan_or_warning_at_extreme_t(self, d):
-        # every atom scale here is below 4, so every s*t stays finite
-        ts = np.array([0.0, 5e-324, 1e-200, 1e-8, 1.0, 1e8, 1e150, 1e200, 1e300])
+        # at 1.7e308, s*t overflows for every atom scale above ~1.06, and each
+        # kernel takes its limit at |u| = inf
+        ts = np.array([0.0, 5e-324, 1e-200, 1e-8, 1.0, 1e8, 1e150, 1e200, 1e300, 1.7e308])
         ts = np.concatenate([-ts[::-1], ts])
         with np.errstate(all="raise"):
             cf = d.characteristic_function(ts)

@@ -1,7 +1,7 @@
 """Saddle solver and Lugannani-Rice tail: roots, branches, exactness."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from sirspa import (
-    BreakdownBranchRequired,
     CompositeCgf,
     DivergedSolver,
     GaussianTest,
@@ -21,7 +20,6 @@ from sirspa import (
     ccdf,
     ccdf_at_mean,
     gil_pelaez_ccdf,
-    lugannani_rice,
     solve_saddle,
 )
 from sirspa import composite
@@ -145,12 +143,12 @@ class TestSolveSaddle:
             sol = solve_saddle(c, 0.0)
             if sol.near_mean:
                 continue
-            e = c.eval(sol.t_hat)
-            assert e.k < 0.0
-            assert e.k2 > 0.0
+            k, k2 = c.k(sol.t_hat), c.k2(sol.t_hat)
+            assert k < 0.0
+            assert k2 > 0.0
             assert math.copysign(1.0, sol.w) == math.copysign(1.0, sol.t_hat)
             assert math.copysign(1.0, sol.u) == math.copysign(1.0, sol.t_hat)
-            assert 2.0 * (0.0 * sol.t_hat - e.k) >= 0.0
+            assert 2.0 * (0.0 * sol.t_hat - k) >= 0.0
 
     def test_iteration_budget_on_shipped_configs(self):
         for name in ("fig1.json", "fig2.json", "fig3.json", "fig4.json"):
@@ -247,8 +245,8 @@ class TestLugannaniRice:
     def test_gaussian_exactness_spot(self):
         c = gaussian_composite(mu=0.0, sigma2=1.0)
         x = 1.6448536269514722  # standard normal 95% quantile
-        sol = solve_saddle(c, x)
-        p = lugannani_rice(c, x, sol)
+        p, sol = ccdf(c, x)
+        assert not sol.near_mean
         assert p == pytest.approx(1.0 - ndtr(x), abs=1e-13)
         assert p == pytest.approx(0.05, abs=1e-10)
 
@@ -282,13 +280,6 @@ class TestLugannaniRice:
             tol = 1e-9 if abs(x - mu) < 0.01 * sigma else 1e-12
             assert abs(p - ndtr((mu - x) / sigma)) <= tol
 
-    def test_near_mean_requires_branch(self):
-        c = gaussian_composite()
-        sol = solve_saddle(c, 0.0)
-        assert sol.near_mean
-        with pytest.raises(BreakdownBranchRequired):
-            lugannani_rice(c, 0.0, sol)
-
     def test_diverged_solver_raises(self):
         s = SirScenario(desired=NakagamiM(m=2.0, mean_power=2.0),
                         interferers=(NakagamiM(m=1.0, mean_power=1.0),),
@@ -297,8 +288,6 @@ class TestLugannaniRice:
         cfg = SolverConfig(tol=1e-14, max_iter=1)
         sol = solve_saddle(c, 0.0, cfg)
         if not sol.converged:
-            with pytest.raises(DivergedSolver):
-                lugannani_rice(c, 0.0, sol)
             with pytest.raises(DivergedSolver):
                 ccdf(c, 0.0, cfg)
 
@@ -327,10 +316,23 @@ class TestBreakdownBranch:
                         interferers=(NakagamiM(m=2.0, mean_power=1.0),),
                         threshold_q=2.0)
         c = build_composite(s)
-        p_int, sol = ccdf(c, 0.0, SolverConfig(near_mean_method="interpolate"))
-        p_skw, _ = ccdf(c, 0.0, SolverConfig(near_mean_method="skewness"))
+        p, sol = ccdf(c, 0.0)
         assert sol.near_mean
-        assert abs(p_int - p_skw) <= 1e-3
+        assert abs(p - ccdf_at_mean(c)) <= 1e-3
+
+    def test_near_mean_values_pinned(self):
+        # interpolated between mean -+ 1e-3 standard deviations; the values
+        # are those of the first implementation, to the last bit
+        c = build_composite(SirScenario(desired=NakagamiM(m=1.0, mean_power=2.0),
+                                        interferers=(NakagamiM(m=2.0, mean_power=1.0),),
+                                        threshold_q=2.0))
+        assert ccdf(c, 0.0)[0] == 0.5542890144214521
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        c = build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=1.0))
+        assert ccdf(c, 0.0)[0] == 0.5
+        c = gaussian_composite(mu=5.0, sigma2=2.0)
+        p, sol = ccdf(c, 5.0 + 1e-9)
+        assert sol.near_mean and p == 0.4999999997179052
 
     def test_gaussian_breakdown_limit(self):
         c = gaussian_composite(mu=5.0, sigma2=2.0)
@@ -374,5 +376,4 @@ class TestCcdf:
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(near_mean_method="nearest")
+        assert [f.name for f in fields(SolverConfig)] == ["tol", "max_iter"]
