@@ -19,7 +19,7 @@ from .oracles import (
     monte_carlo_curve,
     monte_carlo_outage,
 )
-from .saddlepoint import SolverConfig, ccdf
+from .saddlepoint import SaddleSolution, SolverConfig, ccdf, ccdf_block
 
 METHODS = ("spa", "gil_pelaez", "monte_carlo", "closed_form")
 
@@ -90,7 +90,7 @@ def outage_point(s: SirScenario, method: str = "spa",
         q_db = 10.0 * math.log10(q)
     x = -q * s.noise_power
     if method == "spa":
-        return _spa_point(build_composite(s), q_db, x, solver)
+        return _spa_result(q_db, q, *ccdf(build_composite(s), x, solver))
     if method == "gil_pelaez":
         p, err = gil_pelaez_ccdf(build_composite(s), x, quadrature)
         return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
@@ -105,23 +105,10 @@ def outage_point(s: SirScenario, method: str = "spa",
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _spa_point(c: CompositeCgf, q_db: float, x: float, solver: SolverConfig,
-               t0: float = 0.0) -> OutageResult:
-    """The saddle-point outage at x = -q * N0, its saddle point solved from t0."""
-    p, sol = ccdf(c, x, solver, t0)
-    return OutageResult(q_db=q_db, q_linear=c.q, p_out=p, method="spa",
+def _spa_result(q_db: float, q: float, p: float, sol: SaddleSolution) -> OutageResult:
+    return OutageResult(q_db=q_db, q_linear=q, p_out=p, method="spa",
                         t_hat=sol.t_hat, iterations=sol.iterations,
                         near_mean=sol.near_mean, clamped=sol.clamped)
-
-
-def _warm_start(prev: OutageResult, q: float) -> float:
-    """Start of the saddle solve at threshold q from the previous grid point's
-    saddle point. A t > 0 is bounded by the interferer poles, which scale as
-    1/q, so it is scaled by q_prev / q; a t < 0 is bounded by the signal
-    poles, which do not move. After a failed point the solve starts from 0."""
-    if prev.t_hat is None:
-        return 0.0
-    return prev.t_hat * (prev.q_linear / q) if prev.t_hat > 0.0 else prev.t_hat
 
 
 def error_result(q_db: float, q_linear: float, method: str,
@@ -140,8 +127,8 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
 
     Monte Carlo draws its samples once for the whole grid
     (``monte_carlo_curve``); if that fails, every point carries the error.
-    The saddle-point solve of each point starts from the previous point's
-    saddle point (``_warm_start``)."""
+    The saddle-point method solves every point at once (``ccdf_block``),
+    from the composite built at the first point."""
     points = [(float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
     if method == "monte_carlo":
         try:
@@ -151,14 +138,13 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
         return [OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method, error_estimate=se)
                 for (q_db, q), (p, se) in zip(points, estimates)]
     results, base = [], None
-    for q_db, q in points:
+    for i, (q_db, q) in enumerate(points):
         try:
             if method in ("spa", "gil_pelaez"):  # built at the first point, then moved
                 base = base.at(q) if base else build_composite(replace(template, threshold_q=q))
             if method == "spa":
-                t0 = _warm_start(results[-1], q) if results else 0.0
-                results.append(_spa_point(base, q_db, -q * template.noise_power, solver, t0))
-            elif method == "gil_pelaez":
+                return results + _spa_curve(base, points[i:], template.noise_power, solver)
+            if method == "gil_pelaez":
                 p, err = gil_pelaez_ccdf(base, -q * template.noise_power, quadrature)
                 results.append(OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
                                             error_estimate=err))
@@ -170,8 +156,20 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
     return results
 
 
-# Panel budget of the capacity integral.
+def _spa_curve(base: CompositeCgf, points: list[tuple[float, float]], noise_power: float,
+               solver: SolverConfig) -> list[OutageResult]:
+    """The saddle-point outage at every (q_db, q) of ``points``, at
+    x = -q * N0, from one ``ccdf_block`` solve."""
+    qs = [q for _, q in points]
+    return [error_result(q_db, q, "spa", r) if isinstance(r, SirspaError)
+            else _spa_result(q_db, q, *r)
+            for (q_db, q), r in zip(points, ccdf_block(base, qs, [-q * noise_power for q in qs],
+                                                       solver))]
+
+
+# Panel budget of the capacity integral, and the capacities probed for its cut.
 _CAPACITY_PANELS = 400
+_CAPACITY_PROBES = [2.0 ** k for k in range(7)]  # c = 1, 2, 4, ..., 64
 
 
 def ergodic_capacity(template: SirScenario, method: str = "spa",
@@ -189,36 +187,40 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     tail. Raises ``QuadratureNotConverged`` carrying the integral so far if
     the panel budget runs out with the error above tolerance, or if the
     success probability is still at or above 1e-8 at the cap c = 64.
-    Each saddle-point solve of the integrand starts from the previous
-    evaluation's saddle point (``_warm_start``).
+    The saddle-point method solves each batch of integrand nodes, and the
+    truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
     """
     if method not in ("spa", "gil_pelaez"):
         raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
 
-    prev, base = None, build_composite(replace(template, threshold_q=1.0))  # q at c = 1
+    base = build_composite(replace(template, threshold_q=1.0))  # q at c = 1
 
-    def success(c_val: float) -> float:
-        nonlocal prev
-        q = 2.0 ** c_val - 1.0
-        if q <= 0.0:
-            return 1.0
-        c, x = base.at(q), -q * template.noise_power
+    def successes(cs: list[float]):
+        """Success probability at each capacity of ``cs``, in order. A failed
+        point raises its error when it is reached."""
+        qs = [2.0 ** c - 1.0 for c in cs]
+        solved = [q for q in qs if q > 0.0]
+        x = [-q * template.noise_power for q in solved]
         if method == "spa":
-            t0 = _warm_start(prev, q) if prev is not None else 0.0
-            prev = _spa_point(c, 10.0 * math.log10(q), x, solver, t0)
-            return 1.0 - prev.p_out
-        p, _ = gil_pelaez_ccdf(c, x, quadrature)
-        return 1.0 - p
+            tails = iter(ccdf_block(base, solved, x, solver))
+        else:
+            tails = (gil_pelaez_ccdf(base.at(q), xq, quadrature) for q, xq in zip(solved, x))
+        for q in qs:
+            tail = next(tails) if q > 0.0 else (0.0, None)
+            if isinstance(tail, SirspaError):
+                raise tail
+            yield 1.0 - tail[0]
 
     def integrand(s_nodes: np.ndarray) -> np.ndarray:
-        # one scalar call per node, in node order, so the warm start chains
-        return np.array([2.0 * s * success(s * s) for s in s_nodes.tolist()])
+        nodes = s_nodes.tolist()
+        return np.array([2.0 * s * p for s, p in zip(nodes, successes([s * s for s in nodes]))])
 
     probes = [(0.0, 1.0)]  # (c, success probability)
-    c_max = 1.0
-    while (tail := success(c_max)) >= 1e-8 and c_max < 64.0:
+    capped = zip(_CAPACITY_PROBES, successes(_CAPACITY_PROBES))
+    c_max, tail = next(capped)
+    while tail >= 1e-8 and c_max < 64.0:
         probes.append((c_max, tail))
-        c_max *= 2.0
+        c_max, tail = next(capped)
 
     def tol(estimate: float) -> float:
         return max(1e-9, 1e-8 * abs(estimate))

@@ -4,7 +4,8 @@ For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
 by -1, with atoms of the same shape and scale merged into one. A curve builds
-them once and moves them to each q (``at``); K is summed only when read.
+them once and moves them to each q (``at``), or to all of its q at once
+(``block``) for the saddle-point solve.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import InvalidScenario
 from .fading import (
+    AtomBlock,
     PowerDistribution,
     atoms_mean,
     atoms_strip,
-    cgf_12,
-    cgf_12_terms,
     characteristic_function,
     cumulant,
     merge_atoms,
@@ -48,14 +50,24 @@ class CompositeCgf:
     """CGF of q * sum(interferers) - desired, with derivatives, strip and CF.
 
     Immutable; all evaluation methods are pure. Atom sums are exactly
-    rounded, so results do not depend on interferer order.
+    rounded, and a ``block`` holds each shape's atoms sorted by scale, so
+    results do not depend on interferer order.
     """
 
     def __init__(self, desired: PowerDistribution,
                  interferers: tuple[PowerDistribution, ...], q: float):
         self.interferers = tuple(interferers)
-        self._unit = [a for d in self.interferers for a in d.atoms()]
-        self._signal = [a.scaled(-1.0) for a in desired.atoms()]
+        self._unit = merge_atoms(tuple([a for d in self.interferers for a in d.atoms()]))
+        self._signal = merge_atoms(tuple([a.scaled(-1.0) for a in desired.atoms()]))
+        # per shape: weights and unit scales, interferers' (sorted) then the
+        # signal's, and which of them scale with q
+        self._shapes = {}
+        for f in dict.fromkeys(a.shape for a in self._unit + self._signal):
+            unit = sorted((s, w) for g, w, s in self._unit if g is f)
+            signal = sorted((s, w) for g, w, s in self._signal if g is f)
+            self._shapes[f] = (np.array([w for _, w in unit + signal]),
+                               np.array([s for s, _ in unit + signal]),
+                               np.arange(len(unit) + len(signal)) < len(unit))
         self._place(q)
 
     def at(self, q: float) -> "CompositeCgf":
@@ -64,6 +76,7 @@ class CompositeCgf:
             raise InvalidScenario(f"threshold q must be > 0, got {q}")
         c = object.__new__(CompositeCgf)
         c.interferers, c._unit, c._signal = self.interferers, self._unit, self._signal
+        c._shapes = self._shapes
         c._place(q)
         return c
 
@@ -71,13 +84,12 @@ class CompositeCgf:
         self.q, scale = q, float(q)
         # a list, not a generator: a tuple grown from a generator is resized, and
         # once freed it swells a free list it never came from (~2 MB over a run)
-        atoms = [a.scaled(scale) for a in self._unit] + self._signal
+        atoms = [a.scaled(scale) for a in self._unit] + list(self._signal)
         self.atoms = merge_atoms(tuple(atoms))
         self.strip = atoms_strip(self.atoms)
         try:
             self.mean = atoms_mean(self.atoms)
-            self._terms = cgf_12_terms(self.atoms)
-            self.variance = cgf_12(self._terms, self.mean, 0.0)[1]
+            self.variance = cumulant(self.atoms, 2, 0.0)
             finite = math.isfinite(self.mean) and math.isfinite(self.variance)
         except OverflowError:
             finite = False
@@ -96,20 +108,27 @@ class CompositeCgf:
 
     def k1(self, t: float) -> float:
         self.strip.require(t)
-        return cgf_12(self._terms, self.mean, t)[0]
+        return cumulant(self.atoms, 1, t)
 
     def k2(self, t: float) -> float:
         self.strip.require(t)
-        return cgf_12(self._terms, self.mean, t)[1]
+        return cumulant(self.atoms, 2, t)
 
     def d3(self, t: float) -> float:
         self.strip.require(t)
         return cumulant(self.atoms, 3, t)
 
     def eval(self, t: float) -> tuple[float, float]:
-        """(K'(t), K''(t)) from one pass over the atoms."""
-        self.strip.require(t)
-        return cgf_12(self._terms, self.mean, t)
+        """(K'(t), K''(t))."""
+        return self.k1(t), self.k2(t)
+
+    def block(self, qs) -> AtomBlock:
+        """The composite at every threshold of ``qs`` as one block: row i holds
+        the atoms of ``at(qs[i])`` (each interferer atom's scale times q_i,
+        each signal atom as it is), grouped by shape."""
+        qs = np.asarray(qs, dtype=float)[:, None]
+        return AtomBlock({f: (w, s * np.where(scaled, qs, 1.0))
+                          for f, (w, s, scaled) in self._shapes.items()})
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""

@@ -15,8 +15,8 @@ does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)),
 with each f(j*u) taken as its real and imaginary parts in real arithmetic:
 -log1p(u**2) / 2 and arctan(u) for gamma, -u**2 / (1 + u**2) and
 u / (1 + u**2) for noncentral, 0 and u for linear, -u**2 / 2 and 0 for
-quadratic.
-The Newton loop's K' and K'' alone come from one pass of ``cgf_12``.
+quadratic. ``AtomBlock`` holds the atoms of many sums at once, one row per
+sum, for the saddle-point solve of a whole curve.
 Only the exact sampler stays per family, as an independent check on the
 atoms. All power quantities are linear milliwatts.
 
@@ -78,16 +78,16 @@ def gamma(n: int, u: float) -> float:
         else:
             tail = math.atanh(z) - z
         return u * u / (2.0 - u) + 2.0 * tail
-    if n <= 2:
-        return _D12[gamma](u)[n - 1]
+    if n == 1:
+        return u / (1.0 - u)
     return math.factorial(n - 1) / (1.0 - u) ** n
 
 
 def noncentral(n: int, u: float) -> float:
     if n == 0:
         return u * u / (1.0 - u)
-    if n <= 2:
-        return _D12[noncentral](u)[n - 1]
+    if n == 1:
+        return u * (2.0 - u) / (1.0 - u) ** 2
     return math.factorial(n) / (1.0 - u) ** (n + 1)
 
 
@@ -96,15 +96,11 @@ def linear(n: int, u: float) -> float:
 
 
 def quadratic(n: int, u: float) -> float:
-    return 0.5 * u * u if n == 0 else _D12[quadratic](u)[n - 1] if n <= 2 else 0.0
+    return 0.5 * u * u if n == 0 else u if n == 1 else 1.0 if n == 2 else 0.0
 
 
 # f'(0) of each shape: an atom adds weight * scale * f'(0) to the mean
 _SLOPE = {gamma: 1.0, noncentral: 1.0, linear: 1.0, quadratic: 0.0}
-# (f'(u), f''(u)) of each shape: the terms of K' and K''
-_D12 = {gamma: lambda u: (u / (1.0 - u), 1.0 / (1.0 - u) ** 2),
-        noncentral: lambda u: (u * (2.0 - u) / (1.0 - u) ** 2, 2.0 / (1.0 - u) ** 3),
-        linear: lambda u: (0.0, 0.0), quadratic: lambda u: (u, 1.0)}
 # shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
 _POLAR = (gamma, noncentral)
 
@@ -180,22 +176,6 @@ def cumulant(atoms, n: int, t: float) -> float:
     return math.fsum(terms)
 
 
-def cgf_12_terms(atoms) -> tuple:
-    return tuple([(_D12[f], w * s, w * s ** 2, s) for f, w, s in atoms])
-
-
-def cgf_12(terms, mean: float, t: float) -> tuple[float, float]:
-    """K' and K'' at t of a sum of atoms from its ``atoms_mean`` and its
-    ``cgf_12_terms`` (per atom the shape's (f', f''), w*s, w*s**2 and s),
-    unchecked against the strip; terms and sums as ``cumulant`` forms them."""
-    k1, k2 = [mean], []
-    for d12, ws, ws2, s in terms:
-        f1, f2 = d12(s * t)
-        k1.append(ws * f1)
-        k2.append(ws2 * f2)
-    return math.fsum(k1), math.fsum(k2)
-
-
 def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
     """Atoms of the same shape and scale merged into one, their weights added
     (exactly rounded): a sum of such atoms is one atom of the summed weight.
@@ -242,6 +222,95 @@ def atoms_strip(atoms) -> Strip:
     poles = [1.0 / a.scale for a in atoms if a.shape in _POLAR]
     return Strip(max((p for p in poles if p < 0.0), default=-math.inf),
                  min((p for p in poles if p > 0.0), default=math.inf))
+
+
+# The saddle-point solve's kernels of the shapes with a pole, elementwise on
+# arrays of u: f(0, u), and the terms w*s*f(1, u) and w*s**2*f(2, u) of K'
+# and K'' from an atom's w*s and w*s**2. Linear atoms add only their mean,
+# and quadratic atoms a constant curvature w*s**2.
+def _gamma_k(u):
+    z = u / (2.0 - u)
+    z2 = z * z
+    series = z * z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (
+        1 / 9 + z2 * (1 / 11 + z2 * (1 / 13 + z2 * (1 / 15 + z2 / 17)))))))
+    tail = np.where(np.abs(z) < 0.1, series, np.arctanh(z) - z)
+    return np.where(z == -1.0, -np.log1p(-u) - u, u * u / (2.0 - u) + 2.0 * tail)
+
+
+def _gamma_12(u, ws, ws2):
+    d = 1.0 - u
+    return ws * u / d, ws2 / (d * d)
+
+
+def _noncentral_k(u):
+    return u * u / (1.0 - u)
+
+
+def _noncentral_12(u, ws, ws2):
+    d = 1.0 - u
+    d2 = d * d
+    return ws * u * (2.0 - u) / d2, 2.0 * ws2 / (d2 * d)
+
+
+_KERNELS = {gamma: (_gamma_k, _gamma_12), noncentral: (_noncentral_k, _noncentral_12)}
+
+
+def _fsum_row(terms: list) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a term or a partial sum left the float range
+        return math.nan
+
+
+class AtomBlock:
+    """The sums of atoms of n points at once, one row per point, built from
+    a weight per atom and an (n x atoms) matrix of scales for each shape.
+
+    ``k`` and ``k12`` give every row's K, K' and K'' at its own t, with the
+    terms ``cumulant`` takes summed by numpy along the atom axis. Each row
+    is a contiguous run of that axis and is reduced on its own, so a row's
+    values do not depend on how many rows share the block. Each row's mean
+    is exactly rounded (``atoms_mean``), and ``finite`` marks the rows whose
+    mean and variance are finite. Overflow and underflow in K, K' and K''
+    are the caller's to silence.
+    """
+
+    def __init__(self, blocks: dict):
+        with np.errstate(all="ignore"):
+            self._blocks = [(*_KERNELS[f], w, s, w * s, w * (s * s))
+                            for f, (w, s) in blocks.items() if f in _KERNELS]
+            slopes = [w * s for f, (w, s) in blocks.items() if _SLOPE[f]]
+            self.mean = np.array([_fsum_row(r) for r in np.concatenate(slopes, axis=1).tolist()])
+            n = len(self.mean)
+            self._quadratic = blocks.get(quadratic, (np.empty(0), np.empty((n, 0))))
+            w, s = self._quadratic
+            self._curvature = np.add.reduce(w * (s * s), axis=1)
+            poles = np.concatenate([1.0 / s for f, (w, s) in blocks.items() if f in _POLAR]
+                                   or [np.empty((n, 0))], axis=1)
+            self.lower = np.max(np.where(poles < 0.0, poles, -np.inf), axis=1, initial=-np.inf)
+            self.upper = np.min(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf)
+            self.variance = self.k12(np.zeros(n))[1]
+        self.finite = np.isfinite(self.mean) & np.isfinite(self.variance)
+
+    def k12(self, t):
+        """(K'(t), K''(t)) of every row at its own t, unchecked against the strip."""
+        k1, k2 = self.mean + self._curvature * t, self._curvature
+        tc = t[:, None]
+        for _, d12, w, s, ws, ws2 in self._blocks:
+            f1, f2 = d12(s * tc, ws, ws2)
+            k1 = k1 + np.add.reduce(f1, axis=1)
+            k2 = k2 + np.add.reduce(f2, axis=1)
+        return k1, k2
+
+    def k(self, t):
+        """K(t) of every row at its own t, unchecked against the strip."""
+        tc = t[:, None]
+        w, s = self._quadratic
+        k = self.mean * t + np.add.reduce(w * (0.5 * np.square(s * tc)), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # branches np.where drops
+            for f0, _, w, s, ws, ws2 in self._blocks:
+                k = k + np.add.reduce(w * f0(s * tc), axis=1)
+        return k
 
 
 class PowerDistribution:

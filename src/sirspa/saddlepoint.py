@@ -1,13 +1,17 @@
 """Saddle-point solver and Lugannani-Rice tail approximation.
 
 The saddle point solves K'(t) = x on the composite CGF. K' is strictly
-increasing on the strip (convexity), so the root is unique; a safeguarded
-Newton iteration with a bisection fallback toward the bracket is
-guaranteed to find it from any start inside the strip, so a curve can
-start each point from its neighbour's saddle point. It reads K' and K''
-only; K is summed once, at the root, for w. The tail is the three-term
-Lugannani-Rice value; near the mean, where its 1/u - 1/w term cancels,
-``ccdf`` interpolates between two tail values around the mean instead.
+increasing on the open strip (convexity) and runs from -inf at its lower
+edge (a signal pole, or -inf with a quadratic atom) to +inf at its upper
+edge (an interferer pole, or +inf), so the root is unique and the strip
+itself brackets it. A safeguarded Newton iteration from 0 finds it. One
+solve runs every threshold of a curve in lockstep (``ccdf_block``), from
+one ``AtomBlock`` whose K' and K'' are summed along the atom axis; the
+one-point ``solve_saddle`` and ``ccdf`` are that solve on a block of one
+row. It reads K' and K'' only; K is summed once, at the roots, for w. The
+tail is the three-term Lugannani-Rice value; near the mean, where its
+1/u - 1/w term cancels, ``ccdf`` interpolates between two tail values
+around the mean instead.
 """
 
 from __future__ import annotations
@@ -15,12 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .composite import CompositeCgf
-from .exceptions import DivergedSolver, NoSaddleInStrip
+from .exceptions import DivergedSolver, InvalidScenario, NoSaddleInStrip, SirspaError
+from .fading import AtomBlock
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# never evaluate closer to a strip edge than this fraction of its scale
+# never evaluate closer to a strip edge than this fraction of its distance from 0
 _EDGE_MARGIN = 1e-12
 # a saddle point with |w| below this is too close to the mean for the tail formula
 _NEAR_MEAN_W = 1e-4
@@ -59,100 +66,89 @@ def _phi(w: float) -> float:
     return math.exp(-0.5 * w * w) / _SQRT_2PI
 
 
-def _edge_points(start: float, edge: float, step: float):
-    """Points approaching a finite or infinite strip edge from ``start``: halving
-    the distance to a finite edge, doubling ``step`` toward an infinite one."""
-    if math.isfinite(edge):
-        margin = _EDGE_MARGIN * max(abs(edge), 1.0)
-        for i in range(1, 60):
-            t = start + (edge - start) * (1.0 - 0.5 ** i)
-            if abs(edge - t) < margin:
-                return
-            yield t
-    else:
-        sign = 1.0 if edge > 0 else -1.0
-        for i in range(0, 512):
-            yield start + sign * step * 2.0 ** i
+def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
+    """Safeguarded Newton iteration on K'(t) = x for every row of ``blk`` in
+    lockstep, each from t = 0, with one ``blk.k12`` per round.
+
+    Each row's bracket starts as its strip and shrinks to the iterates on
+    either side of the root. A Newton step that would leave the bracket is
+    replaced by the midpoint of the iterate and the bracket edge it crossed,
+    and no iterate comes closer to a strip edge than ``_EDGE_MARGIN`` of its
+    distance from 0. A row stops one Newton step (the polish) after its
+    residual meets tol * max(1, |x|, sigma), or when it can no longer move.
+    Returns each row's last iterate, its residual and K'', its iteration
+    count and whether it converged, and the margins of the strip.
+    """
+    n = len(x)
+    t = np.zeros(n)
+    k1, k2 = blk.mean, blk.variance
+    scale = cfg.tol * np.maximum(np.maximum(np.abs(x), 1.0), np.sqrt(k2))
+    lo, hi = blk.lower, blk.upper
+    floor, ceiling = lo * (1.0 - _EDGE_MARGIN), hi * (1.0 - _EDGE_MARGIN)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)  # a row polishes once it has converged
+    active = np.ones(n, dtype=bool)
+    for _ in range(cfg.max_iter):
+        iterations += active
+        g = k1 - x
+        met = np.abs(g) <= scale
+        active &= ~(met & converged)
+        converged |= met
+        # tighten the bracket around the root; step toward its far edge
+        below = g < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        edge = np.where(below, hi, lo)
+        step = t - g / k2
+        crossed = np.where(below, step >= edge, step <= edge)
+        step = np.minimum(np.maximum(np.where(crossed, 0.5 * (t + edge), step), floor), ceiling)
+        active &= (step != t) & np.isfinite(step)
+        if not np.count_nonzero(active):
+            break
+        t = np.where(active, step, t)
+        k1, k2 = blk.k12(t)
+    g = k1 - x
+    return t, g, k2, iterations, converged | (np.abs(g) <= scale), floor, ceiling
 
 
-def _bracket(c: CompositeCgf, x: float, t0: float, k1: float, k2: float):
-    """Bracket the root of K'(t) - x as (lo, g_lo, hi, g_hi), edges with their
-    residuals, searching outward from t0, where K' = k1 and K'' = k2. K' is
-    increasing, so the sign of the residual there tells which side of t0
-    holds the root. Toward an infinite edge the probes double the Newton
-    step from t0."""
-    g0 = k1 - x
-    step = (abs(g0) or max(1.0, abs(x))) / k2
-    if g0 > 0.0:  # root below the start
-        for t in _edge_points(t0, c.strip.lower, step):
-            g = c.k1(t) - x
-            if g < 0.0:
-                return t, g, t0, g0
-    else:  # root at or above the start
-        for t in _edge_points(t0, c.strip.upper, step):
-            g = c.k1(t) - x
-            if g > 0.0:
-                return t0, g0, t, g
-    raise NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
+def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
+    """The ``SaddleSolution`` of every row of ``blk`` at its own x, or a
+    ``NoSaddleInStrip`` for a row whose root lies within the edge margin.
+
+    Once converged, one more Newton step without a new evaluation: x*t - K(t)
+    is stationary at the root, so the step adds -g*dt/2 to it (second
+    order), and every start lands on the same root to rounding.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg)
+        k = blk.k(t)
+    dt = np.where(converged, -g / k2, 0.0)
+    arg = 2.0 * (x * t - k) - g * dt
+    t = t + dt
+    w = np.copysign(np.sqrt(np.maximum(arg, 0.0)), t)
+    u = t * np.sqrt(k2)
+    near_mean = (t == 0.0) | (np.abs(w) < _NEAR_MEAN_W)
+    # stopped at a margin with the root still beyond it
+    edge = ~converged & (((t == ceiling) & (g < 0.0)) | ((t == floor) & (g > 0.0)))
+    return [NoSaddleInStrip(f"K' does not cross x={xi} inside the strip") if e else
+            SaddleSolution(t_hat=ti, w=wi, u=ui, iterations=n, converged=c, near_mean=m)
+            for xi, ti, wi, ui, n, c, m, e in zip(
+                x.tolist(), t.tolist(), w.tolist(), u.tolist(), iterations.tolist(),
+                converged.tolist(), near_mean.tolist(), edge.tolist())]
 
 
-def solve_saddle(c: CompositeCgf, x: float,
-                 cfg: SolverConfig = SolverConfig(), t0: float = 0.0) -> SaddleSolution:
-    """Solve K'(t) = x by safeguarded Newton iteration from t0, or from 0 when
-    t0 is not inside the strip.
+def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
+    """Solve K'(t) = x by safeguarded Newton iteration from 0 (see ``_newton``).
 
-    The bracket is searched outward from the start. Every iterate stays
-    strictly inside the strip: a proposed Newton step that would leave the
-    current bracket is replaced by the violated bracket edge when that
-    edge's residual already meets the tolerance, else by the midpoint of the
-    iterate and that edge. After the residual tolerance is met one extra
-    Newton step polishes the root to near machine precision. The last
-    evaluation then gives w, u and one more Newton step without a new
-    evaluation, so every start lands on the same root to rounding.
+    Raises ``NoSaddleInStrip`` when the root lies closer to a strip edge
+    than the edge margin; a solve that runs out of iterations is returned
+    with ``converged`` False.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    scale = cfg.tol * max(1.0, abs(x), math.sqrt(c.variance))
-    t = t0 if c.strip.contains(t0) else 0.0
-    k1, k2 = c.eval(t)
-    lo, g_lo, hi, g_hi = _bracket(c, x, t, k1, k2)
-    converged = False
-    iterations = 0
-    polish = 0
-    while iterations < cfg.max_iter:
-        iterations += 1
-        g = k1 - x
-        if abs(g) <= scale:
-            converged = True
-            if polish >= 1 or g == 0.0:
-                break
-            polish += 1
-        # tighten the bracket around the root
-        if g < 0.0:
-            lo, g_lo = t, g
-        else:
-            hi, g_hi = t, g
-        t_new = t - g / k2
-        if not lo < t_new < hi:
-            edge, g_edge = (hi, g_hi) if t_new >= hi else (lo, g_lo)
-            t_new = edge if abs(g_edge) <= scale else 0.5 * (t + edge)
-        assert c.strip.contains(t_new)
-        if t_new == t:
-            break
-        t = t_new
-        k1, k2 = c.eval(t)
-    g = k1 - x
-    converged = converged or abs(g) <= scale
-    # once converged, one more Newton step without a new evaluation: x*t - K(t)
-    # is stationary at the root, so the step adds -g*dt/2 to it (second order)
-    dt = -g / k2 if converged else 0.0
-    arg = 2.0 * (x * t - c.k(t)) - g * dt
-    t += dt
-    w = math.copysign(math.sqrt(max(arg, 0.0)), t)
-    u = t * math.sqrt(k2)
-    near_mean = t == 0.0 or abs(w) < _NEAR_MEAN_W
-    return SaddleSolution(t_hat=t, w=w, u=u, iterations=iterations,
-                          converged=converged, near_mean=near_mean)
+    (sol,) = _solutions(c.block([c.q]), np.array([x]), cfg)
+    if isinstance(sol, SirspaError):
+        raise sol
+    return sol
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
@@ -163,40 +159,80 @@ def ccdf_at_mean(c: CompositeCgf) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _solve(c: CompositeCgf, x: float, cfg: SolverConfig, t0: float) -> SaddleSolution:
-    sol = solve_saddle(c, x, cfg, t0)
-    if not sol.converged:
-        raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    return sol
-
-
 def _lugannani_rice(sol: SaddleSolution) -> float:
     return 0.5 * math.erfc(sol.w / _SQRT_2) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
 
 
-def ccdf(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig(),
-         t0: float = 0.0) -> tuple[float, SaddleSolution]:
+def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
+    """Tail value at one near-mean anchor, solved from 0 and clamped."""
+    sol = solve_saddle(c, x, cfg)
+    if not sol.converged:
+        raise DivergedSolver(f"saddle solver did not converge at x={x}")
+    return min(1.0, max(0.0, ccdf_at_mean(c) if sol.near_mean else _lugannani_rice(sol)))
+
+
+def _near_mean(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
+    delta = _NEAR_MEAN_DELTA * math.sqrt(c.variance)
+    x_lo, x_hi = c.mean - delta, c.mean + delta
+    p_lo = _anchor(c, x_lo, cfg)
+    if x_hi == x_lo:  # |mean| / sigma above ~1e13: both anchors round to the mean
+        return p_lo
+    p_hi = _anchor(c, x_hi, cfg)
+    frac = (x - x_lo) / (x_hi - x_lo)
+    return (1.0 - frac) * p_lo + frac * p_hi
+
+
+def _tail(c: CompositeCgf, q: float, x: float, sol, cfg: SolverConfig):
+    """``ccdf``'s value at threshold q from its solve, ``sol``, or the error."""
+    if isinstance(sol, SirspaError):
+        raise sol
+    if not sol.converged:
+        raise DivergedSolver(f"saddle solver did not converge at x={x}")
+    p_raw = _near_mean(c.at(q), x, cfg) if sol.near_mean else _lugannani_rice(sol)
+    p = min(1.0, max(0.0, p_raw))
+    return p, sol if p == p_raw else replace(sol, clamped=True)
+
+
+def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> list:
+    """Upper-tail probability of the composite variable at each threshold of
+    ``qs`` (``c.at(q)``) and its own x, from one lockstep saddle-point solve
+    of every threshold: per threshold ``(p, SaddleSolution)`` as ``ccdf``
+    returns it, or the ``SirspaError`` it raises.
+
+    A threshold whose cumulants overflow gives ``InvalidScenario``.
+    """
+    qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {x}")
+    blk = c.block(qs)
+    valid = blk.finite
+    if not valid.all():
+        blk = c.block(qs[valid])
+    solved = iter(_solutions(blk, x[valid], cfg))
+    out = []
+    for q, xi, ok in zip(qs.tolist(), x.tolist(), valid.tolist()):
+        sol = next(solved) if ok else InvalidScenario(
+            f"threshold q={q!r} overflows the cumulants of q * I - S")
+        try:
+            out.append(_tail(c, q, xi, sol, cfg))
+        except SirspaError as exc:
+            out.append(exc)
+    return out
+
+
+def ccdf(c: CompositeCgf, x: float,
+         cfg: SolverConfig = SolverConfig()) -> tuple[float, SaddleSolution]:
     """Upper-tail probability of the composite variable at x, with the saddle
-    point solved from t0 (see ``solve_saddle``), clamped to [0, 1].
+    point solved from 0 (see ``solve_saddle``), clamped to [0, 1].
 
     Away from the mean this is the Lugannani-Rice value. Near it (|w| below
     1e-4) the value is linearly interpolated between the tail values at
     mean -+ 1e-3 standard deviations, each solved from 0 and clamped; an
-    anchor that is itself near the mean takes ``ccdf_at_mean``. Raises
+    anchor that is itself near the mean takes ``ccdf_at_mean``, and where
+    both anchors round to the mean their common value is returned. Raises
     ``DivergedSolver`` when a solve runs out of iterations.
     """
-    sol = _solve(c, x, cfg, t0)
-    if sol.near_mean:
-        delta = _NEAR_MEAN_DELTA * math.sqrt(c.variance)
-        x_lo, x_hi = c.mean - delta, c.mean + delta
-        p_lo, p_hi = (
-            min(1.0, max(0.0, ccdf_at_mean(c) if a.near_mean else _lugannani_rice(a)))
-            for a in (_solve(c, xa, cfg, 0.0) for xa in (x_lo, x_hi)))
-        frac = (x - x_lo) / (x_hi - x_lo)
-        p_raw = (1.0 - frac) * p_lo + frac * p_hi
-    else:
-        p_raw = _lugannani_rice(sol)
-    p = min(1.0, max(0.0, p_raw))
-    if p != p_raw:
-        sol = replace(sol, clamped=True)
-    return p, sol
+    (r,) = ccdf_block(c, [c.q], [x], cfg)
+    if isinstance(r, SirspaError):
+        raise r
+    return r

@@ -1,5 +1,6 @@
 """CLI behavior: config validation, CSV output, exit codes, determinism."""
 
+import csv
 import json
 import math
 import os
@@ -322,6 +323,36 @@ class TestCapacityCommand:
         lines = out.read_text().strip().split("\n")[1:]
         caps = {l.split(",")[2]: float(l.split(",")[1]) for l in lines}
         assert abs(caps["spa"] - caps["gil_pelaez"]) <= 1e-2
+
+
+class TestCsvFields:
+    # _fmt writes repr(value) for floats, and under numpy 2 the repr of a
+    # numpy scalar is its constructor, np.float64(...): every number must
+    # reach the CSV as a plain Python float or int
+    def check(self, path, floats, ints=()):
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert not any("np." in v for v in row.values()), row
+            for key in floats:
+                if row[key]:
+                    float(row[key])
+            for key in ints:
+                if row[key]:
+                    int(row[key])
+
+    def test_outage_fig4(self, tmp_path):
+        out = tmp_path / "fig4.csv"
+        assert main(["outage", str(CONFIG_DIR / "fig4.json"), "--output", str(out)]) == EXIT_OK
+        self.check(out, ("q_db", "q_linear", "p_out", "t_hat", "error_estimate"),
+                   ("iterations",))
+
+    def test_capacity_rayleigh_pair(self, tmp_path):
+        out = tmp_path / "cap.csv"
+        assert main(["capacity", str(CONFIG_DIR / "rayleigh_pair.json"), "--output", str(out),
+                     "--method", "spa,gil_pelaez"]) == EXIT_OK
+        self.check(out, ("capacity_bits", "error_estimate"))
 
 
 class TestCompareCommand:

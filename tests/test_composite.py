@@ -91,6 +91,36 @@ class TestAt:
         assert c.at(3.0).at(0.25).atoms == c.at(0.25).atoms
 
 
+class TestBlock:
+    def test_rows_match_the_composite(self, rng):
+        # row i of block(qs) is at(qs[i]): the same exactly rounded mean and
+        # strip, and K, K', K'' that differ from the exactly rounded sums
+        # only by numpy's summation order
+        for i in range(40):
+            s = random_scenario(rng) if i % 4 else replace(
+                fig1_scenario(), desired=GaussianTest(mu=2.0, sigma2=0.3),
+                interferers=(GaussianTest(mu=0.4, sigma2=0.1), NakagamiM(0.7, 1.3)))
+            base = build_composite(s)
+            qs = [float(q) for q in 10.0 ** rng.uniform(-4, 6, 5)]
+            blk = base.block(qs)
+            assert blk.finite.all()
+            composites = [base.at(q) for q in qs]
+            for row, c in enumerate(composites):
+                assert (blk.mean[row], blk.lower[row], blk.upper[row]) == (
+                    c.mean, c.strip.lower, c.strip.upper)
+                assert blk.variance[row] == pytest.approx(c.variance, rel=1e-14)
+            for _ in range(3):  # each row at a point of its own strip
+                ts = np.array([strip_points(c.strip, rng, 1)[0] for c in composites])
+                k1, k2 = blk.k12(ts)
+                k = blk.k(ts)
+                for row, (c, t) in enumerate(zip(composites, ts.tolist())):
+                    for value, n in ((k[row], 0), (k1[row], 1), (k2[row], 2)):
+                        size = sum(abs(w * sc ** n * f(n, sc * t)) for f, w, sc in c.atoms)
+                        size += abs(c.mean * t ** (1 - n)) if n < 2 else 0.0
+                        exact = cumulant(c.atoms, n, t)
+                        assert abs(value - exact) <= 1e-14 * size
+
+
 class TestStripAssembly:
     def test_rayleigh_pair_strip(self):
         c = build_composite(rayleigh_pair())

@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from sirspa import (
-    CompositeCgf,
     DivergedSolver,
     GaussianTest,
     NakagamiM,
@@ -22,8 +21,8 @@ from sirspa import (
     gil_pelaez_ccdf,
     solve_saddle,
 )
-from sirspa import composite
 from sirspa.config import load_config
+from sirspa.fading import AtomBlock
 
 from conftest import CONFIG_DIR, random_scenario
 
@@ -175,59 +174,37 @@ class TestSolveSaddle:
         p, sol = ccdf(c, 0.0)
         assert 0.0 <= p <= 1.0 and sol.converged
 
-
-class TestWarmStart:
-    def test_start_outside_strip_is_cold(self, rng):
-        for _ in range(50):
-            c = build_composite(random_scenario(rng))
-            cold = solve_saddle(c, 0.0)
-            for t0 in (c.strip.upper, c.strip.lower, 2.0 * c.strip.upper, math.inf, -math.inf):
-                assert solve_saddle(c, 0.0, t0=t0) == cold
-
-    def test_warm_start_finds_the_cold_root(self, rng):
-        for _ in range(200):
-            s, t_exact = identical_nakagami_scenario(rng)
-            c = build_composite(s)
-            cold = solve_saddle(c, 0.0)
-            for f in (0.5, 0.97, 1.03, 2.0):
-                t0 = f * t_exact
-                if not c.strip.contains(t0):
-                    continue
-                warm = solve_saddle(c, 0.0, t0=t0)
-                assert warm.converged
-                assert abs(warm.t_hat - cold.t_hat) <= 1e-13 * abs(cold.t_hat)
-                if f in (0.97, 1.03):
-                    assert warm.iterations <= cold.iterations
-
     def test_one_k_pass_per_solve(self, rng, monkeypatch):
-        # the Newton loop and the bracket read K' and K'' only; K, whose
-        # gamma shape costs a series or an atanh, is summed once, at the root
-        passes = []
-        cumulant = composite.cumulant
+        # the Newton loop reads K' and K'' only; K, whose gamma shape costs a
+        # series or an atanh, is summed once, at the root
+        passes = [0]
+        k = AtomBlock.k
 
-        def counting(atoms, n, t):
-            passes.append(n)
-            return cumulant(atoms, n, t)
+        def counting(self, t):
+            passes[0] += 1
+            return k(self, t)
 
-        monkeypatch.setattr(composite, "cumulant", counting)
+        monkeypatch.setattr(AtomBlock, "k", counting)
         iterations = 0
         for _ in range(50):
             c = build_composite(random_scenario(rng))
-            passes.clear()
+            passes[0] = 0
             sol = solve_saddle(c, 0.0)
-            assert sol.converged and passes == [0]
+            assert sol.converged and passes == [1]
             iterations += sol.iterations
         assert iterations >= 150
 
     def test_one_evaluation_per_iteration(self, rng, monkeypatch):
+        # K' and K'' at 0 come with the block (its variance); the round that
+        # stops needs no new evaluation
         evals = [0]
-        evaluate = CompositeCgf.eval
+        k12 = AtomBlock.k12
 
         def counting(self, t):
             evals[0] += 1
-            return evaluate(self, t)
+            return k12(self, t)
 
-        monkeypatch.setattr(CompositeCgf, "eval", counting)
+        monkeypatch.setattr(AtomBlock, "k12", counting)
         for _ in range(50):
             c = build_composite(random_scenario(rng))
             evals[0] = 0
@@ -339,6 +316,17 @@ class TestBreakdownBranch:
         p, sol = ccdf(c, 5.0 + 1e-9)
         assert sol.near_mean
         assert p == pytest.approx(0.5, abs=1e-6)
+
+    def test_anchors_round_to_the_mean(self):
+        # |mean| / sigma = 1e14: mean -+ 1e-3 sigma both round to the mean, and
+        # the branch returns their common value instead of dividing by 0
+        c = build_composite(SirScenario(desired=GaussianTest(mu=1.0, sigma2=0.5),
+                                        interferers=(GaussianTest(mu=1e14, sigma2=0.5),),
+                                        threshold_q=1.0))
+        delta = 1e-3 * math.sqrt(c.variance)
+        assert c.mean - delta == c.mean + delta == c.mean
+        p, sol = ccdf(c, c.mean)
+        assert sol.near_mean and p == ccdf_at_mean(c) == 0.5
 
     def test_continuity_across_mean(self):
         s_template = SirScenario(
