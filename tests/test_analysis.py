@@ -22,10 +22,10 @@ from sirspa import (
     outage_curve,
     outage_point,
 )
-from sirspa import analysis, build_composite
+from sirspa import analysis, build_composite, saddlepoint
 from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
-from sirspa.exceptions import QuadratureNotConverged, SirspaError
+from sirspa.exceptions import DivergedSolver, QuadratureNotConverged, SirspaError
 from sirspa.fading import AtomBlock
 
 from conftest import CONFIG_DIR, random_distribution, random_scenario, serial_batches
@@ -250,7 +250,11 @@ PINNED = [
 ]
 
 
-class TestCurveMatchesPoints:
+class TestWarmStart:
+    """The spa curve against its one-point results. A curve once started each
+    point's solve from the previous point's saddle point; it now solves every
+    point at once from 0, and must give what each point gives alone."""
+
     @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
     def test_curve_matches_points_on_figures(self, fig):
         cfg = load_config(CONFIG_DIR / f"{fig}.json")
@@ -284,6 +288,45 @@ class TestCurveMatchesPoints:
             results = assert_curve_matches_points(s, grid)
             near_mean += sum(r.near_mean for r in results)
         assert near_mean >= 5
+
+    def test_heavy_interferer_start_beyond_next_strip(self):
+        # t > 0 near the interferer pole 1/(q * s): a point's saddle point lies
+        # outside the next point's strip, so the rows of one block are
+        # bracketed by strips that do not overlap
+        template = SirScenario(desired=NakagamiM(m=2.0, mean_power=10.0),
+                               interferers=(NakagamiM(m=0.5, mean_power=1.0),) * 2,
+                               threshold_q=1.0)
+        grid = ThresholdGrid(-40.0, 20.0, 2.0)
+        results = assert_curve_matches_points(template, grid)
+        beyond = [b for a, b in zip(results, results[1:])
+                  if a.t_hat > build_composite(replace(template, threshold_q=b.q_linear)).strip.upper]
+        assert len(beyond) >= 10
+        assert all(b.error is None and b.iterations <= 25 for b in beyond)
+
+    def test_failed_point_restarts_cold(self, monkeypatch):
+        # a point that fails leaves the others as they are alone: forced at
+        # the fourth point, then from a budget that two points exceed
+        grid = ThresholdGrid(-6.0, 6.0, 1.5)
+        tails = [0]
+        tail = saddlepoint._tail
+
+        def fail_fourth(*args):
+            tails[0] += 1
+            if tails[0] == 4:
+                raise DivergedSolver("forced")
+            return tail(*args)
+
+        monkeypatch.setattr(saddlepoint, "_tail", fail_fourth)
+        results = outage_curve(fig1_template(), grid, "spa")
+        monkeypatch.undo()
+        assert tails == [9] and results[3].error == "DivergedSolver: forced"
+        assert [r.error for r in results].count(None) == 8
+        for r in results[:3] + results[4:]:
+            assert r == outage_point(replace(fig1_template(), threshold_q=r.q_linear), "spa",
+                                     q_db=r.q_db)
+        results = assert_curve_matches_points(fig1_template(), grid, SolverConfig(max_iter=4))
+        assert [r.error is None for r in results].count(False) == 2
+        assert all(r.error.startswith("DivergedSolver") for r in results if r.error)
 
     def test_pinned_values(self):
         configs = {fig: load_config(CONFIG_DIR / f"{fig}.json")
@@ -399,10 +442,11 @@ class TestErgodicCapacity:
     @pytest.mark.parametrize("template", [rayleigh_pair_template(),
                                           fig1_template(m0=1.5, noise_power=0.3)],
                              ids=["rayleigh-pair", "fig1-noise"])
-    def test_spa_integrand_one_solve_per_batch(self, template, monkeypatch):
-        # one block solve for the truncation probes c = 1, 2, ..., 64 and one
-        # per batch of quadrature nodes; the capacity equals that of one
-        # solve per node, bit for bit
+    def test_spa_integrand_warm_start(self, template, monkeypatch):
+        # in place of a warm start from the previous node's saddle point: one
+        # block solve for the truncation probes c = 1, 2, ..., 64 and one per
+        # batch of quadrature nodes; the capacity equals that of one solve per
+        # node, bit for bit
         calls = []
         ccdf_block = analysis.ccdf_block
 

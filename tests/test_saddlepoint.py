@@ -174,6 +174,11 @@ class TestSolveSaddle:
         p, sol = ccdf(c, 0.0)
         assert 0.0 <= p <= 1.0 and sol.converged
 
+
+class TestWarmStart:
+    """Evaluation counts of a solve. Solves once could start from a previous
+    saddle point; every solve now starts from 0, and the counts still hold."""
+
     def test_one_k_pass_per_solve(self, rng, monkeypatch):
         # the Newton loop reads K' and K'' only; K, whose gamma shape costs a
         # series or an atanh, is summed once, at the root
