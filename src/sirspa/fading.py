@@ -24,7 +24,8 @@ Near the mean of q * I - S the linear parts of the interferer and signal
 atoms cancel. So each atom's linear part, weight * scale * f'(0) * t, is
 summed once into the mean, and the shape functions return only the rest of
 f; the CGF and its first derivative then keep their relative accuracy at
-small t.
+small t. Far from 0 an atom at u << -1 cancels its share of the mean
+instead, so an ``AtomBlock`` can sum a row's atoms whole (``sum_whole``).
 """
 
 from __future__ import annotations
@@ -225,9 +226,12 @@ def atoms_strip(atoms) -> Strip:
 
 
 # The saddle-point solve's kernels of the shapes with a pole, elementwise on
-# arrays of u: f(0, u), and the terms w*s*f(1, u) and w*s**2*f(2, u) of K'
-# and K'' from an atom's w*s and w*s**2. Linear atoms add only their mean,
-# and quadratic atoms a constant curvature w*s**2.
+# arrays of u: f(0, u) and the whole shape with its linear part, -log(1 - u)
+# or u / (1 - u); and the terms w*s*f(1, u) and w*s**2*f(2, u) of K' and K''
+# from an atom's w*s and w*s**2, where ``whole`` marks the terms of K' that
+# keep their linear part, w*s*f'(u) = w*s / (1 - u) or w*s / (1 - u)**2.
+# Linear atoms add only their mean, and quadratic atoms a constant curvature
+# w*s**2.
 def _gamma_k(u):
     z = u / (2.0 - u)
     z2 = z * z
@@ -237,22 +241,33 @@ def _gamma_k(u):
     return np.where(z == -1.0, -np.log1p(-u) - u, u * u / (2.0 - u) + 2.0 * tail)
 
 
-def _gamma_12(u, ws, ws2):
+def _gamma_whole(u):
+    return -np.log1p(-u)
+
+
+def _gamma_12(u, ws, ws2, whole=None):
     d = 1.0 - u
-    return ws * u / d, ws2 / (d * d)
+    f1 = ws * u if whole is None else np.where(whole, ws, ws * u)
+    return f1 / d, ws2 / (d * d)
 
 
 def _noncentral_k(u):
     return u * u / (1.0 - u)
 
 
-def _noncentral_12(u, ws, ws2):
+def _noncentral_whole(u):
+    return u / (1.0 - u)
+
+
+def _noncentral_12(u, ws, ws2, whole=None):
     d = 1.0 - u
     d2 = d * d
-    return ws * u * (2.0 - u) / d2, 2.0 * ws2 / (d2 * d)
+    f1 = ws * u * (2.0 - u) if whole is None else np.where(whole, ws, ws * u * (2.0 - u))
+    return f1 / d2, 2.0 * ws2 / (d2 * d)
 
 
-_KERNELS = {gamma: (_gamma_k, _gamma_12), noncentral: (_noncentral_k, _noncentral_12)}
+_KERNELS = {gamma: (_gamma_k, _gamma_whole, _gamma_12),
+            noncentral: (_noncentral_k, _noncentral_whole, _noncentral_12)}
 
 
 def _fsum_row(terms: list) -> float:
@@ -273,43 +288,108 @@ class AtomBlock:
     is exactly rounded (``atoms_mean``), and ``finite`` marks the rows whose
     mean and variance are finite. Overflow and underflow in K, K' and K''
     are the caller's to silence.
+
+    Each atom's linear part is summed into the mean, so K and K' keep their
+    accuracy at small t, where the two sides' linear parts cancel. Far out,
+    at u << -1, an atom's remaining f'(u) = u / (1 - u) tends to -1 and
+    cancels its share of the mean instead. ``sum_whole`` switches the rows
+    where that costs more to sums of whole atoms.
     """
 
     def __init__(self, blocks: dict):
         with np.errstate(all="ignore"):
             self._blocks = [(*_KERNELS[f], w, s, w * s, w * (s * s))
                             for f, (w, s) in blocks.items() if f in _KERNELS]
-            slopes = [w * s for f, (w, s) in blocks.items() if _SLOPE[f]]
-            self.mean = np.array([_fsum_row(r) for r in np.concatenate(slopes, axis=1).tolist()])
+            slopes = [(w * s, (s > 0.0) & (f in _POLAR)) for f, (w, s) in blocks.items()
+                      if _SLOPE[f]]
+            slopes, plus = (np.concatenate(a, axis=1) for a in zip(*slopes))
+            self.mean = np.array([_fsum_row(r) for r in slopes.tolist()])
             n = len(self.mean)
             self._quadratic = blocks.get(quadratic, (np.empty(0), np.empty((n, 0))))
             w, s = self._quadratic
             self._curvature = np.add.reduce(w * (s * s), axis=1)
+            w, s = blocks.get(linear, (np.empty(0), np.empty((n, 0))))
+            self._linear_mean = np.add.reduce(w * s, axis=1)
             poles = np.concatenate([1.0 / s for f, (w, s) in blocks.items() if f in _POLAR]
                                    or [np.empty((n, 0))], axis=1)
             self.lower = np.max(np.where(poles < 0.0, poles, -np.inf), axis=1, initial=-np.inf)
             self.upper = np.min(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf)
-            self.variance = self.k12(np.zeros(n))[1]
+            # K''(0) from each shape's kernel at u = 0, not through ``k12``:
+            # the solve's evaluations of K' and K'' are all its own
+            self.variance = self._curvature
+            for _, _, d12, w, s, ws, ws2 in self._blocks:
+                self.variance = self.variance + np.add.reduce(
+                    d12(np.zeros_like(s), ws, ws2)[1], axis=1)
+            self.two_pole = self._two_pole(np.where(plus, slopes, 0.0), slopes)
         self.finite = np.isfinite(self.mean) & np.isfinite(self.variance)
+        self._whole = None  # no row sums whole atoms
+
+    def _two_pole(self, plus, slopes):
+        """(A+, A-, 1/p+, 1/p-) of every row for the model
+        A+ / (1 - t/p+) - A- / (1 - t/p-) of K', which is K' itself when each
+        side is one gamma atom. A+ is the mean of the row's positive-scale
+        gamma and noncentral atoms (the interferers), A- the rest of the mean
+        with its sign flipped, each summed on its own so that neither is lost
+        in the other; p+ and p- are the strip edges. A side without a pole
+        takes the scale of the gamma that matches its mean and variance,
+        variance / mean, for 1/p: a Gaussian-family signal. Gaussian-family
+        interferers leave A+ = 0, so 1/p+ is not finite and the solve starts
+        from 0, from where Newton on their linear K' lands in one step.
+
+        ``slopes`` holds every atom's share of the mean, w*s, and ``plus``
+        those of the positive-scale gamma and noncentral atoms, 0 elsewhere.
+        """
+        a_plus = np.add.reduce(plus, axis=1)
+        a_minus = np.add.reduce(plus - slopes, axis=1)
+        inv_upper, inv_lower = 1.0 / self.upper, 1.0 / self.lower
+        w, s = self._quadratic
+        if w.size:  # only the Gaussian family leaves a side without a pole
+            v = w * (s * s)
+            inv_upper = np.where(np.isfinite(self.upper), inv_upper,
+                                 np.add.reduce(np.where(s > 0.0, v, 0.0), axis=1) / a_plus)
+            inv_lower = np.where(np.isfinite(self.lower), inv_lower,
+                                 -np.add.reduce(np.where(s < 0.0, v, 0.0), axis=1) / a_minus)
+        return a_plus, a_minus, inv_upper, inv_lower
+
+    def sum_whole(self, t):
+        """From now on, sum K and K' of the rows whose whole atoms' terms of
+        K' at t add up, in magnitude, to less than half of the terms with
+        the linear parts in the mean; both sums are K' in exact arithmetic,
+        and the one with the smaller terms rounds less."""
+        tc = t[:, None]
+        split, whole = np.abs(self.mean), np.abs(self._linear_mean)
+        with np.errstate(all="ignore"):
+            for _, _, d12, w, s, ws, ws2 in self._blocks:
+                u = s * tc
+                split = split + np.add.reduce(np.abs(d12(u, ws, ws2)[0]), axis=1)
+                whole = whole + np.add.reduce(np.abs(d12(u, ws, ws2, True)[0]), axis=1)
+        rows = whole < 0.5 * split
+        self._whole = rows[:, None] if rows.any() else None
 
     def k12(self, t):
         """(K'(t), K''(t)) of every row at its own t, unchecked against the strip."""
-        k1, k2 = self.mean + self._curvature * t, self._curvature
+        whole = self._whole
+        mean = self.mean if whole is None else np.where(whole[:, 0], self._linear_mean, self.mean)
+        k1, k2 = mean + self._curvature * t, self._curvature
         tc = t[:, None]
-        for _, d12, w, s, ws, ws2 in self._blocks:
-            f1, f2 = d12(s * tc, ws, ws2)
+        for _, _, d12, w, s, ws, ws2 in self._blocks:
+            f1, f2 = d12(s * tc, ws, ws2, whole)
             k1 = k1 + np.add.reduce(f1, axis=1)
             k2 = k2 + np.add.reduce(f2, axis=1)
         return k1, k2
 
     def k(self, t):
         """K(t) of every row at its own t, unchecked against the strip."""
+        whole = self._whole
+        mean = self.mean if whole is None else np.where(whole[:, 0], self._linear_mean, self.mean)
         tc = t[:, None]
         w, s = self._quadratic
-        k = self.mean * t + np.add.reduce(w * (0.5 * np.square(s * tc)), axis=1)
+        k = mean * t + np.add.reduce(w * (0.5 * np.square(s * tc)), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # branches np.where drops
-            for f0, _, w, s, ws, ws2 in self._blocks:
-                k = k + np.add.reduce(w * f0(s * tc), axis=1)
+            for f0, f, _, w, s, ws, ws2 in self._blocks:
+                u = s * tc
+                k = k + np.add.reduce(w * (f0(u) if whole is None else
+                                           np.where(whole, f(u), f0(u))), axis=1)
         return k
 
 

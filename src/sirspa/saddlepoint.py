@@ -4,7 +4,9 @@ The saddle point solves K'(t) = x on the composite CGF. K' is strictly
 increasing on the open strip (convexity) and runs from -inf at its lower
 edge (a signal pole, or -inf with a quadratic atom) to +inf at its upper
 edge (an interferer pole, or +inf), so the root is unique and the strip
-itself brackets it. A safeguarded Newton iteration from 0 finds it. One
+itself brackets it. A safeguarded Newton iteration finds it, from the root
+of a two-pole model of K' with the strip's poles (``_start``), which is the
+root itself when each side of q * I - S is one gamma atom. One
 solve runs every threshold of a curve in lockstep (``ccdf_block``), from
 one ``AtomBlock`` whose K' and K'' are summed along the atom axis; the
 one-point ``solve_saddle`` and ``ccdf`` are that solve on a block of one
@@ -29,6 +31,9 @@ _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # never evaluate closer to a strip edge than this fraction of its distance from 0
 _EDGE_MARGIN = 1e-12
+# a Newton correction within this fraction of |t| (2 to 4 ulps of t) has
+# resolved the root to float precision
+_RESOLVED = 4.0 * 2.0 ** -53
 # a saddle point with |w| below this is too close to the mean for the tail formula
 _NEAR_MEAN_W = 1e-4
 # the near-mean branch interpolates between mean -+ this many standard deviations
@@ -66,32 +71,59 @@ def _phi(w: float) -> float:
     return math.exp(-0.5 * w * w) / _SQRT_2PI
 
 
+def _start(blk: AtomBlock, x: np.ndarray, floor: np.ndarray, ceiling: np.ndarray):
+    """Every row's start: the root inside the strip of its two-pole model
+    A+ / (1 - a*t) - A- / (1 - b*t) = x of K' (``AtomBlock.two_pole``, with
+    a = 1/p+ and b = 1/p-), clamped into [floor, ceiling]; 0 where that root
+    is not finite.
+
+    Times (1 - a*t)(1 - b*t), the model is c*t**2 - B*t + d = 0 with
+    c = x*a*b, B = x*(a + b) + a*A- - b*A+ and d = x - mean. Its root in the
+    strip is the one where the quadratic falls, 2d / (B + sqrt(B**2 - 4cd)),
+    taken as (B/c)(1 + s)/2 when B < 0 so that nothing cancels, with
+    s = sqrt(1 - 4(c/B)(d/B)).
+    """
+    a_plus, a_minus, a, b = blk.two_pole
+    with np.errstate(all="ignore"):  # a row with a non-finite start starts from 0
+        c = x * a * b
+        big_b = x * (a + b) + a * a_minus - b * a_plus
+        d = x - blk.mean
+        s = np.sqrt(1.0 - 4.0 * (c / big_b) * (d / big_b))
+        t = np.where(big_b > 0.0, 2.0 * (d / big_b) / (1.0 + s), 0.5 * (big_b / c) * (1.0 + s))
+    return np.where(np.isfinite(t), np.minimum(np.maximum(t, floor), ceiling), 0.0)
+
+
 def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     """Safeguarded Newton iteration on K'(t) = x for every row of ``blk`` in
-    lockstep, each from t = 0, with one ``blk.k12`` per round.
+    lockstep, each from the root of its two-pole model of K' (``_start``),
+    with one ``blk.k12`` per round; the start's evaluation is the first.
+    The rows whose start lies far out sum whole atoms (``blk.sum_whole``).
 
     Each row's bracket starts as its strip and shrinks to the iterates on
     either side of the root. A Newton step that would leave the bracket is
     replaced by the midpoint of the iterate and the bracket edge it crossed,
     and no iterate comes closer to a strip edge than ``_EDGE_MARGIN`` of its
     distance from 0. A row stops one Newton step (the polish) after its
-    residual meets tol * max(1, |x|, sigma), or when it can no longer move.
-    Returns each row's last iterate, its residual and K'', its iteration
-    count and whether it converged, and the margins of the strip.
+    residual meets tol * max(1, |x|, sigma), or its Newton correction is
+    within a few ulps of t (the root resolved to float precision), or when
+    it can no longer move. Returns each row's last iterate, its
+    residual and K'', its iteration count and whether it converged, and the
+    margins of the strip.
     """
     n = len(x)
-    t = np.zeros(n)
-    k1, k2 = blk.mean, blk.variance
-    scale = cfg.tol * np.maximum(np.maximum(np.abs(x), 1.0), np.sqrt(k2))
+    scale = cfg.tol * np.maximum(np.maximum(np.abs(x), 1.0), np.sqrt(blk.variance))
     lo, hi = blk.lower, blk.upper
     floor, ceiling = lo * (1.0 - _EDGE_MARGIN), hi * (1.0 - _EDGE_MARGIN)
+    t = _start(blk, x, floor, ceiling)
+    blk.sum_whole(t)
+    k1, k2 = blk.k12(t)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)  # a row polishes once it has converged
     active = np.ones(n, dtype=bool)
     for _ in range(cfg.max_iter):
         iterations += active
         g = k1 - x
-        met = np.abs(g) <= scale
+        met = _met(g, k2, t, scale)
         active &= ~(met & converged)
         converged |= met
         # tighten the bracket around the root; step toward its far edge
@@ -107,7 +139,15 @@ def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
         t = np.where(active, step, t)
         k1, k2 = blk.k12(t)
     g = k1 - x
-    return t, g, k2, iterations, converged | (np.abs(g) <= scale), floor, ceiling
+    return t, g, k2, iterations, converged | _met(g, k2, t, scale), floor, ceiling
+
+
+def _met(g, k2, t, scale):
+    """Whether the residual g at t, with K'' = k2 there, meets the stopping
+    rule: |g| <= scale, or a Newton correction |g / k2| within a few ulps
+    of t."""
+    resolved = _RESOLVED * np.abs(t) * k2
+    return np.abs(g) <= np.maximum(scale, np.where(np.isfinite(k2), resolved, 0.0))
 
 
 def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
@@ -137,7 +177,7 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
 
 
 def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
-    """Solve K'(t) = x by safeguarded Newton iteration from 0 (see ``_newton``).
+    """Solve K'(t) = x by safeguarded Newton iteration (see ``_newton``).
 
     Raises ``NoSaddleInStrip`` when the root lies closer to a strip edge
     than the edge margin; a solve that runs out of iterations is returned
@@ -164,7 +204,7 @@ def _lugannani_rice(sol: SaddleSolution) -> float:
 
 
 def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
-    """Tail value at one near-mean anchor, solved from 0 and clamped."""
+    """Tail value at one near-mean anchor, solved on its own and clamped."""
     sol = solve_saddle(c, x, cfg)
     if not sol.converged:
         raise DivergedSolver(f"saddle solver did not converge at x={x}")
@@ -223,11 +263,11 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
 def ccdf(c: CompositeCgf, x: float,
          cfg: SolverConfig = SolverConfig()) -> tuple[float, SaddleSolution]:
     """Upper-tail probability of the composite variable at x, with the saddle
-    point solved from 0 (see ``solve_saddle``), clamped to [0, 1].
+    point solved as ``solve_saddle`` solves it, clamped to [0, 1].
 
     Away from the mean this is the Lugannani-Rice value. Near it (|w| below
     1e-4) the value is linearly interpolated between the tail values at
-    mean -+ 1e-3 standard deviations, each solved from 0 and clamped; an
+    mean -+ 1e-3 standard deviations, each solved on its own and clamped; an
     anchor that is itself near the mean takes ``ccdf_at_mean``, and where
     both anchors round to the mean their common value is returned. Raises
     ``DivergedSolver`` when a solve runs out of iterations.

@@ -120,6 +120,34 @@ class TestBlock:
                         exact = cumulant(c.atoms, n, t)
                         assert abs(value - exact) <= 1e-14 * size
 
+    def test_whole_sums(self, rng):
+        # rows switched to whole atoms keep K, K' and K'' within rounding of
+        # the exactly rounded sums
+        for _ in range(40):
+            base = build_composite(random_scenario(rng))
+            qs = [float(q) for q in 10.0 ** rng.uniform(-4, 6, 5)]
+            blk = base.block(qs)
+            composites = [base.at(q) for q in qs]
+            ts = np.array([strip_points(c.strip, rng, 1)[0] for c in composites])
+            blk.sum_whole(ts)
+            k1, k2 = blk.k12(ts)
+            k = blk.k(ts)
+            for row, (c, t) in enumerate(zip(composites, ts.tolist())):
+                for value, n in ((k[row], 0), (k1[row], 1), (k2[row], 2)):
+                    size = sum(abs(w * sc ** n * f(n, sc * t)) for f, w, sc in c.atoms)
+                    size += abs(c.mean * t ** (1 - n)) if n < 2 else 0.0
+                    assert abs(value - cumulant(c.atoms, n, t)) <= 1e-14 * size
+        # the Rayleigh pair at q = 2**53, at its root t = (1 - q) / (2q): the
+        # interferer atom sits at u = -2**52, and with the linear parts in
+        # the mean K' rounds to -1 and K to -36 (exact: 0 and -35.3505...)
+        q = 2.0 ** 53
+        blk = build_composite(rayleigh_pair(q)).block([q])
+        t = np.array([(1.0 - q) / (2.0 * q)])
+        assert blk.k12(t)[0][0] == -1.0
+        blk.sum_whole(t)
+        assert blk.k12(t)[0][0] == 0.0
+        assert blk.k(t)[0] == pytest.approx(-35.350506208557211, rel=1e-15)
+
 
 class TestStripAssembly:
     def test_rayleigh_pair_strip(self):

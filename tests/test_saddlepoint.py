@@ -177,7 +177,8 @@ class TestSolveSaddle:
 
 class TestWarmStart:
     """Evaluation counts of a solve. Solves once could start from a previous
-    saddle point; every solve now starts from 0, and the counts still hold."""
+    saddle point; every solve now starts from the root of its own two-pole
+    model of K', and the counts still hold."""
 
     def test_one_k_pass_per_solve(self, rng, monkeypatch):
         # the Newton loop reads K' and K'' only; K, whose gamma shape costs a
@@ -200,8 +201,8 @@ class TestWarmStart:
         assert iterations >= 150
 
     def test_one_evaluation_per_iteration(self, rng, monkeypatch):
-        # K' and K'' at 0 come with the block (its variance); the round that
-        # stops needs no new evaluation
+        # the first evaluation is at the start, and is the first iteration;
+        # the round that stops needs no new evaluation
         evals = [0]
         k12 = AtomBlock.k12
 
@@ -221,6 +222,62 @@ class TestWarmStart:
         evals[0] = 0
         sol = solve_saddle(c, 0.0, SolverConfig(tol=1e-15, max_iter=1))
         assert not sol.converged and evals[0] == 2
+
+
+class TestTwoPoleStart:
+    """The start is the root of A+/(1 - t/p+) - A-/(1 - t/p-) = x, which is
+    K'(t) = x itself when each side of q * I - S is one gamma atom."""
+
+    @pytest.mark.parametrize("q", [2.0 ** k for k in range(61)] + [1e150])
+    def test_rayleigh_pair(self, q):
+        # at the old start, 0, the root was 28% off at 2**30 and 100% off at
+        # 2**40, with converged=True. At 2**53 the start is the root, but K'
+        # with its linear parts in the mean rounds to -1 there (its terms
+        # are +-(2**53 - 1)), so the polish moved t by 4% until such rows
+        # summed whole atoms
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        c = build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=q))
+        sol = solve_saddle(c, 0.0)
+        exact = (1.0 - q) / (2.0 * q)
+        assert sol.converged and sol.iterations <= 2
+        assert abs(sol.t_hat - exact) <= 1e-12 * abs(exact)
+
+    def test_rayleigh_pair_far_tail(self):
+        # at the exact root t = -1/2 the interferer atom sits at u = -q/2, and
+        # K with its linear part in the mean, -q/2 + (q/2 - log(1 + q/2)),
+        # rounds the log away from 2**61 on: w came out 0, and p 0.73 from
+        # the near-mean branch, until such rows summed whole atoms.
+        # Lugannani-Rice's own error here is 1.1e-10.
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        for q in [2.0 ** k for k in range(30, 65)] + [1e150]:
+            c = build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=q))
+            p, sol = ccdf(c, 0.0)
+            assert not sol.near_mean and abs(p - q / (1.0 + q)) <= 2e-10, q
+
+    def test_fig1_merged_interferers(self):
+        # five m = 0.5 interferers of one scale merge into one gamma atom
+        cfg = load_config(CONFIG_DIR / "fig1.json")
+        for curve in cfg.curves:
+            s = curve.template
+            m0, p0 = s.desired.m, s.desired.mean_power
+            ((m, p),), L = {(d.m, d.mean_power) for d in s.interferers}, len(s.interferers)
+            for q_db in cfg.grid.values_db():
+                q = 10.0 ** (float(q_db) / 10.0)
+                sol = solve_saddle(build_composite(replace(s, threshold_q=q)), 0.0)
+                exact = nakagami_saddle_closed_form(m0, m0 / p0, m, m / p, L, q)
+                assert sol.converged and sol.iterations <= 2
+                assert abs(sol.t_hat - exact) <= 1e-12 * abs(exact), (curve.label, q_db)
+
+    @pytest.mark.parametrize("noise_power", [1e9, 1e12])
+    def test_heavy_noise_resolved_to_float_precision(self, noise_power):
+        # x = -N0 puts the root within 1/N0 of the signal pole, where one ulp
+        # of t moves K' by ~N0**2 * 1e-16, more than tol * |x|: the solve
+        # stops once its Newton correction is within a few ulps of t
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        c = build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=1.0))
+        p, sol = ccdf(c, -noise_power)
+        assert sol.converged
+        assert abs(p - (1.0 - 0.5 * math.exp(-noise_power))) <= 1e-9
 
 
 class TestLugannaniRice:
