@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,9 @@ from .exceptions import InvalidScenario
 from .fading import (
     AtomBlock,
     PowerDistribution,
-    atoms_mean,
+    atoms_cumulant,
     atoms_strip,
     characteristic_function,
-    cumulant,
     merge_atoms,
 )
 
@@ -49,9 +49,10 @@ class SirScenario:
 class CompositeCgf:
     """CGF of q * sum(interferers) - desired, with derivatives, strip and CF.
 
-    Immutable; all evaluation methods are pure. Atom sums are exactly
-    rounded, and a ``block`` holds each shape's atoms sorted by scale, so
-    results do not depend on interferer order.
+    Immutable; all evaluation methods are pure. Only the mean and variance
+    are exactly rounded; K and its derivatives at t are the row of
+    ``block([q])``, which sorts each shape's atoms by scale, so results do
+    not depend on interferer order.
     """
 
     def __init__(self, desired: PowerDistribution,
@@ -88,8 +89,8 @@ class CompositeCgf:
         self.atoms = merge_atoms(tuple(atoms))
         self.strip = atoms_strip(self.atoms)
         try:
-            self.mean = atoms_mean(self.atoms)
-            self.variance = cumulant(self.atoms, 2, 0.0)
+            self.mean = atoms_cumulant(self.atoms, 1)
+            self.variance = atoms_cumulant(self.atoms, 2)
             finite = math.isfinite(self.mean) and math.isfinite(self.variance)
         except OverflowError:
             finite = False
@@ -102,21 +103,25 @@ class CompositeCgf:
         """Whether x = 0 lies within 0.05 standard deviations of the mean."""
         return abs(self.mean) < 0.05 * math.sqrt(self.variance)
 
-    def k(self, t: float) -> float:
+    @cached_property
+    def _row(self) -> AtomBlock:
+        return self.block([self.q])
+
+    def _at(self, n: int, t: float) -> float:
         self.strip.require(t)
-        return cumulant(self.atoms, 0, t)
+        return self._row.derivative(n, np.array([t], dtype=float)).item()
+
+    def k(self, t: float) -> float:
+        return self._at(0, t)
 
     def k1(self, t: float) -> float:
-        self.strip.require(t)
-        return cumulant(self.atoms, 1, t)
+        return self._at(1, t)
 
     def k2(self, t: float) -> float:
-        self.strip.require(t)
-        return cumulant(self.atoms, 2, t)
+        return self._at(2, t)
 
     def d3(self, t: float) -> float:
-        self.strip.require(t)
-        return cumulant(self.atoms, 3, t)
+        return self._at(3, t)
 
     def eval(self, t: float) -> tuple[float, float]:
         """(K'(t), K''(t))."""

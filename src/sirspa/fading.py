@@ -8,21 +8,21 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 - linear: f(u) = u;
 - quadratic: f(u) = u**2 / 2.
 
-``cumulant`` gives every derivative of such a sum in closed form, so the
-CGF, its derivatives of any order, the open convergence strip of the MGF,
-the mean and the variance all follow from a family's ``atoms()``, and so
-does the characteristic function M(jt) = exp(sum of weight * f(j*scale*t)),
-with each f(j*u) taken as its real and imaginary parts in real arithmetic:
--log1p(u**2) / 2 and arctan(u) for gamma, -u**2 / (1 + u**2) and
-u / (1 + u**2) for noncentral, 0 and u for linear, -u**2 / 2 and 0 for
-quadratic. ``AtomBlock`` holds the atoms of many sums at once, one row per
-sum, for the saddle-point solve of a whole curve.
-Only the exact sampler stays per family, as an independent check on the
-atoms. All power quantities are linear milliwatts.
+The CGF, its derivatives, the strip of the MGF and the cumulants all
+follow from a family's ``atoms()``. ``AtomBlock``, the one evaluator of K
+and its derivatives at t, holds many sums at once, one row per sum; the
+scalar CGF methods are blocks of one row. Only the cumulants at 0 are
+exactly rounded (``atoms_cumulant``). The characteristic function
+M(jt) = exp(sum of weight * f(j*scale*t)) takes each f(j*u) as its real
+and imaginary parts in real arithmetic: -log1p(u**2) / 2 and arctan(u) for
+gamma, -u**2 / (1 + u**2) and u / (1 + u**2) for noncentral, 0 and u for
+linear, -u**2 / 2 and 0 for quadratic. Only the exact sampler stays per
+family, as an independent check on the atoms. All power quantities are
+linear milliwatts.
 
 Near the mean of q * I - S the linear parts of the interferer and signal
 atoms cancel. So each atom's linear part, weight * scale * f'(0) * t, is
-summed once into the mean, and the shape functions return only the rest of
+summed once into the mean, and the block's kernels take only the rest of
 f; the CGF and its first derivative then keep their relative accuracy at
 small t. Far from 0 an atom at u << -1 cancels its share of the mean
 instead, so an ``AtomBlock`` can sum a row's atoms whole (``sum_whole``).
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,44 +65,24 @@ class Strip:
             )
 
 
-# Atom shapes f(n, u): the n-th derivative at u of f(u) - f'(0) * u.
-def gamma(n: int, u: float) -> float:
-    if n == 0:
-        # -log1p(-u) - u = u**2 / (2 - u) + 2 * (atanh(z) - z), z = u / (2 - u);
-        # the series keeps atanh(z) - z accurate for small z
-        z = u / (2.0 - u)
-        if z == -1.0:  # u below about -2**54: nothing left to cancel
-            return -math.log1p(-u) - u
-        z2 = z * z
-        if abs(z) < 0.1:
-            tail = z * z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (
-                1 / 9 + z2 * (1 / 11 + z2 * (1 / 13 + z2 * (1 / 15 + z2 / 17)))))))
-        else:
-            tail = math.atanh(z) - z
-        return u * u / (2.0 - u) + 2.0 * tail
-    if n == 1:
-        return u / (1.0 - u)
-    return math.factorial(n - 1) / (1.0 - u) ** n
+# The atom shapes, each named by its f^(n)(0) for n >= 1: an atom adds
+# weight * scale**n * f^(n)(0) to the n-th cumulant of its sum.
+def gamma(n: int) -> float:
+    return math.factorial(n - 1)
 
 
-def noncentral(n: int, u: float) -> float:
-    if n == 0:
-        return u * u / (1.0 - u)
-    if n == 1:
-        return u * (2.0 - u) / (1.0 - u) ** 2
-    return math.factorial(n) / (1.0 - u) ** (n + 1)
+def noncentral(n: int) -> float:
+    return math.factorial(n)
 
 
-def linear(n: int, u: float) -> float:
-    return 0.0
+def linear(n: int) -> float:
+    return float(n == 1)
 
 
-def quadratic(n: int, u: float) -> float:
-    return 0.5 * u * u if n == 0 else u if n == 1 else 1.0 if n == 2 else 0.0
+def quadratic(n: int) -> float:
+    return float(n == 2)
 
 
-# f'(0) of each shape: an atom adds weight * scale * f'(0) to the mean
-_SLOPE = {gamma: 1.0, noncentral: 1.0, linear: 1.0, quadratic: 0.0}
 # shapes with a pole at u = 1, which bounds the strip at t = 1 / scale
 _POLAR = (gamma, noncentral)
 
@@ -148,9 +129,9 @@ _JT = {gamma: _gamma_jt, noncentral: _noncentral_jt,
 
 
 class Atom(NamedTuple):
-    """One CGF term, weight * shape(scale * t)."""
+    """One CGF term, weight * f(scale * t) for the shape f named ``shape``."""
 
-    shape: Callable[[int, float], float]
+    shape: Callable[[int], float]
     weight: float
     scale: float
 
@@ -159,22 +140,10 @@ class Atom(NamedTuple):
         return Atom(self.shape, self.weight, self.scale * c)
 
 
-def atoms_mean(atoms) -> float:
-    """Mean of the sum of ``atoms``: its linear parts, exactly rounded."""
-    return math.fsum([w * s * _SLOPE[f] for f, w, s in atoms])
-
-
-def cumulant(atoms, n: int, t: float) -> float:
-    """n-th derivative at t of the CGF sum of ``atoms``, unchecked against the strip.
-
-    The sums are exactly rounded (``math.fsum``), so they do not depend on
-    the order of the atoms.
-    """
-    terms = [w * s ** n * f(n, s * t) for f, w, s in atoms]
-    if n < 2:
-        mean = atoms_mean(atoms)
-        terms.append(mean * t if n == 0 else mean)
-    return math.fsum(terms)
+def atoms_cumulant(atoms, n: int) -> float:
+    """n-th cumulant, K^(n)(0) for n >= 1, of the sum of ``atoms``: their
+    weight * scale**n * f^(n)(0), exactly rounded, so in any order."""
+    return math.fsum([w * s ** n * f(n) for f, w, s in atoms])
 
 
 def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
@@ -225,9 +194,9 @@ def atoms_strip(atoms) -> Strip:
                  min((p for p in poles if p > 0.0), default=math.inf))
 
 
-# The saddle-point solve's kernels of the shapes with a pole, elementwise on
-# arrays of u: f(0, u) and the whole shape with its linear part, -log(1 - u)
-# or u / (1 - u); and the terms w*s*f(1, u) and w*s**2*f(2, u) of K' and K''
+# The kernels of the shapes with a pole, elementwise on arrays of u: the
+# shape without its linear part, f(u) - u, and the whole shape, -log(1 - u)
+# or u / (1 - u); the terms w*s*(f'(u) - 1) and w*s**2*f''(u) of K' and K''
 # from an atom's w*s and w*s**2, where ``whole`` marks the terms of K' that
 # keep their linear part, w*s*f'(u) = w*s / (1 - u) or w*s / (1 - u)**2.
 # Linear atoms add only their mean, and quadratic atoms a constant curvature
@@ -281,13 +250,13 @@ class AtomBlock:
     """The sums of atoms of n points at once, one row per point, built from
     a weight per atom and an (n x atoms) matrix of scales for each shape.
 
-    ``k`` and ``k12`` give every row's K, K' and K'' at its own t, with the
-    terms ``cumulant`` takes summed by numpy along the atom axis. Each row
-    is a contiguous run of that axis and is reduced on its own, so a row's
-    values do not depend on how many rows share the block. Each row's mean
-    is exactly rounded (``atoms_mean``), and ``finite`` marks the rows whose
-    mean and variance are finite. Overflow and underflow in K, K' and K''
-    are the caller's to silence.
+    ``k``, ``k12`` and ``derivative`` give every row's K and its derivatives
+    at its own t, each atom's term summed by numpy along the atom axis. Each
+    row is a contiguous run of that axis and is reduced on its own, so a
+    row's values do not depend on how many rows share the block. Only each
+    row's mean is exactly rounded, and ``finite`` marks the rows whose mean
+    and variance are finite. Overflow and underflow in K and its
+    derivatives are the caller's to silence.
 
     Each atom's linear part is summed into the mean, so K and K' keep their
     accuracy at small t, where the two sides' linear parts cancel. Far out,
@@ -297,27 +266,27 @@ class AtomBlock:
     """
 
     def __init__(self, blocks: dict):
+        no_atoms = (np.empty(0), np.empty((len(next(iter(blocks.values()))[1]), 0)))
         with np.errstate(all="ignore"):
-            self._blocks = [(*_KERNELS[f], w, s, w * s, w * (s * s))
+            self._blocks = [(f, *_KERNELS[f], w, s, w * s, w * (s * s))
                             for f, (w, s) in blocks.items() if f in _KERNELS]
             slopes = [(w * s, (s > 0.0) & (f in _POLAR)) for f, (w, s) in blocks.items()
-                      if _SLOPE[f]]
+                      if f(1)] or [(no_atoms[1], no_atoms[1] > 0.0)]
             slopes, plus = (np.concatenate(a, axis=1) for a in zip(*slopes))
             self.mean = np.array([_fsum_row(r) for r in slopes.tolist()])
-            n = len(self.mean)
-            self._quadratic = blocks.get(quadratic, (np.empty(0), np.empty((n, 0))))
+            self._quadratic = blocks.get(quadratic, no_atoms)
             w, s = self._quadratic
             self._curvature = np.add.reduce(w * (s * s), axis=1)
-            w, s = blocks.get(linear, (np.empty(0), np.empty((n, 0))))
+            w, s = blocks.get(linear, no_atoms)
             self._linear_mean = np.add.reduce(w * s, axis=1)
             poles = np.concatenate([1.0 / s for f, (w, s) in blocks.items() if f in _POLAR]
-                                   or [np.empty((n, 0))], axis=1)
+                                   or [no_atoms[1]], axis=1)
             self.lower = np.max(np.where(poles < 0.0, poles, -np.inf), axis=1, initial=-np.inf)
             self.upper = np.min(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf)
             # K''(0) from each shape's kernel at u = 0, not through ``k12``:
             # the solve's evaluations of K' and K'' are all its own
             self.variance = self._curvature
-            for _, _, d12, w, s, ws, ws2 in self._blocks:
+            for _, _, _, d12, w, s, ws, ws2 in self._blocks:
                 self.variance = self.variance + np.add.reduce(
                     d12(np.zeros_like(s), ws, ws2)[1], axis=1)
             self.two_pole = self._two_pole(np.where(plus, slopes, 0.0), slopes)
@@ -359,7 +328,7 @@ class AtomBlock:
         tc = t[:, None]
         split, whole = np.abs(self.mean), np.abs(self._linear_mean)
         with np.errstate(all="ignore"):
-            for _, _, d12, w, s, ws, ws2 in self._blocks:
+            for _, _, _, d12, w, s, ws, ws2 in self._blocks:
                 u = s * tc
                 split = split + np.add.reduce(np.abs(d12(u, ws, ws2)[0]), axis=1)
                 whole = whole + np.add.reduce(np.abs(d12(u, ws, ws2, True)[0]), axis=1)
@@ -372,7 +341,7 @@ class AtomBlock:
         mean = self.mean if whole is None else np.where(whole[:, 0], self._linear_mean, self.mean)
         k1, k2 = mean + self._curvature * t, self._curvature
         tc = t[:, None]
-        for _, _, d12, w, s, ws, ws2 in self._blocks:
+        for _, _, _, d12, w, s, ws, ws2 in self._blocks:
             f1, f2 = d12(s * tc, ws, ws2, whole)
             k1 = k1 + np.add.reduce(f1, axis=1)
             k2 = k2 + np.add.reduce(f2, axis=1)
@@ -386,11 +355,25 @@ class AtomBlock:
         w, s = self._quadratic
         k = mean * t + np.add.reduce(w * (0.5 * np.square(s * tc)), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):  # branches np.where drops
-            for f0, f, _, w, s, ws, ws2 in self._blocks:
+            for _, f0, f, _, w, s, ws, ws2 in self._blocks:
                 u = s * tc
                 k = k + np.add.reduce(w * (f0(u) if whole is None else
                                            np.where(whole, f(u), f0(u))), axis=1)
         return k
+
+    def derivative(self, n: int, t):
+        """K^(n)(t) of every row at its own t, unchecked against the strip.
+        For n >= 3 a gamma atom adds (n-1)! * w * s**n / (1 - u)**n, a
+        noncentral one n! * w * s**n / (1 - u)**(n+1), and the others 0."""
+        if n < 3:
+            return self.k(t) if n == 0 else self.k12(t)[n - 1]
+        tc = t[:, None]
+        kn = np.zeros(len(t))
+        for f, _, _, _, w, s, _, _ in self._blocks:
+            d = 1.0 - s * tc
+            term = f(n) * w * (s / d) ** n
+            kn = kn + np.add.reduce(term if f is gamma else term / d, axis=1)
+        return kn
 
 
 class PowerDistribution:
@@ -408,28 +391,34 @@ class PowerDistribution:
 
     @property
     def mean(self) -> float:
-        return atoms_mean(self.atoms())
+        return atoms_cumulant(self.atoms(), 1)
 
     @property
     def variance(self) -> float:
-        return cumulant(self.atoms(), 2, 0.0)
+        return atoms_cumulant(self.atoms(), 2)
 
-    def _cumulant(self, n: int, t: float) -> float:
+    @cached_property
+    def _row(self) -> AtomBlock:
         atoms = self.atoms()
-        atoms_strip(atoms).require(t)
-        return cumulant(atoms, n, t)
+        return AtomBlock({f: (np.array([w for g, w, _ in atoms if g is f]),
+                              np.array([[s for g, _, s in atoms if g is f]]))
+                          for f in dict.fromkeys(a.shape for a in atoms)})
+
+    def _at(self, n: int, t: float) -> float:
+        self.strip().require(t)
+        return self._row.derivative(n, np.array([t], dtype=float)).item()
 
     def cgf(self, t: float) -> float:
-        return self._cumulant(0, t)
+        return self._at(0, t)
 
     def cgf_d1(self, t: float) -> float:
-        return self._cumulant(1, t)
+        return self._at(1, t)
 
     def cgf_d2(self, t: float) -> float:
-        return self._cumulant(2, t)
+        return self._at(2, t)
 
     def cgf_d3(self, t: float) -> float:
-        return self._cumulant(3, t)
+        return self._at(3, t)
 
     def characteristic_function(self, t):
         """M(jt) for real scalar or array t, from ``atoms()``."""

@@ -25,7 +25,7 @@ import numpy as np
 
 from .composite import CompositeCgf
 from .exceptions import DivergedSolver, InvalidScenario, NoSaddleInStrip, SirspaError
-from .fading import AtomBlock
+from .fading import AtomBlock, atoms_cumulant
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -156,12 +156,15 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
 
     Once converged, one more Newton step without a new evaluation: x*t - K(t)
     is stationary at the root, so the step adds -g*dt/2 to it (second
-    order), and every start lands on the same root to rounding.
+    order), and every start lands on the same root to rounding. A row
+    whose step would leave the strip's margins keeps its last iterate:
+    there K' is rounding noise, and g / K'' need not point at the root.
     """
     with np.errstate(over="ignore", under="ignore"):
         t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg)
         k = blk.k(t)
-    dt = np.where(converged, -g / k2, 0.0)
+        dt = -g / k2
+    dt = np.where(converged & (t + dt >= floor) & (t + dt <= ceiling), dt, 0.0)
     arg = 2.0 * (x * t - k) - g * dt
     t = t + dt
     w = np.copysign(np.sqrt(np.maximum(arg, 0.0)), t)
@@ -192,10 +195,11 @@ def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) 
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
-    """Skewness-corrected tail probability at x = E[X] (saddle point 0)."""
-    k2 = c.k2(0.0)
-    k3 = c.d3(0.0)
-    p = 0.5 - k3 / (6.0 * _SQRT_2PI * k2 ** 1.5)
+    """Skewness-corrected tail probability at x = E[X] (saddle point 0). The
+    skewness, kappa3 / sigma**3, is the third cumulant of the atoms scaled
+    by 1/sigma, so that no power of sigma can overflow."""
+    scaled = [a.scaled(1.0 / math.sqrt(c.variance)) for a in c.atoms]
+    p = 0.5 - atoms_cumulant(scaled, 3) / (6.0 * _SQRT_2PI)
     return min(1.0, max(0.0, p))
 
 

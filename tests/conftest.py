@@ -100,6 +100,59 @@ def rng():
     return np.random.default_rng(20260823)
 
 
+# The exact reference for K and its derivatives at t, against which the one
+# evaluator, ``fading.AtomBlock``, is checked: each shape's n-th derivative
+# at scalar u of f(u) - f'(0) * u, and the sums over atoms exactly rounded.
+def _gamma_derivative(n: int, u: float) -> float:
+    if n == 0:
+        # -log1p(-u) - u = u**2 / (2 - u) + 2 * (atanh(z) - z), z = u / (2 - u);
+        # the series keeps atanh(z) - z accurate for small z
+        z = u / (2.0 - u)
+        if z == -1.0:  # u below about -2**54: nothing left to cancel
+            return -math.log1p(-u) - u
+        z2 = z * z
+        if abs(z) < 0.1:
+            tail = z * z2 * (1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (
+                1 / 9 + z2 * (1 / 11 + z2 * (1 / 13 + z2 * (1 / 15 + z2 / 17)))))))
+        else:
+            tail = math.atanh(z) - z
+        return u * u / (2.0 - u) + 2.0 * tail
+    if n == 1:
+        return u / (1.0 - u)
+    return math.factorial(n - 1) / (1.0 - u) ** n
+
+
+def _noncentral_derivative(n: int, u: float) -> float:
+    if n == 0:
+        return u * u / (1.0 - u)
+    if n == 1:
+        return u * (2.0 - u) / (1.0 - u) ** 2
+    return math.factorial(n) / (1.0 - u) ** (n + 1)
+
+
+def _quadratic_derivative(n: int, u: float) -> float:
+    return 0.5 * u * u if n == 0 else u if n == 1 else 1.0 if n == 2 else 0.0
+
+
+_SHAPE_DERIVATIVES = {gamma: _gamma_derivative, noncentral: _noncentral_derivative,
+                      linear: lambda n, u: 0.0, quadratic: _quadratic_derivative}
+
+
+def shape_derivative(shape, n: int, u: float) -> float:
+    """n-th derivative at u of f(u) - f'(0) * u for the atom shape ``shape``."""
+    return _SHAPE_DERIVATIVES[shape](n, u)
+
+
+def cumulant(atoms, n: int, t: float) -> float:
+    """n-th derivative at t of the CGF sum of ``atoms``, each sum exactly
+    rounded (``math.fsum``); the linear parts are summed into the mean."""
+    terms = [w * s ** n * shape_derivative(f, n, s * t) for f, w, s in atoms]
+    if n < 2:
+        mean = math.fsum([w * s * f(1) for f, w, s in atoms])
+        terms.append(mean * t if n == 0 else mean)
+    return math.fsum(terms)
+
+
 def complex_log_cf(atoms, t):
     """M(jt) of a sum of atoms from each shape's full f at the complex
     argument j*s*t, in numpy's complex arithmetic: the reference the

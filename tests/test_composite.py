@@ -17,9 +17,17 @@ from sirspa import (
     StripViolation,
     build_composite,
 )
-from sirspa.fading import characteristic_function, cumulant
+from sirspa.fading import characteristic_function
 
-from conftest import central_diff, dist_to_edge, fd_step, random_scenario, strip_points
+from conftest import (
+    central_diff,
+    cumulant,
+    dist_to_edge,
+    fd_step,
+    random_scenario,
+    shape_derivative,
+    strip_points,
+)
 
 
 def rayleigh_pair(q: float = 1.0) -> SirScenario:
@@ -115,7 +123,8 @@ class TestBlock:
                 k = blk.k(ts)
                 for row, (c, t) in enumerate(zip(composites, ts.tolist())):
                     for value, n in ((k[row], 0), (k1[row], 1), (k2[row], 2)):
-                        size = sum(abs(w * sc ** n * f(n, sc * t)) for f, w, sc in c.atoms)
+                        size = sum(abs(w * sc ** n * shape_derivative(f, n, sc * t))
+                                   for f, w, sc in c.atoms)
                         size += abs(c.mean * t ** (1 - n)) if n < 2 else 0.0
                         exact = cumulant(c.atoms, n, t)
                         assert abs(value - exact) <= 1e-14 * size
@@ -134,7 +143,8 @@ class TestBlock:
             k = blk.k(ts)
             for row, (c, t) in enumerate(zip(composites, ts.tolist())):
                 for value, n in ((k[row], 0), (k1[row], 1), (k2[row], 2)):
-                    size = sum(abs(w * sc ** n * f(n, sc * t)) for f, w, sc in c.atoms)
+                    size = sum(abs(w * sc ** n * shape_derivative(f, n, sc * t))
+                               for f, w, sc in c.atoms)
                     size += abs(c.mean * t ** (1 - n)) if n < 2 else 0.0
                     assert abs(value - cumulant(c.atoms, n, t)) <= 1e-14 * size
         # the Rayleigh pair at q = 2**53, at its root t = (1 - q) / (2q): the
@@ -232,6 +242,22 @@ class TestEval:
                 assert abs(central_diff(c.k, t, h) - k1) <= 1e-6 * max(1.0, abs(k1))
                 assert abs(central_diff(c.k1, t, h) - k2) <= 1e-6 * max(1.0, abs(k2))
                 assert k2 > 0.0
+
+    def test_scalar_methods_are_the_block_row(self, rng):
+        # each scalar method returns the row of block([q]) bit for bit
+        for i in range(20):
+            s = random_scenario(rng) if i % 4 else SirScenario(
+                desired=GaussianTest(mu=2.0, sigma2=0.3),
+                interferers=(GaussianTest(mu=0.4, sigma2=0.1), NakagamiM(0.7, 1.3)),
+                threshold_q=float(10.0 ** rng.uniform(-2, 2)))
+            c = build_composite(s)
+            blk = c.block([c.q])
+            for t in list(strip_points(c.strip, rng, 5)) + [0.0]:
+                ts = np.array([t])
+                k1, k2 = blk.k12(ts)
+                assert c.k(t) == blk.k(ts)[0]
+                assert c.eval(t) == (c.k1(t), c.k2(t)) == (k1[0], k2[0])
+                assert c.d3(t) == blk.derivative(3, ts)[0]
 
     def test_eval_matches_split_methods(self, rng):
         s = random_scenario(rng)
@@ -355,7 +381,7 @@ class TestMergedAtoms:
         # near the mean, and both sides round each term once
         for t in strip_points(c.strip, rng, 20):
             for n, value in enumerate((c.k(t), *c.eval(t))):
-                size = sum(abs(w * s ** n * f(n, s * t)) for f, w, s in atoms)
+                size = sum(abs(w * s ** n * shape_derivative(f, n, s * t)) for f, w, s in atoms)
                 size += sum(abs(w * s) for f, w, s in atoms) * abs(t) ** (1 - n) if n < 2 else 0.0
                 assert abs(value - cumulant(atoms, n, t)) <= 1e-15 * size
         # relative to |M| times |log M|: M is the exp of the summed log terms

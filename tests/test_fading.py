@@ -6,11 +6,28 @@ import mpmath
 import numpy as np
 import pytest
 
-from sirspa import GaussianTest, Hoyt, NakagamiM, Rician, Strip, StripViolation
+from sirspa import GaussianTest, Hoyt, NakagamiM, Rician, Strip, StripViolation, build_composite
 from sirspa import fading
-from sirspa.fading import Atom, atoms_strip, cumulant, gamma, linear, noncentral, quadratic
+from sirspa.fading import (
+    Atom,
+    AtomBlock,
+    atoms_cumulant,
+    atoms_strip,
+    gamma,
+    linear,
+    noncentral,
+    quadratic,
+)
 
-from conftest import central_diff, dist_to_edge, fd_step, random_distribution, strip_points
+from conftest import (
+    central_diff,
+    cumulant,
+    dist_to_edge,
+    fd_step,
+    random_distribution,
+    random_scenario,
+    strip_points,
+)
 
 ALL_FAMILIES = [
     NakagamiM(m=1.0, mean_power=1.0),
@@ -119,18 +136,32 @@ class TestAtoms:
     @pytest.mark.parametrize("atom", ATOMS,
                              ids=lambda a: f"{a.shape.__name__}{a.scale:+g}")
     def test_derivative_matches_fd_of_order_below(self, atom, n, rng):
+        # the exact reference and the one-row block, each against itself
         atoms = (atom,)
         strip = atoms_strip(atoms)
+        blk = AtomBlock({atom.shape: (np.array([atom.weight]), np.array([[atom.scale]]))})
+        evaluators = (lambda n, t: cumulant(atoms, n, t),
+                      lambda n, t: blk.derivative(n, np.array([t]))[0])
         for t in strip_points(strip, rng, 20):
             h = fd_step(t, dist_to_edge(strip, t))
-            fd = central_diff(lambda s: cumulant(atoms, n - 1, s), t, h)
-            exact = cumulant(atoms, n, t)
-            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
+            for derivative in evaluators:
+                fd = central_diff(lambda s: derivative(n - 1, s), t, h)
+                exact = derivative(n, t)
+                assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("u", [-1e3, -1e15, -2.0 ** 54, -5.8e17, -1e154, -1e300])
     def test_gamma_far_below_zero(self, u):
         # an interferer atom at q ~ 1e18 and t ~ -0.5: u / (2 - u) rounds to -1
-        assert gamma(0, u) == pytest.approx(-math.log1p(-u) - u, rel=1e-15)
+        with np.errstate(all="ignore"):  # branches np.where drops
+            assert fading._gamma_k(u) == pytest.approx(-math.log1p(-u) - u, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cumulants_at_zero_are_the_reference(self, n, rng):
+        # bit for bit the exactly rounded derivative at 0
+        sums = [d.atoms() for d in ALL_FAMILIES] + [tuple(ATOMS)]
+        sums += [build_composite(random_scenario(rng)).atoms for _ in range(100)]
+        for atoms in sums:
+            assert atoms_cumulant(atoms, n) == cumulant(atoms, n, 0.0)
 
 
 class TestStrips:

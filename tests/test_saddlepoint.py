@@ -23,6 +23,7 @@ from sirspa import (
 )
 from sirspa.config import load_config
 from sirspa.fading import AtomBlock
+from sirspa.saddlepoint import ccdf_block
 
 from conftest import CONFIG_DIR, random_scenario
 
@@ -279,6 +280,19 @@ class TestTwoPoleStart:
         assert sol.converged
         assert abs(p - (1.0 - 0.5 * math.exp(-noise_power))) <= 1e-9
 
+    def test_final_step_stays_in_the_strip(self, monkeypatch):
+        # without whole-atom sums K' is rounding noise at these roots, and
+        # the last Newton step, -g/K'', took 205 of these rows out of the
+        # strip (t = -202.9 at q = 1.83e19, strip (-1, 2.7e-20)) with
+        # converged=True
+        monkeypatch.setattr(AtomBlock, "sum_whole", lambda self, t: None)
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        c = build_composite(SirScenario(desired=d, interferers=(NakagamiM(m=0.5, mean_power=1.0),),
+                                        threshold_q=1.0))
+        qs = 2.0 ** np.linspace(54.8, 64.0, 2000) - 1.0
+        for q, (_, sol) in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
+            assert sol.converged and c.at(q).strip.contains(sol.t_hat), q
+
 
 class TestLugannaniRice:
     def test_gaussian_exactness_spot(self):
@@ -358,6 +372,22 @@ class TestBreakdownBranch:
         p, sol = ccdf(c, 0.0)
         assert sol.near_mean
         assert abs(p - ccdf_at_mean(c)) <= 1e-3
+
+    def test_skewness_is_scale_free(self):
+        # at 1e110 mW, kappa2**1.5 and the cube of a scale overflow a float
+        c = build_composite(SirScenario(desired=NakagamiM(m=1.0, mean_power=1e110),
+                                        interferers=(NakagamiM(m=2.0, mean_power=1e110),),
+                                        threshold_q=1.0))
+        assert abs(ccdf_at_mean(c) - 0.5542891679892133) <= 1e-15  # its value at 1e100 mW
+
+    def test_anchors_round_to_the_mean_at_huge_variance(self):
+        # both anchors round to the mean, whose skewness term raised an
+        # OverflowError from kappa2**1.5
+        c = build_composite(SirScenario(desired=GaussianTest(mu=1.0, sigma2=0.5),
+                                        interferers=(GaussianTest(mu=1e124, sigma2=1e220),),
+                                        threshold_q=1.0))
+        p, sol = ccdf(c, c.mean)
+        assert sol.near_mean and 0.0 <= p <= 1.0
 
     def test_near_mean_values_pinned(self):
         # interpolated between mean -+ 1e-3 standard deviations; the values
