@@ -1,9 +1,14 @@
-"""High-level metrics: outage curves over threshold grids, SINR outage, capacity."""
+"""High-level metrics: outage curves over threshold grids, SINR outage, capacity.
+
+One function, ``_outage``, turns thresholds into results for every method:
+``outage_point`` is its one-point case and ``outage_curve`` its grid case.
+The capacity integrand reads the same tails (``_tails``) from its composite.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,9 +22,9 @@ from .oracles import (
     gil_pelaez_ccdf,
     map_batches,
     monte_carlo_curve,
-    monte_carlo_outage,
 )
-from .saddlepoint import SaddleSolution, SolverConfig, ccdf, ccdf_block
+from .saddlepoint import SolverConfig, ccdf_block
+from .saddlepoint import ccdf  # noqa: F401  perfbench's test_tracer_restores_originals reads it
 
 METHODS = ("spa", "gil_pelaez", "monte_carlo", "closed_form")
 
@@ -80,35 +85,18 @@ def outage_point(s: SirScenario, method: str = "spa",
                  quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig(),
                  q_db: float | None = None) -> OutageResult:
-    """Outage probability for one scenario with the selected method.
+    """Outage probability for one scenario with the selected method: the
+    one-point case of ``outage_curve``, raising the point's error.
 
     SINR outage with noise power N0 > 0 evaluates the composite tail at
     x = -q * N0; with N0 = 0 this is the plain SIR outage at x = 0.
     """
     q = s.threshold_q
-    if q_db is None:
-        q_db = 10.0 * math.log10(q)
-    x = -q * s.noise_power
-    if method == "spa":
-        return _spa_result(q_db, q, *ccdf(build_composite(s), x, solver))
-    if method == "gil_pelaez":
-        p, err = gil_pelaez_ccdf(build_composite(s), x, quadrature)
-        return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
-                            error_estimate=err)
-    if method == "monte_carlo":
-        p, se = monte_carlo_outage(s, monte_carlo)
-        return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
-                            error_estimate=se)
-    if method == "closed_form":
-        p = exponential_signal_closed_form(s)
-        return OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _spa_result(q_db: float, q: float, p: float, sol: SaddleSolution) -> OutageResult:
-    return OutageResult(q_db=q_db, q_linear=q, p_out=p, method="spa",
-                        t_hat=sol.t_hat, iterations=sol.iterations,
-                        near_mean=sol.near_mean, clamped=sol.clamped)
+    (r,) = _outage(s, [(10.0 * math.log10(q) if q_db is None else q_db, q)], method,
+                   solver, quadrature, monte_carlo)
+    if isinstance(r, SirspaError):
+        raise r
+    return r
 
 
 def error_result(q_db: float, q_linear: float, method: str,
@@ -123,48 +111,63 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
                  quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
-    per point. A failed point carries an error marker instead of being dropped.
-
-    Monte Carlo draws its samples once for the whole grid
-    (``monte_carlo_curve``); if that fails, every point carries the error.
-    The saddle-point method solves every point at once (``ccdf_block``),
-    from the composite built at the first point."""
+    per point. A failed point carries an error marker instead of being dropped."""
     points = [(float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
+    return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
+            for (q_db, q), r in zip(points, _outage(template, points, method, solver,
+                                                    quadrature, monte_carlo))]
+
+
+def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
+            solver: SolverConfig, quadrature: QuadratureConfig,
+            monte_carlo: MonteCarloConfig) -> list:
+    """The ``OutageResult`` of ``method`` at each (q_db, q) of ``points``, the
+    threshold of ``s`` replaced by q, or the ``SirspaError`` it raised. Monte
+    Carlo draws once for every point; if that fails, every point carries it."""
+    qs = [q for _, q in points]
     if method == "monte_carlo":
         try:
-            estimates = monte_carlo_curve(template, [q for _, q in points], monte_carlo)
+            tails = monte_carlo_curve(s, qs, monte_carlo)
         except SirspaError as exc:
-            return [error_result(q_db, q, method, exc) for q_db, q in points]
-        return [OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method, error_estimate=se)
-                for (q_db, q), (p, se) in zip(points, estimates)]
-    results, base = [], None
-    for i, (q_db, q) in enumerate(points):
-        try:
-            if method in ("spa", "gil_pelaez"):  # built at the first point, then moved
-                base = base.at(q) if base else build_composite(replace(template, threshold_q=q))
-            if method == "spa":
-                return results + _spa_curve(base, points[i:], template.noise_power, solver)
-            if method == "gil_pelaez":
-                p, err = gil_pelaez_ccdf(base, -q * template.noise_power, quadrature)
-                results.append(OutageResult(q_db=q_db, q_linear=q, p_out=p, method=method,
-                                            error_estimate=err))
-            else:
-                results.append(outage_point(replace(template, threshold_q=q), method, solver,
-                                            quadrature, monte_carlo, q_db=q_db))
-        except SirspaError as exc:
-            results.append(error_result(q_db, q, method, exc))
+            tails = [exc] * len(qs)
+    elif method in METHODS:
+        tails = _tails(s, qs, method, solver, quadrature)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    results = []
+    for (q_db, q), tail in zip(points, tails):
+        if isinstance(tail, SirspaError):
+            results.append(tail)
+        elif method == "spa":
+            p, sol = tail
+            results.append(OutageResult(q_db, q, p, method, sol.t_hat, sol.iterations,
+                                        sol.near_mean, sol.clamped))
+        else:
+            results.append(OutageResult(q_db, q, tail[0], method, error_estimate=tail[1]))
     return results
 
 
-def _spa_curve(base: CompositeCgf, points: list[tuple[float, float]], noise_power: float,
-               solver: SolverConfig) -> list[OutageResult]:
-    """The saddle-point outage at every (q_db, q) of ``points``, at
-    x = -q * N0, from one ``ccdf_block`` solve."""
-    qs = [q for _, q in points]
-    return [error_result(q_db, q, "spa", r) if isinstance(r, SirspaError)
-            else _spa_result(q_db, q, *r)
-            for (q_db, q), r in zip(points, ccdf_block(base, qs, [-q * noise_power for q in qs],
-                                                       solver))]
+def _tails(s: SirScenario, qs: list[float], method: str, solver: SolverConfig,
+           quadrature: QuadratureConfig, base: CompositeCgf | None = None):
+    """Each threshold's tail at x = -q * N0, in order: (p, ``SaddleSolution``),
+    (p, error estimate) or (p, None), or the ``SirspaError``. ``spa`` solves all
+    in one ``ccdf_block`` call, on ``base`` or else the composite of the first
+    threshold that builds; ``gil_pelaez`` and ``closed_form`` go one per read."""
+    for i, q in enumerate(qs):
+        try:
+            if method == "closed_form":
+                tail = exponential_signal_closed_form(replace(s, threshold_q=q)), None
+            else:
+                base = base or build_composite(replace(s, threshold_q=q))
+                if method == "spa":
+                    break
+                tail = gil_pelaez_ccdf(base.at(q), -q * s.noise_power, quadrature)
+        except SirspaError as exc:
+            tail = exc
+        yield tail
+    else:  # not spa, or no threshold's composite builds
+        return
+    yield from ccdf_block(base, qs[i:], [-q * s.noise_power for q in qs[i:]], solver)
 
 
 # Panel budget of the capacity integral, and the capacities probed for its cut.
@@ -199,12 +202,7 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         """Success probability at each capacity of ``cs``, in order. A failed
         point raises its error when it is reached."""
         qs = [2.0 ** c - 1.0 for c in cs]
-        solved = [q for q in qs if q > 0.0]
-        x = [-q * template.noise_power for q in solved]
-        if method == "spa":
-            tails = iter(ccdf_block(base, solved, x, solver))
-        else:
-            tails = (gil_pelaez_ccdf(base.at(q), xq, quadrature) for q, xq in zip(solved, x))
+        tails = _tails(template, [q for q in qs if q > 0.0], method, solver, quadrature, base)
         for q in qs:
             tail = next(tails) if q > 0.0 else (0.0, None)
             if isinstance(tail, SirspaError):

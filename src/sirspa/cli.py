@@ -61,9 +61,10 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
-    """label -> method -> per-grid-point results. Each failed point is
-    recomputed once with larger numerical budgets, and each retry is reported
-    on stderr with those budgets. A point that fails again keeps its error."""
+    """label -> method -> per-grid-point results. Each failed ``spa`` or
+    ``gil_pelaez`` point is recomputed once with larger numerical budgets (the
+    other methods take none), and each retry is reported on stderr with those
+    budgets. A point that fails again keeps its error."""
     out: dict[str, dict[str, list[OutageResult]]] = {}
     retry_quad = replace(cfg.quadrature, max_panels=cfg.quadrature.max_panels * 4,
                          rel_tol=max(cfg.quadrature.rel_tol, 1e-7))
@@ -74,7 +75,7 @@ def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
             results = outage_curve(curve.template, cfg.grid, method,
                                    cfg.solver, cfg.quadrature, cfg.monte_carlo)
             for i, r in enumerate(results):
-                if not r.error:
+                if not r.error or method not in ("spa", "gil_pelaez"):
                     continue
                 print(f"retry {curve.label} {method} q_db={r.q_db:g}: "
                       f"rel_tol={retry_quad.rel_tol:g} "

@@ -97,6 +97,8 @@ class CompositeCgf:
         if not finite:
             raise InvalidScenario(
                 f"threshold q={q!r} overflows the cumulants of q * I - S")
+        if not self.variance > 0.0:
+            raise InvalidScenario(f"threshold q={q!r} underflows the variance of q * I - S to 0")
 
     @property
     def in_breakdown(self) -> bool:

@@ -16,7 +16,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import METHODS, ThresholdGrid
+from .analysis import METHODS, ThresholdGrid, db_to_linear
 from .composite import SirScenario
 from .exceptions import ConfigError
 from .fading import GaussianTest, Hoyt, NakagamiM, PowerDistribution, Rician
@@ -31,10 +31,6 @@ _FAMILIES = {
     "gaussian": (GaussianTest, "mean_mw", "variance_mw2"),
 }
 _KINDS = {float: "finite number", int: "whole number", str: "non-empty string"}
-
-
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def _mw(raw: dict, key: str, where: str) -> float:
     """The dBm field ``key`` in mW."""
     dbm = _value(raw, key, where, float)
     try:
-        return dbm_to_mw(dbm)
+        return db_to_linear(dbm)
     except OverflowError:
         _fail(f"{where}/{key}", f"{dbm!r} dBm overflows in mW")
 

@@ -255,8 +255,8 @@ class AtomBlock:
     row is a contiguous run of that axis and is reduced on its own, so a
     row's values do not depend on how many rows share the block. Only each
     row's mean is exactly rounded, and ``finite`` marks the rows whose mean
-    and variance are finite. Overflow and underflow in K and its
-    derivatives are the caller's to silence.
+    and variance are finite, with a variance above 0. Overflow and
+    underflow in K and its derivatives are the caller's to silence.
 
     Each atom's linear part is summed into the mean, so K and K' keep their
     accuracy at small t, where the two sides' linear parts cancel. Far out,
@@ -290,7 +290,7 @@ class AtomBlock:
                 self.variance = self.variance + np.add.reduce(
                     d12(np.zeros_like(s), ws, ws2)[1], axis=1)
             self.two_pole = self._two_pole(np.where(plus, slopes, 0.0), slopes)
-        self.finite = np.isfinite(self.mean) & np.isfinite(self.variance)
+        self.finite = np.isfinite(self.mean) & np.isfinite(self.variance) & (self.variance > 0.0)
         self._whole = None  # no row sums whole atoms
 
     def _two_pole(self, plus, slopes):

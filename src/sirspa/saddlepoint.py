@@ -243,19 +243,21 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
     of every threshold: per threshold ``(p, SaddleSolution)`` as ``ccdf``
     returns it, or the ``SirspaError`` it raises.
 
-    A threshold whose cumulants overflow gives ``InvalidScenario``.
+    A threshold whose cumulants overflow, or whose variance underflows to 0,
+    gives ``InvalidScenario``.
     """
     qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
     blk = c.block(qs)
-    valid = blk.finite
+    valid, underflows = blk.finite, (blk.variance == 0.0).tolist()
     if not valid.all():
         blk = c.block(qs[valid])
     solved = iter(_solutions(blk, x[valid], cfg))
     out = []
-    for q, xi, ok in zip(qs.tolist(), x.tolist(), valid.tolist()):
+    for q, xi, ok, zero in zip(qs.tolist(), x.tolist(), valid.tolist(), underflows):
         sol = next(solved) if ok else InvalidScenario(
+            f"threshold q={q!r} underflows the variance of q * I - S to 0" if zero else
             f"threshold q={q!r} overflows the cumulants of q * I - S")
         try:
             out.append(_tail(c, q, xi, sol, cfg))

@@ -148,12 +148,33 @@ class TestOutageCurve:
         grid = ThresholdGrid(-4.0, 8.0, 2.0)
         mc = MonteCarloConfig(samples=3000, seed=11, batches=10)
         template = fig1_template(m0=0.75, noise_power=0.2)
-        results = outage_curve(template, grid, "monte_carlo", monte_carlo=mc)
-        expected = [
-            outage_point(replace(template, threshold_q=db_to_linear(float(q_db))),
-                         "monte_carlo", monte_carlo=mc, q_db=float(q_db))
-            for q_db in grid.values_db()]
-        assert results == expected
+        assert_curve_matches_points(template, grid, method="monte_carlo", monte_carlo=mc)
+
+    def test_closed_form_curve_matches_points(self):
+        # an exponential signal under Nakagami-m interferers, with noise
+        results = assert_curve_matches_points(fig1_template(m0=1.0, noise_power=0.2),
+                                              ThresholdGrid(-10.0, 20.0, 5.0),
+                                              method="closed_form")
+        assert all(r.error is None and 0.0 < r.p_out < 1.0 for r in results)
+        assert [r.p_out for r in results] == sorted(r.p_out for r in results)
+
+    def test_closed_form_curve_outside_its_scope(self):
+        results = assert_curve_matches_points(fig1_template(m0=0.5),
+                                              ThresholdGrid(-10.0, 20.0, 5.0),
+                                              method="closed_form")
+        assert [r.error.split(":")[0] for r in results] == ["UnsupportedScenario"] * 7
+
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_variance_underflow_marks_every_point(self, method):
+        # both powers at -1700 dBm: the variance underflows to 0 at every
+        # threshold, which fails each point with a typed error
+        d = NakagamiM(m=1.0, mean_power=1e-170)
+        template = SirScenario(desired=d, interferers=(d,), threshold_q=1.0)
+        results = assert_curve_matches_points(template, ThresholdGrid(-3.0, 3.0, 3.0),
+                                              method=method)
+        assert [r.error for r in results] == [
+            f"InvalidScenario: threshold q={r.q_linear!r} underflows the variance of "
+            "q * I - S to 0" for r in results]
 
     def test_monte_carlo_failure_marks_every_point(self, monkeypatch):
         def fail(template, qs, mc):
@@ -192,8 +213,7 @@ class TestOneCompositePerCall:
         assert builds == [1]
         assert len(results) == 11 and all(r.error is None for r in results)
         monkeypatch.undo()
-        assert results == [outage_point(replace(template, threshold_q=r.q_linear),
-                                        method, q_db=r.q_db) for r in results]
+        assert results == assert_curve_matches_points(template, grid, method=method)
 
     def test_outage_curve_without_a_composite(self):
         # no threshold has finite cumulants: every point carries the error
@@ -216,17 +236,21 @@ class TestOneCompositePerCall:
         assert builds == [1]
 
 
-def assert_curve_matches_points(template, grid, solver=SolverConfig()):
-    """The spa curve against one-point solves: equal, bit for bit, errors
-    included. Both run one solver, and a threshold's row of the block does
-    not depend on the other rows."""
-    results = outage_curve(template, grid, "spa", solver)
+def assert_curve_matches_points(template, grid, solver=SolverConfig(), method="spa",
+                                monte_carlo=MonteCarloConfig()):
+    """The curve of ``method`` against one-point results at its grid's
+    thresholds: equal, bit for bit, errors included. For spa both run one
+    solver, and a threshold's row of the block does not depend on the other
+    rows."""
+    results = outage_curve(template, grid, method, solver, monte_carlo=monte_carlo)
+    assert [(r.q_db, r.q_linear) for r in results] == [
+        (float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
     for r in results:
         try:
-            ref = outage_point(replace(template, threshold_q=r.q_linear), "spa", solver,
-                               q_db=r.q_db)
+            ref = outage_point(replace(template, threshold_q=r.q_linear), method, solver,
+                               monte_carlo=monte_carlo, q_db=r.q_db)
         except SirspaError as exc:
-            ref = analysis.error_result(r.q_db, r.q_linear, "spa", exc)
+            ref = analysis.error_result(r.q_db, r.q_linear, method, exc)
         assert repr(r) == repr(ref)
     return results
 

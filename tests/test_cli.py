@@ -25,6 +25,7 @@ from sirspa import (
     analysis,
     cli,
 )
+from sirspa.analysis import db_to_linear
 from sirspa.cli import (
     CAPACITY_HEADER,
     EXIT_COMPARE,
@@ -34,8 +35,8 @@ from sirspa.cli import (
     OUTAGE_HEADER,
     main,
 )
-from sirspa.config import dbm_to_mw, load_config
-from sirspa.exceptions import ConfigError
+from sirspa.config import load_config
+from sirspa.exceptions import ConfigError, SirspaError
 
 from conftest import CONFIG_DIR
 
@@ -66,8 +67,8 @@ def write_config(tmp_path, cfg, name="run.json"):
 
 class TestConfigLoading:
     def test_dbm_conversion_full_precision(self):
-        assert dbm_to_mw(5.0) == 3.1622776601683795
-        assert dbm_to_mw(0.0) == 1.0
+        assert db_to_linear(5.0) == 3.1622776601683795
+        assert db_to_linear(0.0) == 1.0
 
     def test_shipped_configs_parse(self):
         for name in ("fig1.json", "fig2.json", "fig3.json", "fig4.json",
@@ -246,6 +247,19 @@ class TestOutageCommand:
         err = capsys.readouterr().err
         assert "FAILED pair spa q_db=1600: InvalidScenario" in err
         assert "FAILED pair gil_pelaez q_db=1600: InvalidScenario" in err
+
+    def test_variance_underflow_fails_points(self, tmp_path, capsys):
+        # both powers at -1700 dBm: the variance underflows to 0, a numerical
+        # failure per point rather than a traceback that exits as a config error
+        cfg = base_config(methods=["spa", "gil_pelaez"])
+        cfg["curves"][0].update(desired=nakagami(1.0, -1700.0),
+                                interferers=[nakagami(1.0, -1700.0)])
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
+        failed = [l for l in capsys.readouterr().err.splitlines() if l.startswith("FAILED")]
+        assert len(failed) == 10
+        assert all("InvalidScenario: threshold q=" in l and "underflows the variance" in l
+                   for l in failed)
 
     def test_unknown_method_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -431,6 +445,22 @@ class TestRetry:
             f"max_panels={quadrature.max_panels} max_iter={solver.max_iter}"]
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 5 and all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("method", ["closed_form", "monte_carlo"])
+    def test_no_retry_for_methods_without_budgets(self, tmp_path, monkeypatch, capsys,
+                                                   method):
+        # neither takes the solver's or the quadrature's budgets, so a retry
+        # would compute the same error again
+        def fail(template, qs, mc):
+            raise SirspaError("sampler broke")
+
+        monkeypatch.setattr(analysis, "monte_carlo_curve", fail)
+        cfg = base_config(methods=[method])
+        cfg["curves"][0]["desired"] = {"family": "rician", "r": 2.0, "mean_power_dbm": 0.0}
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 5 and all(l.startswith(f"FAILED pair {method} q_db=") for l in err)
 
     def test_no_retry_line_without_failure(self, tmp_path, capsys):
         assert main(["outage", write_config(tmp_path, base_config()),

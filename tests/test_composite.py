@@ -70,6 +70,16 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="overflows"):
             build_composite(fig4_scenario()).at(q)
 
+    def test_variance_underflow_is_typed(self):
+        # both powers at -1700 dBm: the variance underflows to 0, and the
+        # build fails with a typed error, not later at 1 / sigma
+        d = NakagamiM(m=1.0, mean_power=1e-170)
+        with pytest.raises(InvalidScenario, match="underflows the variance"):
+            build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=1.0))
+        with pytest.raises(InvalidScenario, match="underflows the variance"):
+            build_composite(SirScenario(desired=d, interferers=(NakagamiM(1.0, 1e-100),),
+                                        threshold_q=1.0)).at(1e-70)
+
 
 class TestAt:
     def test_matches_a_fresh_build(self, rng):

@@ -22,6 +22,7 @@ from sirspa import (
     solve_saddle,
 )
 from sirspa.config import load_config
+from sirspa.exceptions import InvalidScenario
 from sirspa.fading import AtomBlock
 from sirspa.saddlepoint import ccdf_block
 
@@ -450,6 +451,18 @@ class TestCcdf:
             p, sol = ccdf(c, 0.0)
             assert 0.0 <= p <= 1.0
             assert sol.converged
+
+    def test_block_marks_a_variance_underflow(self):
+        # the signal's variance underflows to 0, and at q = 1e-30 the
+        # interferer's too: that row carries a typed error, and the other
+        # row is solved
+        c = build_composite(SirScenario(desired=NakagamiM(1.0, 1e-170),
+                                        interferers=(GaussianTest(1e-160, 1e-300),),
+                                        threshold_q=1.0))
+        ok, underflow = ccdf_block(c, [1.0, 1e-30], [0.0, 0.0])
+        assert ok[0] == pytest.approx(0.5) and ok[1].converged
+        assert isinstance(underflow, InvalidScenario)
+        assert str(underflow) == "threshold q=1e-30 underflows the variance of q * I - S to 0"
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
