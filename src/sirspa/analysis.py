@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .composite import CompositeCgf, SirScenario, build_composite
-from .exceptions import QuadratureNotConverged, SirspaError
+from .exceptions import QuadratureNotConverged, SirspaError, UnsupportedScenario
 from .oracles import (
     MonteCarloConfig,
     QuadratureConfig,
@@ -190,11 +190,13 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     tail. Raises ``QuadratureNotConverged`` carrying the integral so far if
     the panel budget runs out with the error above tolerance, or if the
     success probability is still at or above 1e-8 at the cap c = 64.
+    ``closed_form`` has no capacity yet and raises ``UnsupportedScenario``.
     The saddle-point method solves each batch of integrand nodes, and the
     truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
     """
     if method not in ("spa", "gil_pelaez"):
-        raise ValueError(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
+        error = UnsupportedScenario if method == "closed_form" else ValueError
+        raise error(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
 
     base = build_composite(replace(template, threshold_q=1.0))  # q at c = 1
 

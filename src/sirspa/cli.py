@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .composite import build_composite
 from .config import RunConfig, load_config, parse_methods
-from .exceptions import ConfigError, SirspaError
+from .exceptions import ConfigError, DivergedSolver, QuadratureNotConverged, SirspaError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,6 +31,8 @@ EXIT_COMPARE = 3
 OUTAGE_HEADER = ("curve,q_db,q_linear,method,p_out,t_hat,iterations,"
                  "near_mean,clamped,error_estimate")
 CAPACITY_HEADER = "curve,capacity_bits,method,error_estimate"
+# the marker prefixes (``error_result``) of the errors a larger budget can mend
+_BUDGET_ERRORS = tuple(f"{e.__name__}:" for e in (DivergedSolver, QuadratureNotConverged))
 
 
 def _fmt(value) -> str:
@@ -61,10 +63,10 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
-    """label -> method -> per-grid-point results. Each failed ``spa`` or
-    ``gil_pelaez`` point is recomputed once with larger numerical budgets (the
-    other methods take none), and each retry is reported on stderr with those
-    budgets. A point that fails again keeps its error."""
+    """label -> method -> per-grid-point results. Each point that ran out of
+    its solver or quadrature budget is recomputed once with larger budgets,
+    and each retry is reported on stderr with those budgets. A point that
+    fails again keeps its error."""
     out: dict[str, dict[str, list[OutageResult]]] = {}
     retry_quad = replace(cfg.quadrature, max_panels=cfg.quadrature.max_panels * 4,
                          rel_tol=max(cfg.quadrature.rel_tol, 1e-7))
@@ -75,7 +77,7 @@ def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
             results = outage_curve(curve.template, cfg.grid, method,
                                    cfg.solver, cfg.quadrature, cfg.monte_carlo)
             for i, r in enumerate(results):
-                if not r.error or method not in ("spa", "gil_pelaez"):
+                if not (r.error or "").startswith(_BUDGET_ERRORS):
                     continue
                 print(f"retry {curve.label} {method} q_db={r.q_db:g}: "
                       f"rel_tol={retry_quad.rel_tol:g} "
@@ -92,44 +94,42 @@ def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
     return out
 
 
-def _max_cross_deviation(per_method: dict[str, list[OutageResult]]):
-    methods = sorted(per_method)
-    worst = None
+def _report_failures(by_curve: dict[str, dict[str, list[OutageResult]]]) -> bool:
+    """Print a ``FAILED`` line on stderr for each failed grid point; whether
+    any point failed."""
+    failed = [f"FAILED {label} {r.method} q_db={r.q_db:g}: {r.error}"
+              for label, per_method in by_curve.items()
+              for results in per_method.values() for r in results if r.error]
+    for line in failed:
+        print(line, file=sys.stderr)
+    return bool(failed)
+
+
+def _deviations(per_method: dict[str, list[OutageResult]], methods):
+    """Each pair (m1, m2) of ``methods``, in order, with (|p1 - p2|, r1, r2)
+    at each grid point."""
     for i, m1 in enumerate(methods):
         for m2 in methods[i + 1:]:
-            for r1, r2 in zip(per_method[m1], per_method[m2]):
-                if r1.error or r2.error:
-                    continue
-                dev = abs(r1.p_out - r2.p_out)
-                if worst is None or dev > worst[0]:
-                    worst = (dev, m1, m2, r1.q_db)
-    return worst
+            yield m1, m2, [(abs(r1.p_out - r2.p_out), r1, r2)
+                           for r1, r2 in zip(per_method[m1], per_method[m2])]
 
 
 def cmd_outage(cfg: RunConfig) -> int:
     by_curve = _run_curves(cfg)
     lines = [OUTAGE_HEADER]
-    failed = []
     for label, per_method in by_curve.items():
-        for method in cfg.methods:
-            for r in per_method[method]:
-                lines.append(_outage_row(label, r))
-                if r.error:
-                    failed.append((label, method, r.q_db, r.error))
+        for results in per_method.values():
+            lines.extend(_outage_row(label, r) for r in results)
     _write_lines(cfg.output_path, lines)
-    worst = None
-    for per_method in by_curve.values():
-        w = _max_cross_deviation(per_method)
-        if w and (worst is None or w[0] > worst[0]):
-            worst = w
+    # the largest deviation at a point where neither method failed; the first wins
+    worst = max(((dev, m1, m2, r1.q_db) for per_method in by_curve.values()
+                 for m1, m2, devs in _deviations(per_method, sorted(per_method))
+                 for dev, r1, r2 in devs if not (r1.error or r2.error)),
+                key=lambda w: w[0], default=None)
     if worst:
         print(f"max cross-method deviation: {worst[0]:.6g} "
               f"({worst[1]} vs {worst[2]} at q_db={worst[3]:g})")
-    if failed:
-        for label, method, q_db, err in failed:
-            print(f"FAILED {label} {method} q_db={q_db:g}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if _report_failures(by_curve) else EXIT_OK
 
 
 def cmd_capacity(cfg: RunConfig) -> int:
@@ -140,13 +140,12 @@ def cmd_capacity(cfg: RunConfig) -> int:
             try:
                 if method == "monte_carlo":
                     cap, err = monte_carlo_capacity(curve.template, cfg.monte_carlo)
-                elif method in ("spa", "gil_pelaez"):
+                else:
                     cap, err = ergodic_capacity(curve.template, method,
                                                 cfg.solver, cfg.quadrature)
-                else:
-                    continue  # closed_form has no capacity counterpart
             except SirspaError as exc:
-                print(f"FAILED {curve.label} {method}: {exc}", file=sys.stderr)
+                print(f"FAILED {curve.label} {method}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
                 code = EXIT_NUMERICAL
                 continue
             lines.append(",".join([curve.label, _fmt(cap), method, _fmt(err)]))
@@ -160,46 +159,37 @@ def cmd_compare(cfg: RunConfig) -> int:
         print("compare needs at least 2 methods", file=sys.stderr)
         return EXIT_CONFIG
     by_curve = _run_curves(cfg)
-    for per_method in by_curve.values():
-        for method, results in per_method.items():
-            for r in results:
-                if r.error:
-                    print(f"FAILED {method} q_db={r.q_db:g}: {r.error}",
-                          file=sys.stderr)
-                    return EXIT_NUMERICAL
-    methods = list(cfg.methods)
+    if _report_failures(by_curve):
+        return EXIT_NUMERICAL
     exceeded = False
     print("curve,method_a,method_b,max_abs_dev,mean_abs_dev,bound,ok")
     for curve in cfg.curves:
         per_method = by_curve[curve.label]
-        points = per_method[methods[0]]
+        points = per_method[cfg.methods[0]]
         base = build_composite(replace(curve.template, threshold_q=points[0].q_linear))
         in_breakdown = [base.at(r.q_linear).in_breakdown for r in points]
-        for i, m1 in enumerate(methods):
-            for m2 in methods[i + 1:]:
-                devs, bounds = [], []
-                for r1, r2, breakdown in zip(per_method[m1], per_method[m2], in_breakdown):
-                    devs.append(abs(r1.p_out - r2.p_out))
-                    pair_bound = cfg.compare.bounds.get(
-                        f"{m1},{m2}", cfg.compare.bounds.get(
-                            f"{m2},{m1}", cfg.compare.default_bound))
-                    if breakdown:
-                        pair_bound = max(pair_bound, cfg.compare.breakdown_bound)
-                    if "monte_carlo" in (m1, m2):
-                        se = (r1.error_estimate if m1 == "monte_carlo"
-                              else r2.error_estimate) or 0.0
-                        pair_bound = max(pair_bound, cfg.compare.mc_std_errors * se)
-                    bounds.append(pair_bound)
-                ok = all(d <= b for d, b in zip(devs, bounds))
-                if not ok:
-                    exceeded = True
-                # the bound of the point nearest to failing, or farthest past it
-                worst = max(range(len(devs)), key=lambda i: devs[i] - bounds[i])
-                print(",".join([
-                    curve.label, m1, m2, _fmt(max(devs)),
-                    _fmt(sum(devs) / len(devs)), _fmt(bounds[worst]),
-                    "true" if ok else "false",
-                ]))
+        for m1, m2, pair in _deviations(per_method, cfg.methods):
+            pair_bound = cfg.compare.bounds.get(
+                f"{m1},{m2}", cfg.compare.bounds.get(f"{m2},{m1}", cfg.compare.default_bound))
+            devs, bounds = [], []
+            for (dev, r1, r2), breakdown in zip(pair, in_breakdown):
+                bound = max(pair_bound, cfg.compare.breakdown_bound) if breakdown else pair_bound
+                if "monte_carlo" in (m1, m2):
+                    se = (r1.error_estimate if m1 == "monte_carlo"
+                          else r2.error_estimate) or 0.0
+                    bound = max(bound, cfg.compare.mc_std_errors * se)
+                devs.append(dev)
+                bounds.append(bound)
+            ok = all(d <= b for d, b in zip(devs, bounds))
+            if not ok:
+                exceeded = True
+            # the bound of the point nearest to failing, or farthest past it
+            worst = max(range(len(devs)), key=lambda i: devs[i] - bounds[i])
+            print(",".join([
+                curve.label, m1, m2, _fmt(max(devs)),
+                _fmt(sum(devs) / len(devs)), _fmt(bounds[worst]),
+                "true" if ok else "false",
+            ]))
     return EXIT_COMPARE if exceeded else EXIT_OK
 
 
@@ -233,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON run configuration")
         p.add_argument("--output", help="output file path (default from config)")
-        p.add_argument("--format", choices=["csv"], help="output format")
         p.add_argument("--seed", type=int, help="Monte Carlo seed override")
         p.add_argument("--method", help="comma-separated method override")
     return parser

@@ -205,9 +205,7 @@ def load_config(path: str | Path) -> RunConfig:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             _fail(f"curves/{i}/label", f"{label!r} is the label of an earlier curve")
-    out = _object(raw.get("output", {}), "output", (), ("path", "format"))
-    if out.get("format", "csv") != "csv":
-        _fail("output/format", f"{out['format']!r} is not one of ['csv']")
+    out = _object(raw.get("output", {}), "output", (), ("path",))
     comp = _object(raw.get("compare", {}), "compare", (), None)  # _build checks the keys
     bounds = _bounds(comp.get("bounds", {}), "compare/bounds")
     return RunConfig(

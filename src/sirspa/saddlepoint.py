@@ -152,7 +152,8 @@ def _met(g, k2, t, scale):
 
 def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
     """The ``SaddleSolution`` of every row of ``blk`` at its own x, or a
-    ``NoSaddleInStrip`` for a row whose root lies within the edge margin.
+    ``NoSaddleInStrip`` for a row whose root lies within the edge margin, or
+    an ``InvalidScenario`` for a root off 0 where K'' underflows to 0.
 
     Once converged, one more Newton step without a new evaluation: x*t - K(t)
     is stationary at the root, so the step adds -g*dt/2 to it (second
@@ -160,7 +161,7 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
     whose step would leave the strip's margins keeps its last iterate:
     there K' is rounding noise, and g / K'' need not point at the root.
     """
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # 0/0 where K'' is 0
         t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg)
         k = blk.k(t)
         dt = -g / k2
@@ -172,18 +173,22 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
     near_mean = (t == 0.0) | (np.abs(w) < _NEAR_MEAN_W)
     # stopped at a margin with the root still beyond it
     edge = ~converged & (((t == ceiling) & (g < 0.0)) | ((t == floor) & (g > 0.0)))
+    flat = converged & (t != 0.0) & (k2 == 0.0)  # u = 0: the tail formula divides by it
     return [NoSaddleInStrip(f"K' does not cross x={xi} inside the strip") if e else
+            InvalidScenario(f"K'' underflows to 0 at the saddle point t={ti!r} of x={xi}")
+            if f else
             SaddleSolution(t_hat=ti, w=wi, u=ui, iterations=n, converged=c, near_mean=m)
-            for xi, ti, wi, ui, n, c, m, e in zip(
+            for xi, ti, wi, ui, n, c, m, e, f in zip(
                 x.tolist(), t.tolist(), w.tolist(), u.tolist(), iterations.tolist(),
-                converged.tolist(), near_mean.tolist(), edge.tolist())]
+                converged.tolist(), near_mean.tolist(), edge.tolist(), flat.tolist())]
 
 
 def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
     """Solve K'(t) = x by safeguarded Newton iteration (see ``_newton``).
 
     Raises ``NoSaddleInStrip`` when the root lies closer to a strip edge
-    than the edge margin; a solve that runs out of iterations is returned
+    than the edge margin, and ``InvalidScenario`` when K'' underflows to 0
+    at a root off 0; a solve that runs out of iterations is returned
     with ``converged`` False.
     """
     if not math.isfinite(x):

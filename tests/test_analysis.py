@@ -25,7 +25,12 @@ from sirspa import (
 from sirspa import analysis, build_composite, saddlepoint
 from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
-from sirspa.exceptions import DivergedSolver, QuadratureNotConverged, SirspaError
+from sirspa.exceptions import (
+    DivergedSolver,
+    QuadratureNotConverged,
+    SirspaError,
+    UnsupportedScenario,
+)
 from sirspa.fading import AtomBlock
 
 from conftest import CONFIG_DIR, random_distribution, random_scenario, serial_batches
@@ -461,6 +466,14 @@ class TestErgodicCapacity:
     def test_method_validation(self):
         with pytest.raises(ValueError):
             ergodic_capacity(fig1_template(), "monte_carlo")
+
+    def test_closed_form_capacity_is_unsupported(self):
+        # a known method without a capacity is a typed failure; an unknown
+        # name is still a caller's error
+        with pytest.raises(UnsupportedScenario, match="'closed_form'"):
+            ergodic_capacity(fig1_template(), "closed_form")
+        with pytest.raises(ValueError, match="'magic'"):
+            ergodic_capacity(fig1_template(), "magic")
 
     def test_heavy_tail_gil_pelaez(self, cf_nodes):
         # one m=0.5 interferer: success (1 + lam*q)**-0.5 decays like

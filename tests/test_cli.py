@@ -36,7 +36,7 @@ from sirspa.cli import (
     main,
 )
 from sirspa.config import load_config
-from sirspa.exceptions import ConfigError, SirspaError
+from sirspa.exceptions import ConfigError, DivergedSolver, SirspaError
 
 from conftest import CONFIG_DIR
 
@@ -124,7 +124,7 @@ class TestConfigLoading:
         (lambda c: c["curves"][0].update(interferers=[]), "curves/0/interferers"),
         (lambda c: c.update(solver={"tol": "small"}), "solver/tol"),
         (lambda c: c["curves"][0]["desired"].update(m=True), "curves/0/desired/m"),
-        (lambda c: c.update(output={"format": "xml"}), "output/format"),
+        (lambda c: c.update(output={"format": "xml"}), "output"),
         (lambda c: c.update(compare={"bounds": {"spa,gil_pelaez": -1.0}}),
          "compare/bounds/spa,gil_pelaez"),
         (lambda c: c.update(monte_carlo={"samples": 2000.5}), "monte_carlo/samples"),
@@ -192,7 +192,7 @@ class TestConfigLoading:
                           monte_carlo={"samples": 2000, "batches": 4, "seed": 1})
         ints = tmp_path / "ints.csv"
         assert main(["outage", write_config(tmp_path, cfg, "ints.json"),
-                     "--output", str(ints), "--format", "csv"]) == EXIT_OK
+                     "--output", str(ints)]) == EXIT_OK
         cfg[section][key] = float(cfg[section][key])
         floats = tmp_path / "floats.csv"
         path = write_config(tmp_path, cfg, "floats.json")
@@ -260,6 +260,22 @@ class TestOutageCommand:
         assert len(failed) == 10
         assert all("InvalidScenario: threshold q=" in l and "underflows the variance" in l
                    for l in failed)
+
+    def test_curvature_underflow_fails_point(self, tmp_path, capsys):
+        # a -1700 dBm signal under a -1000 dBm interferer: the saddle point
+        # t = -5e169 is right, but every atom's w * s**2 underflows there,
+        # so K'' = 0 and the tail formula has u = 0
+        cfg = base_config(grid={"start_db": 0.0, "stop_db": 0.0, "step_db": 1.0},
+                          methods=["spa", "gil_pelaez"])
+        cfg["curves"][0].update(desired=nakagami(1.0, -1700.0),
+                                interferers=[nakagami(1.0, -1000.0)])
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED pair spa q_db=0: InvalidScenario: K'' underflows to 0 at the "
+            "saddle point t=-5e+169 of x=-0.0"]
+        assert out.read_text().splitlines()[2].split(",")[3:5] == ["gil_pelaez", "1.0"]
 
     def test_unknown_method_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -338,6 +354,18 @@ class TestCapacityCommand:
         caps = {l.split(",")[2]: float(l.split(",")[1]) for l in lines}
         assert abs(caps["spa"] - caps["gil_pelaez"]) <= 1e-2
 
+    def test_closed_form_fails_typed(self, tmp_path, capsys):
+        # closed_form has no capacity: a typed failure, not a silent skip
+        out = tmp_path / "cap.csv"
+        assert main(["capacity", str(CONFIG_DIR / "rayleigh_pair.json"), "--output", str(out),
+                     "--method", "spa,closed_form"]) == EXIT_NUMERICAL
+        assert [l.split(",")[2] for l in out.read_text().splitlines()[1:]] == ["spa"]
+        captured = capsys.readouterr()
+        assert captured.out.startswith("rayleigh-pair spa: ")
+        assert captured.err.splitlines() == [
+            "FAILED rayleigh-pair closed_form: UnsupportedScenario: capacity supports "
+            "methods 'spa'/'gil_pelaez', got 'closed_form'"]
+
 
 class TestCsvFields:
     # _fmt writes repr(value) for floats, and under numpy 2 the repr of a
@@ -406,6 +434,22 @@ class TestCompareCommand:
         assert row[1:3] == ["spa", "gil_pelaez"]
         assert row[5:] == ["1e-09", "false"]
 
+    def test_every_failed_point_is_labelled(self, tmp_path, capsys):
+        # the second curve's variance underflows at every point: each failed
+        # point is listed with its curve label, and no table is printed
+        cfg = base_config(methods=["spa", "gil_pelaez"])
+        cfg["curves"].append(dict(cfg["curves"][0], label="tiny",
+                                  desired=nakagami(1.0, -1700.0),
+                                  interferers=[nakagami(1.0, -1700.0)]))
+        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failed = captured.err.splitlines()
+        assert [l.split(":")[0] for l in failed] == [
+            f"FAILED tiny {method} q_db={q_db}" for method in ("spa", "gil_pelaez")
+            for q_db in (-4, -2, 0, 2, 4)]
+        assert all("InvalidScenario: threshold q=" in l for l in failed)
+
     def test_single_method_exit_config(self, tmp_path, capsys):
         cfg = base_config(methods=["spa"])
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -461,6 +505,46 @@ class TestRetry:
                      "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 5 and all(l.startswith(f"FAILED pair {method} q_db=") for l in err)
+
+    def test_spa_divergence_is_retried(self, tmp_path, monkeypatch, capsys):
+        # the curve's solve reports a DivergedSolver at 2 dB; the retry's
+        # one-point solve, with 4x the iterations, does not
+        solvers = []
+        real_block, real_outage_point = analysis.ccdf_block, cli.outage_point
+
+        def diverging(c, qs, x, cfg):
+            out = real_block(c, qs, x, cfg)
+            if len(qs) == 5:
+                out[3] = DivergedSolver("forced")
+            return out
+
+        def retry(s, method, solver, *budgets, **kwargs):
+            solvers.append(solver)
+            return real_outage_point(s, method, solver, *budgets, **kwargs)
+
+        monkeypatch.setattr(analysis, "ccdf_block", diverging)
+        monkeypatch.setattr(cli, "outage_point", retry)
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, base_config(methods=["spa"])),
+                     "--output", str(out)]) == EXIT_OK
+        (solver,) = solvers
+        assert solver.max_iter == 4 * SolverConfig().max_iter
+        assert capsys.readouterr().err.splitlines() == [
+            f"retry pair spa q_db=2: rel_tol=1e-07 "
+            f"max_panels={4 * QuadratureConfig().max_panels} max_iter={solver.max_iter}"]
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == ["-4.0", "-2.0", "0.0", "2.0", "4.0"]
+        assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    def test_no_retry_for_an_invalid_scenario(self, tmp_path, capsys):
+        # at 1550 dB the cumulants overflow: no larger budget mends that
+        cfg = base_config(grid={"start_db": 1550.0, "stop_db": 1550.0, "step_db": 1.0},
+                          methods=["spa", "gil_pelaez"])
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
+        assert [l.split(":")[:2] for l in capsys.readouterr().err.splitlines()] == [
+            ["FAILED pair spa q_db=1550", " InvalidScenario"],
+            ["FAILED pair gil_pelaez q_db=1550", " InvalidScenario"]]
 
     def test_no_retry_line_without_failure(self, tmp_path, capsys):
         assert main(["outage", write_config(tmp_path, base_config()),

@@ -464,6 +464,18 @@ class TestCcdf:
         assert isinstance(underflow, InvalidScenario)
         assert str(underflow) == "threshold q=1e-30 underflows the variance of q * I - S to 0"
 
+    def test_curvature_underflow_is_typed(self):
+        # the signal is 1e70 times weaker than the interferer at tiny powers:
+        # the root t = -5e169 is right, but K'' there underflows to 0, so
+        # u = t * sqrt(K'') = 0 and the tail formula cannot be evaluated
+        c = build_composite(SirScenario(desired=NakagamiM(1.0, 1e-170),
+                                        interferers=(NakagamiM(1.0, 1e-100),),
+                                        threshold_q=1.0))
+        with pytest.raises(InvalidScenario, match="K'' underflows to 0 at the saddle point"):
+            ccdf(c, 0.0)
+        (row,) = ccdf_block(c, [1.0], [0.0])
+        assert isinstance(row, InvalidScenario)
+
     def test_solver_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
