@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,9 @@ class ThresholdGrid:
         return self.start_db + self.step_db * np.arange(self._size())
 
 
-@dataclass(frozen=True)
-class OutageResult:
-    """One outage evaluation with method label and diagnostics."""
+class OutageResult(NamedTuple):
+    """One outage evaluation with method label and diagnostics. Immutable,
+    and equal only to an ``OutageResult`` with equal fields."""
 
     q_db: float
     q_linear: float
@@ -74,6 +75,14 @@ class OutageResult:
     clamped: bool = False
     error_estimate: float | None = None
     error: str | None = None
+
+    def __eq__(self, other):
+        return type(other) is OutageResult and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def db_to_linear(db: float) -> float:
@@ -112,7 +121,7 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
     per point. A failed point carries an error marker instead of being dropped."""
-    points = [(float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
+    points = [(q_db, db_to_linear(q_db)) for q_db in grid.values_db().tolist()]
     return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
             for (q_db, q), r in zip(points, _outage(template, points, method, solver,
                                                     quadrature, monte_carlo))]
@@ -139,9 +148,9 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
         if isinstance(tail, SirspaError):
             results.append(tail)
         elif method == "spa":
-            p, sol = tail
-            results.append(OutageResult(q_db, q, p, method, sol.t_hat, sol.iterations,
-                                        sol.near_mean, sol.clamped))
+            p, t_hat, _, _, iterations, near_mean, clamped = tail
+            results.append(OutageResult(q_db, q, p, method, t_hat, iterations,
+                                        near_mean, clamped))
         else:
             results.append(OutageResult(q_db, q, tail[0], method, error_estimate=tail[1]))
     return results
@@ -149,10 +158,11 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
 
 def _tails(s: SirScenario, qs: list[float], method: str, solver: SolverConfig,
            quadrature: QuadratureConfig, base: CompositeCgf | None = None):
-    """Each threshold's tail at x = -q * N0, in order: (p, ``SaddleSolution``),
-    (p, error estimate) or (p, None), or the ``SirspaError``. ``spa`` solves all
-    in one ``ccdf_block`` call, on ``base`` or else the composite of the first
-    threshold that builds; ``gil_pelaez`` and ``closed_form`` go one per read."""
+    """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
+    (p, error estimate) or (p, None), each with p first, or the
+    ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call, on
+    ``base`` or else the composite of the first threshold that builds;
+    ``gil_pelaez`` and ``closed_form`` go one per read."""
     for i, q in enumerate(qs):
         try:
             if method == "closed_form":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import replace
 
@@ -21,7 +22,13 @@ from .analysis import (
 )
 from .composite import build_composite
 from .config import RunConfig, load_config, parse_methods
-from .exceptions import ConfigError, DivergedSolver, QuadratureNotConverged, SirspaError
+from .exceptions import (
+    ConfigError,
+    DivergedSolver,
+    InvalidScenario,
+    QuadratureNotConverged,
+    SirspaError,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -35,22 +42,14 @@ CAPACITY_HEADER = "curve,capacity_bits,method,error_estimate"
 _BUDGET_ERRORS = tuple(f"{e.__name__}:" for e in (DivergedSolver, QuadratureNotConverged))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _outage_row(label: str, r: OutageResult) -> str:
-    return ",".join([
-        label, _fmt(r.q_db), _fmt(r.q_linear), r.method, _fmt(r.p_out),
-        _fmt(r.t_hat), _fmt(r.iterations), _fmt(r.near_mean),
-        _fmt(r.clamped), _fmt(r.error_estimate),
-    ])
+    """The CSV row of ``r``: floats as their repr, ints as they are, bools as
+    true/false and None as an empty field."""
+    return (f"{label},{r.q_db!r},{r.q_linear!r},{r.method},{r.p_out!r},"
+            f"{'' if r.t_hat is None else repr(r.t_hat)},"
+            f"{'' if r.iterations is None else r.iterations},"
+            f"{'true' if r.near_mean else 'false'},{'true' if r.clamped else 'false'},"
+            f"{'' if r.error_estimate is None else repr(r.error_estimate)}")
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -148,10 +147,24 @@ def cmd_capacity(cfg: RunConfig) -> int:
                       file=sys.stderr)
                 code = EXIT_NUMERICAL
                 continue
-            lines.append(",".join([curve.label, _fmt(cap), method, _fmt(err)]))
+            lines.append(f"{curve.label},{cap!r},{method},{err!r}")
             print(f"{curve.label} {method}: {cap:.6f} bits/s/Hz")
     _write_lines(cfg.output_path, lines)
     return code
+
+
+def _in_breakdown(template, qs: list[float]) -> list[bool]:
+    """Whether x = 0 lies in the breakdown band at each threshold of ``qs``,
+    from one composite moved to each; a threshold whose composite cannot be
+    built (its cumulants overflow) lies outside the band."""
+    base, flags = None, []
+    for q in qs:
+        try:
+            base = base or build_composite(replace(template, threshold_q=q))
+            flags.append(base.at(q).in_breakdown)
+        except InvalidScenario:
+            flags.append(False)
+    return flags
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -165,9 +178,8 @@ def cmd_compare(cfg: RunConfig) -> int:
     print("curve,method_a,method_b,max_abs_dev,mean_abs_dev,bound,ok")
     for curve in cfg.curves:
         per_method = by_curve[curve.label]
-        points = per_method[cfg.methods[0]]
-        base = build_composite(replace(curve.template, threshold_q=points[0].q_linear))
-        in_breakdown = [base.at(r.q_linear).in_breakdown for r in points]
+        in_breakdown = _in_breakdown(curve.template,
+                                     [r.q_linear for r in per_method[cfg.methods[0]]])
         for m1, m2, pair in _deviations(per_method, cfg.methods):
             pair_bound = cfg.compare.bounds.get(
                 f"{m1},{m2}", cfg.compare.bounds.get(f"{m2},{m1}", cfg.compare.default_bound))
@@ -185,11 +197,8 @@ def cmd_compare(cfg: RunConfig) -> int:
                 exceeded = True
             # the bound of the point nearest to failing, or farthest past it
             worst = max(range(len(devs)), key=lambda i: devs[i] - bounds[i])
-            print(",".join([
-                curve.label, m1, m2, _fmt(max(devs)),
-                _fmt(sum(devs) / len(devs)), _fmt(bounds[worst]),
-                "true" if ok else "false",
-            ]))
+            print(f"{curve.label},{m1},{m2},{max(devs)!r},{sum(devs) / len(devs)!r},"
+                  f"{bounds[worst]!r},{'true' if ok else 'false'}")
     return EXIT_COMPARE if exceeded else EXIT_OK
 
 
@@ -210,7 +219,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="sirspa",
         description="SIR/SINR outage probability via saddlepoint approximation")

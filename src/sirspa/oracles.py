@@ -6,6 +6,7 @@ selectable computation methods in their own right.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +21,12 @@ from .fading import NakagamiM
 # recorded so results are reproducible across implementations
 RNG_ALGORITHM = "numpy-pcg64-seedseq"
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 20-point Gauss-Legendre nodes and weights, computed on first use:
+    ``numpy.polynomial`` is imported only by a run that integrates."""
+    return np.polynomial.legendre.leggauss(20)
 
 
 @dataclass(frozen=True)
@@ -58,11 +64,12 @@ class MonteCarloConfig:
 
 def _gl_batch(f, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Fixed-order Gauss-Legendre values for a batch of panels [a_i, b_i]."""
+    gl_nodes, gl_weights = _gl_rule()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    nodes = mid[:, None] + half[:, None] * gl_nodes[None, :]
     vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals @ gl_weights)
 
 
 # Gil-Pelaez integrates over v in [-pi/4, pi/4]: u = sigma * t is tan(v)

@@ -19,7 +19,7 @@ around the mean instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class SaddleSolution:
     converged: bool
     near_mean: bool
     clamped: bool = False
-
-
-def _phi(w: float) -> float:
-    return math.exp(-0.5 * w * w) / _SQRT_2PI
 
 
 def _start(blk: AtomBlock, x: np.ndarray, floor: np.ndarray, ceiling: np.ndarray):
@@ -150,10 +146,11 @@ def _met(g, k2, t, scale):
     return np.abs(g) <= np.maximum(scale, np.where(np.isfinite(k2), resolved, 0.0))
 
 
-def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
-    """The ``SaddleSolution`` of every row of ``blk`` at its own x, or a
-    ``NoSaddleInStrip`` for a row whose root lies within the edge margin, or
-    an ``InvalidScenario`` for a root off 0 where K'' underflows to 0.
+def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
+    """Every row's solve of K'(t) = x on ``blk`` at its own x, as arrays:
+    t, w, u, iterations, converged, near_mean, and whether the row failed
+    with its root within the edge margin (``edge``) or with K'' underflowing
+    to 0 at a root off 0 (``flat``); ``_failure`` gives those errors.
 
     Once converged, one more Newton step without a new evaluation: x*t - K(t)
     is stationary at the root, so the step adds -g*dt/2 to it (second
@@ -174,13 +171,17 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig) -> list:
     # stopped at a margin with the root still beyond it
     edge = ~converged & (((t == ceiling) & (g < 0.0)) | ((t == floor) & (g > 0.0)))
     flat = converged & (t != 0.0) & (k2 == 0.0)  # u = 0: the tail formula divides by it
-    return [NoSaddleInStrip(f"K' does not cross x={xi} inside the strip") if e else
-            InvalidScenario(f"K'' underflows to 0 at the saddle point t={ti!r} of x={xi}")
-            if f else
-            SaddleSolution(t_hat=ti, w=wi, u=ui, iterations=n, converged=c, near_mean=m)
-            for xi, ti, wi, ui, n, c, m, e, f in zip(
-                x.tolist(), t.tolist(), w.tolist(), u.tolist(), iterations.tolist(),
-                converged.tolist(), near_mean.tolist(), edge.tolist(), flat.tolist())]
+    return t, w, u, iterations, converged, near_mean, edge, flat
+
+
+def _failure(x: float, t: float, edge: bool, flat: bool) -> SirspaError:
+    """The error of a row that ``_solutions`` marks ``edge`` or ``flat``, or
+    else did not converge."""
+    if edge:
+        return NoSaddleInStrip(f"K' does not cross x={x} inside the strip")
+    if flat:
+        return InvalidScenario(f"K'' underflows to 0 at the saddle point t={t!r} of x={x}")
+    return DivergedSolver(f"saddle solver did not converge at x={x}")
 
 
 def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
@@ -193,10 +194,11 @@ def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) 
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
-    (sol,) = _solutions(c.block([c.q]), np.array([x]), cfg)
-    if isinstance(sol, SirspaError):
-        raise sol
-    return sol
+    t, w, u, iterations, converged, near_mean, edge, flat = (
+        a.item() for a in _solutions(c.block([c.q]), np.array([x]), cfg))
+    if edge or flat:
+        raise _failure(x, t, edge, flat)
+    return SaddleSolution(t, w, u, iterations, converged, near_mean)
 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
@@ -208,8 +210,8 @@ def ccdf_at_mean(c: CompositeCgf) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _lugannani_rice(sol: SaddleSolution) -> float:
-    return 0.5 * math.erfc(sol.w / _SQRT_2) + _phi(sol.w) * (1.0 / sol.u - 1.0 / sol.w)
+def _lugannani_rice(w: float, u: float) -> float:
+    return 0.5 * math.erfc(w / _SQRT_2) + math.exp(-0.5 * w * w) / _SQRT_2PI * (1.0 / u - 1.0 / w)
 
 
 def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
@@ -217,7 +219,8 @@ def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
     sol = solve_saddle(c, x, cfg)
     if not sol.converged:
         raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    return min(1.0, max(0.0, ccdf_at_mean(c) if sol.near_mean else _lugannani_rice(sol)))
+    return min(1.0, max(0.0, ccdf_at_mean(c) if sol.near_mean else
+                        _lugannani_rice(sol.w, sol.u)))
 
 
 def _near_mean(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
@@ -231,22 +234,13 @@ def _near_mean(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
     return (1.0 - frac) * p_lo + frac * p_hi
 
 
-def _tail(c: CompositeCgf, q: float, x: float, sol, cfg: SolverConfig):
-    """``ccdf``'s value at threshold q from its solve, ``sol``, or the error."""
-    if isinstance(sol, SirspaError):
-        raise sol
-    if not sol.converged:
-        raise DivergedSolver(f"saddle solver did not converge at x={x}")
-    p_raw = _near_mean(c.at(q), x, cfg) if sol.near_mean else _lugannani_rice(sol)
-    p = min(1.0, max(0.0, p_raw))
-    return p, sol if p == p_raw else replace(sol, clamped=True)
-
-
 def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> list:
     """Upper-tail probability of the composite variable at each threshold of
     ``qs`` (``c.at(q)``) and its own x, from one lockstep saddle-point solve
-    of every threshold: per threshold ``(p, SaddleSolution)`` as ``ccdf``
-    returns it, or the ``SirspaError`` it raises.
+    of every threshold, as ``ccdf`` takes it: per threshold the tuple
+    ``(p, t_hat, w, u, iterations, near_mean, clamped)`` of a converged
+    solve, or the ``SirspaError`` that ``ccdf`` raises. Each row is read
+    once from the solve's arrays.
 
     A threshold whose cumulants overflow, or whose variance underflows to 0,
     gives ``InvalidScenario``.
@@ -255,20 +249,37 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
     if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
     blk = c.block(qs)
-    valid, underflows = blk.finite, (blk.variance == 0.0).tolist()
+    valid, failed = blk.finite, None
     if not valid.all():
-        blk = c.block(qs[valid])
-    solved = iter(_solutions(blk, x[valid], cfg))
-    out = []
-    for q, xi, ok, zero in zip(qs.tolist(), x.tolist(), valid.tolist(), underflows):
-        sol = next(solved) if ok else InvalidScenario(
+        failed = [None if ok else InvalidScenario(
             f"threshold q={q!r} underflows the variance of q * I - S to 0" if zero else
             f"threshold q={q!r} overflows the cumulants of q * I - S")
-        try:
-            out.append(_tail(c, q, xi, sol, cfg))
-        except SirspaError as exc:
-            out.append(exc)
-    return out
+            for q, ok, zero in zip(qs.tolist(), valid.tolist(), (blk.variance == 0.0).tolist())]
+        qs, x = qs[valid], x[valid]
+        blk = c.block(qs)
+    t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)
+    rows = []
+    for q, xi, ti, wi, ui, n, ok, m, e, f in zip(
+            qs.tolist(), x.tolist(), t.tolist(), w.tolist(), u.tolist(),
+            iterations.tolist(), converged.tolist(), near_mean.tolist(), edge.tolist(),
+            flat.tolist()):
+        if e or f or not ok:
+            rows.append(_failure(xi, ti, e, f))
+            continue
+        if m:
+            try:
+                p_raw = _near_mean(c.at(q), xi, cfg)
+            except SirspaError as exc:
+                rows.append(exc)
+                continue
+        else:
+            p_raw = _lugannani_rice(wi, ui)
+        p = min(1.0, max(0.0, p_raw))
+        rows.append((p, ti, wi, ui, n, m, p != p_raw))
+    if failed is None:
+        return rows
+    solved = iter(rows)
+    return [next(solved) if error is None else error for error in failed]
 
 
 def ccdf(c: CompositeCgf, x: float,
@@ -286,4 +297,5 @@ def ccdf(c: CompositeCgf, x: float,
     (r,) = ccdf_block(c, [c.q], [x], cfg)
     if isinstance(r, SirspaError):
         raise r
-    return r
+    p, t_hat, w, u, iterations, near_mean, clamped = r
+    return p, SaddleSolution(t_hat, w, u, iterations, True, near_mean, clamped)

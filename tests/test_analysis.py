@@ -26,7 +26,6 @@ from sirspa import analysis, build_composite, saddlepoint
 from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
 from sirspa.exceptions import (
-    DivergedSolver,
     QuadratureNotConverged,
     SirspaError,
     UnsupportedScenario,
@@ -107,6 +106,22 @@ class TestOutagePoint:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             outage_point(rayleigh_pair_template(), "bisection")
+
+    def test_result_is_an_immutable_value(self):
+        # fields, defaults, immutability and == of a frozen dataclass: equal
+        # only to a result of equal fields, never to a plain tuple
+        r = outage_point(fig1_template(), "spa")
+        with pytest.raises(AttributeError):
+            r.p_out = 0.5
+        same = OutageResult(r.q_db, r.q_linear, r.p_out, "spa", r.t_hat, r.iterations,
+                            r.near_mean, r.clamped)
+        assert r == same and not r != same and hash(r) == hash(same)
+        values = (r.q_db, r.q_linear, r.p_out, "spa", r.t_hat, r.iterations, r.near_mean,
+                  r.clamped, None, None)
+        assert r != values and not r == values
+        assert r != OutageResult(r.q_db, r.q_linear, r.p_out + 1.0, "spa", r.t_hat)
+        assert OutageResult(0.0, 1.0, 0.5, "gil_pelaez") == OutageResult(
+            0.0, 1.0, 0.5, "gil_pelaez", None, None, False, False, None, None)
 
 
 class TestOutageCurve:
@@ -349,19 +364,20 @@ class TestWarmStart:
         # the fourth point, then from a budget that two points of a fig3
         # curve exceed (fig1's points all meet it from their exact start)
         grid = ThresholdGrid(-6.0, 6.0, 1.5)
-        tails = [0]
-        tail = saddlepoint._tail
+        solves = []
+        solutions = saddlepoint._solutions
 
-        def fail_fourth(*args):
-            tails[0] += 1
-            if tails[0] == 4:
-                raise DivergedSolver("forced")
-            return tail(*args)
+        def fail_fourth(blk, x, cfg):
+            solves.append(len(x))
+            t, w, u, iterations, converged, *flags = solutions(blk, x, cfg)
+            converged[3] = False
+            return (t, w, u, iterations, converged, *flags)
 
-        monkeypatch.setattr(saddlepoint, "_tail", fail_fourth)
+        monkeypatch.setattr(saddlepoint, "_solutions", fail_fourth)
         results = outage_curve(fig1_template(), grid, "spa")
         monkeypatch.undo()
-        assert tails == [9] and results[3].error == "DivergedSolver: forced"
+        assert solves == [9]
+        assert results[3].error.startswith("DivergedSolver: saddle solver did not converge")
         assert [r.error for r in results].count(None) == 8
         for r in results[:3] + results[4:]:
             assert r == outage_point(replace(fig1_template(), threshold_q=r.q_linear), "spa",

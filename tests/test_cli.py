@@ -8,14 +8,17 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sirspa import (
     CompositeCgf,
     GaussianTest,
     Hoyt,
+    MonteCarloConfig,
     NakagamiM,
     OutageResult,
     QuadratureConfig,
@@ -23,9 +26,12 @@ from sirspa import (
     Rician,
     SolverConfig,
     analysis,
+    build_composite,
     cli,
+    outage_point,
+    saddlepoint,
 )
-from sirspa.analysis import db_to_linear
+from sirspa.analysis import db_to_linear, error_result
 from sirspa.cli import (
     CAPACITY_HEADER,
     EXIT_COMPARE,
@@ -36,7 +42,8 @@ from sirspa.cli import (
     main,
 )
 from sirspa.config import load_config
-from sirspa.exceptions import ConfigError, DivergedSolver, SirspaError
+from sirspa.exceptions import ConfigError, DivergedSolver, InvalidScenario, SirspaError
+from sirspa.saddlepoint import ccdf_block
 
 from conftest import CONFIG_DIR
 
@@ -202,6 +209,35 @@ class TestConfigLoading:
 
 
 class TestOutageCommand:
+    def test_clamped_rows(self, tmp_path, monkeypatch):
+        # synthetic solves whose Lugannani-Rice value lies above 1 or below 0
+        # are clamped to 1.0 or 0.0 and marked so, in the rows and in the CSV;
+        # the last row's value, 0.159, stands as it is
+        ws, us = [-1.0, 1.0, 2.0, -2.0, 1.0], [1.0, -1.0, 0.01, -0.01, 1.0]
+        raw = [0.5 * math.erfc(w / math.sqrt(2.0))
+               + math.exp(-0.5 * w * w) / math.sqrt(2.0 * math.pi) * (1.0 / u - 1.0 / w)
+               for w, u in zip(ws, us)]
+        assert [p > 1.0 for p in raw] == [True, False, True, False, False]
+        assert [p < 0.0 for p in raw] == [False, True, False, True, False]
+
+        def synthetic(blk, x, cfg):
+            n = len(x)
+            w, no = np.array(ws[:n]), np.zeros(n, dtype=bool)
+            return w, w, np.array(us[:n]), np.ones(n, dtype=int), ~no, no, no, no
+
+        monkeypatch.setattr(saddlepoint, "_solutions", synthetic)
+        cfg_path = write_config(tmp_path, base_config())
+        template = load_config(cfg_path).curves[0].template
+        rows = ccdf_block(build_composite(template), [1.0] * 5, [0.0] * 5)
+        assert [r[0] for r in rows] == [1.0, 0.0, 1.0, 0.0, raw[4]]
+        assert [r[6] for r in rows] == [True, True, True, True, False]
+        out = tmp_path / "out.csv"
+        assert main(["outage", cfg_path, "--method", "spa", "--output", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            csv_rows = list(csv.DictReader(fh))
+        assert [r["p_out"] for r in csv_rows] == ["1.0", "0.0", "1.0", "0.0", repr(raw[4])]
+        assert [r["clamped"] for r in csv_rows] == ["true"] * 4 + ["false"]
+
     def test_csv_output(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out.csv"
@@ -367,8 +403,40 @@ class TestCapacityCommand:
             "methods 'spa'/'gil_pelaez', got 'closed_form'"]
 
 
+def _fmt(value) -> str:
+    """A CSV field: None empty, bools true/false, ints str and floats repr."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _rayleigh_at(q_db):
+    template = load_config(CONFIG_DIR / "rayleigh_pair.json").curves[0].template
+    return replace(template, threshold_q=db_to_linear(q_db))
+
+
+# one outage row of each kind; at 0 dB the Rayleigh pair's spa row is near the mean
+OUTAGE_ROWS = {
+    "spa": lambda: outage_point(_rayleigh_at(0.0), "spa", q_db=0.0),
+    "gil_pelaez": lambda: outage_point(_rayleigh_at(3.0), "gil_pelaez", q_db=3.0),
+    "monte_carlo": lambda: outage_point(_rayleigh_at(3.0), "monte_carlo", q_db=3.0,
+                                        monte_carlo=MonteCarloConfig(2000, 1, 4)),
+    "closed_form": lambda: outage_point(_rayleigh_at(3.0), "closed_form", q_db=3.0),
+    "failed": lambda: error_result(1550.0, db_to_linear(1550.0), "spa",
+                                   InvalidScenario("overflow")),
+    "special_floats": lambda: OutageResult(-0.0, 5e-324, math.nan, "spa", math.inf, 0,
+                                           True, True, 1e300),
+    "more_special_floats": lambda: OutageResult(1e300, math.inf, -0.0, "gil_pelaez",
+                                                -math.inf, None, False, True, 5e-324),
+}
+
+
 class TestCsvFields:
-    # _fmt writes repr(value) for floats, and under numpy 2 the repr of a
+    # floats are written as their repr, and under numpy 2 the repr of a
     # numpy scalar is its constructor, np.float64(...): every number must
     # reach the CSV as a plain Python float or int
     def check(self, path, floats, ints=()):
@@ -395,6 +463,16 @@ class TestCsvFields:
         assert main(["capacity", str(CONFIG_DIR / "rayleigh_pair.json"), "--output", str(out),
                      "--method", "spa,gil_pelaez"]) == EXIT_OK
         self.check(out, ("capacity_bits", "error_estimate"))
+
+    @pytest.mark.parametrize("kind", OUTAGE_ROWS)
+    def test_outage_row_bytes(self, kind):
+        # each field of an outage row is written by the rules of _fmt above
+        r = OUTAGE_ROWS[kind]()
+        expected = ",".join(["c0-L1", _fmt(r.q_db), _fmt(r.q_linear), r.method,
+                             _fmt(r.p_out), _fmt(r.t_hat), _fmt(r.iterations),
+                             _fmt(r.near_mean), _fmt(r.clamped), _fmt(r.error_estimate)])
+        assert cli._outage_row("c0-L1", r) == expected
+        assert len(expected.split(",")) == len(OUTAGE_HEADER.split(","))
 
 
 class TestCompareCommand:
@@ -449,6 +527,17 @@ class TestCompareCommand:
             f"FAILED tiny {method} q_db={q_db}" for method in ("spa", "gil_pelaez")
             for q_db in (-4, -2, 0, 2, 4)]
         assert all("InvalidScenario: threshold q=" in l for l in failed)
+
+    def test_point_without_composite_is_outside_the_band(self, tmp_path, capsys):
+        # at 1550 dB the cumulants of q * I - S overflow, so no composite is
+        # built there for the breakdown band; both methods succeed with p = 1
+        cfg = base_config(grid={"start_db": 1550.0, "stop_db": 1550.0, "step_db": 1.0},
+                          monte_carlo={"samples": 2000, "seed": 1, "batches": 4})
+        assert main(["compare", write_config(tmp_path, cfg),
+                     "--method", "monte_carlo,closed_form"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1:] == ["pair,monte_carlo,closed_form,0.0,0.0,0.01,true"]
 
     def test_single_method_exit_config(self, tmp_path, capsys):
         cfg = base_config(methods=["spa"])
@@ -615,6 +704,18 @@ class TestCompareBound:
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
         assert len(moves) == 2 * 5
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # the Gauss-Legendre rule is computed on first use, so a run that does
+    # not integrate never imports numpy.polynomial
+    code = "import sys, sirspa.cli; print('numpy.polynomial' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_runtime_imports_no_scipy(tmp_path):

@@ -291,8 +291,9 @@ class TestTwoPoleStart:
         c = build_composite(SirScenario(desired=d, interferers=(NakagamiM(m=0.5, mean_power=1.0),),
                                         threshold_q=1.0))
         qs = 2.0 ** np.linspace(54.8, 64.0, 2000) - 1.0
-        for q, (_, sol) in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
-            assert sol.converged and c.at(q).strip.contains(sol.t_hat), q
+        # a row that did not converge would be a DivergedSolver, not a tuple
+        for q, row in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
+            assert isinstance(row, tuple) and c.at(q).strip.contains(row[1]), q
 
 
 class TestLugannaniRice:
@@ -460,7 +461,7 @@ class TestCcdf:
                                         interferers=(GaussianTest(1e-160, 1e-300),),
                                         threshold_q=1.0))
         ok, underflow = ccdf_block(c, [1.0, 1e-30], [0.0, 0.0])
-        assert ok[0] == pytest.approx(0.5) and ok[1].converged
+        assert isinstance(ok, tuple) and ok[0] == pytest.approx(0.5)
         assert isinstance(underflow, InvalidScenario)
         assert str(underflow) == "threshold q=1e-30 underflows the variance of q * I - S to 0"
 

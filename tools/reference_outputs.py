@@ -8,11 +8,12 @@ The tree is the working directory, so one copy of this script serves any
 tree, an older one without it too. It runs ``sirspa.cli.main`` in this
 process, from that tree's ``src`` and with its ``configs``, for
 ``outage`` on fig1-fig4, ``capacity`` on rayleigh_pair (with the configured
-methods and with ``--method spa,gil_pelaez``) and ``compare`` on fig4, and
-three runs that fail points: ``outage`` on fig2 with ``--method closed_form``,
-``capacity`` on rayleigh_pair and ``compare`` on fig2, each with
-``--method spa,closed_form``. Each
-run writes its CSV into OUTDIR through ``--output``, and its stdout, stderr
+methods and with ``--method spa,gil_pelaez``), ``compare`` on fig4,
+``outage`` on rayleigh_pair with every method (its 0 dB point is a
+near-mean ``spa`` row), and three runs that fail points: ``outage`` on fig2
+with ``--method closed_form``, ``capacity`` on rayleigh_pair and
+``compare`` on fig2, each with ``--method spa,closed_form``. Each run
+writes its CSV into OUTDIR through ``--output``, and its stdout, stderr
 and exit code beside it, as ``<name>.stdout``, ``<name>.stderr`` and
 ``<name>.exit``. Nothing is written at the root of the tree. Two trees give
 the same outputs when ``diff -r`` finds no difference between their OUTDIRs.
@@ -37,6 +38,8 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("capacity_rayleigh_pair_spa_gil_pelaez", ["capacity"], "rayleigh_pair",
      ["--method", "spa,gil_pelaez"]),
     ("compare_fig4", ["compare"], "fig4", []),
+    ("outage_rayleigh_pair_all_methods", ["outage"], "rayleigh_pair",
+     ["--method", "spa,gil_pelaez,monte_carlo,closed_form"]),
     # failure paths: closed_form fails on every fig2 point (Rician signals)
     # and has no capacity
     ("outage_fig2_closed_form", ["outage"], "fig2", ["--method", "closed_form"]),
