@@ -3,9 +3,9 @@
 For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
-by -1, with atoms of the same shape and scale merged into one. A curve builds
-them once and moves them to each q (``at``), or to all of its q at once
-(``block``) for the saddle-point solve.
+by -1, the atoms of one shape and scale on either side merged into one. A
+curve lays them out once, each shape's sorted by scale, and moves that
+layout to each q (``at``), or to all of its q at once (``block``).
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidScenario
-from .fading import (
-    AtomBlock,
-    PowerDistribution,
-    atoms_cumulant,
-    atoms_strip,
-    characteristic_function,
-    merge_atoms,
-)
+from .fading import (AtomBlock, PowerDistribution, Strip, _characteristic_function, _layout_of,
+                     _moments, _strip_edges, merge_atoms)
+
+
+def _invalid_threshold(q, variance: float) -> InvalidScenario:
+    """The error of a threshold whose mean or variance is not finite, or 0."""
+    if variance == 0.0:
+        return InvalidScenario(f"threshold q={q!r} underflows the variance of q * I - S to 0")
+    return InvalidScenario(f"threshold q={q!r} overflows the cumulants of q * I - S")
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,9 @@ class SirScenario:
 class CompositeCgf:
     """CGF of q * sum(interferers) - desired, with derivatives, strip and CF.
 
-    Immutable; all evaluation methods are pure. Only the mean and variance
-    are exactly rounded; K and its derivatives at t are the row of
-    ``block([q])``, which sorts each shape's atoms by scale, so results do
-    not depend on interferer order.
+    Immutable; all evaluation methods are pure. The strip, mean, variance
+    and CF are read from the layout at q, and K and its derivatives at t
+    from the row of ``block([q])``; neither depends on interferer order.
     """
 
     def __init__(self, desired: PowerDistribution,
@@ -60,15 +60,7 @@ class CompositeCgf:
         self.interferers = tuple(interferers)
         self._unit = merge_atoms(tuple([a for d in self.interferers for a in d.atoms()]))
         self._signal = merge_atoms(tuple([a.scaled(-1.0) for a in desired.atoms()]))
-        # per shape: weights and unit scales, interferers' (sorted) then the
-        # signal's, and which of them scale with q
-        self._shapes = {}
-        for f in dict.fromkeys(a.shape for a in self._unit + self._signal):
-            unit = sorted((s, w) for g, w, s in self._unit if g is f)
-            signal = sorted((s, w) for g, w, s in self._signal if g is f)
-            self._shapes[f] = (np.array([w for _, w in unit + signal]),
-                               np.array([s for s, _ in unit + signal]),
-                               np.arange(len(unit) + len(signal)) < len(unit))
+        self._shapes = _layout_of(self._unit + self._signal)  # at q = 1
         self._place(q)
 
     def at(self, q: float) -> "CompositeCgf":
@@ -81,24 +73,25 @@ class CompositeCgf:
         c._place(q)
         return c
 
+    def _layout_at(self, qs) -> dict:
+        """The layout at each threshold of ``qs``: the interferers' (positive) scales times q."""
+        qs = np.asarray(qs, dtype=float)[:, None]
+        return {f: (w, s * np.where(s > 0.0, qs, 1.0)) for f, (w, s) in self._shapes.items()}
+
     def _place(self, q: float) -> None:
-        self.q, scale = q, float(q)
-        # a list, not a generator: a tuple grown from a generator is resized, and
-        # once freed it swells a free list it never came from (~2 MB over a run)
-        atoms = [a.scaled(scale) for a in self._unit] + list(self._signal)
-        self.atoms = merge_atoms(tuple(atoms))
-        self.strip = atoms_strip(self.atoms)
-        try:
-            self.mean = atoms_cumulant(self.atoms, 1)
-            self.variance = atoms_cumulant(self.atoms, 2)
-            finite = math.isfinite(self.mean) and math.isfinite(self.variance)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise InvalidScenario(
-                f"threshold q={q!r} overflows the cumulants of q * I - S")
-        if not self.variance > 0.0:
-            raise InvalidScenario(f"threshold q={q!r} underflows the variance of q * I - S to 0")
+        self.q = q
+        self._layout = layout = self._layout_at([q])
+        with np.errstate(all="ignore"):
+            mean, variance, valid, _ = _moments(layout)
+        if not valid[0]:
+            raise _invalid_threshold(q, variance.item())
+        self.mean, self.variance = mean.item(), variance.item()
+        # a list, not a generator: a tuple grown from one swells a free list (~2 MB a run)
+        self.atoms = tuple([a.scaled(float(q)) for a in self._unit]) + self._signal
+
+    @cached_property
+    def strip(self) -> Strip:
+        return Strip(*[edge.item() for edge in _strip_edges(self._layout)])
 
     @property
     def in_breakdown(self) -> bool:
@@ -122,24 +115,18 @@ class CompositeCgf:
     def k2(self, t: float) -> float:
         return self._at(2, t)
 
-    def d3(self, t: float) -> float:
-        return self._at(3, t)
-
     def eval(self, t: float) -> tuple[float, float]:
         """(K'(t), K''(t))."""
         return self.k1(t), self.k2(t)
 
     def block(self, qs) -> AtomBlock:
         """The composite at every threshold of ``qs`` as one block: row i holds
-        the atoms of ``at(qs[i])`` (each interferer atom's scale times q_i,
-        each signal atom as it is), grouped by shape."""
-        qs = np.asarray(qs, dtype=float)[:, None]
-        return AtomBlock({f: (w, s * np.where(scaled, qs, 1.0))
-                          for f, (w, s, scaled) in self._shapes.items()})
+        the atoms of ``at(qs[i])``."""
+        return AtomBlock(self._layout_at(qs))
 
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""
-        return characteristic_function(self.atoms, t)
+        return _characteristic_function(self._layout, t)
 
 
 def build_composite(s: SirScenario) -> CompositeCgf:

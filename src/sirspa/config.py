@@ -10,6 +10,7 @@ dataclass's ``__post_init__`` checks its own domain. Every error is a
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -31,6 +32,7 @@ _FAMILIES = {
     "gaussian": (GaussianTest, "mean_mw", "variance_mw2"),
 }
 _KINDS = {float: "finite number", int: "whole number", str: "non-empty string"}
+_hints = functools.cache(typing.get_type_hints)  # a dataclass's field types, once per class
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def _build(cls, raw, where: str, **parsed):
     spec = _object(raw, where, [f.name for f in fields
                                 if f.default is f.default_factory is dataclasses.MISSING],
                    [f.name for f in fields])
-    kinds = typing.get_type_hints(cls)
+    kinds = _hints(cls)
     try:
         return cls(**{k: _value(spec, k, where, kinds[k]) for k in spec if k not in parsed},
                    **parsed)

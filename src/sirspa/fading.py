@@ -8,11 +8,12 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 - linear: f(u) = u;
 - quadratic: f(u) = u**2 / 2.
 
-The CGF, its derivatives, the strip of the MGF and the cumulants all
-follow from a family's ``atoms()``. ``AtomBlock``, the one evaluator of K
-and its derivatives at t, holds many sums at once, one row per sum; the
-scalar CGF methods are blocks of one row. Only the cumulants at 0 are
-exactly rounded (``atoms_cumulant``). The characteristic function
+Everything follows from a family's ``atoms()``, read in one layout: per
+shape, in a fixed order, its weights and a (rows x atoms) matrix of scales
+sorted by scale, one sum per row. The strip, the mean and variance with their
+validity, and the characteristic function each have one function over it.
+``AtomBlock``, the one evaluator of K and its derivatives at t, holds many
+rows. Only the mean is exactly rounded. The characteristic function
 M(jt) = exp(sum of weight * f(j*scale*t)) takes each f(j*u) as its real
 and imaginary parts in real arithmetic: -log1p(u**2) / 2 and arctan(u) for
 gamma, -u**2 / (1 + u**2) and u / (1 + u**2) for noncentral, 0 and u for
@@ -142,56 +143,19 @@ class Atom(NamedTuple):
 
 def atoms_cumulant(atoms, n: int) -> float:
     """n-th cumulant, K^(n)(0) for n >= 1, of the sum of ``atoms``: their
-    weight * scale**n * f^(n)(0), exactly rounded, so in any order."""
-    return math.fsum([w * s ** n * f(n) for f, w, s in atoms])
+    weight * scale**n * f^(n)(0), exactly rounded, so in any order. An atom
+    whose f^(n)(0) is 0 adds nothing, however large its scale**n."""
+    return math.fsum([w * s ** n * f(n) for f, w, s in atoms if f(n)])
 
 
 def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
     """Atoms of the same shape and scale merged into one, their weights added
     (exactly rounded): a sum of such atoms is one atom of the summed weight.
-
-    Without two atoms of one (shape, scale) the tuple is returned as it is.
-    """
-    if len({(a.shape, a.scale) for a in atoms}) == len(atoms):
-        return atoms
+    The rest keep their order and weight."""
     weights: dict[tuple, list[float]] = {}
     for f, w, s in atoms:
         weights.setdefault((f, s), []).append(w)
     return tuple([Atom(f, math.fsum(ws), s) for (f, s), ws in weights.items()])
-
-
-def characteristic_function(atoms, t):
-    """M(jt) of the sum of ``atoms`` for real scalar or array t: the real and
-    imaginary parts of every w * f(j*s*t), summed in real arithmetic, then
-    one complex exp. The atoms of one shape are evaluated as one
-    (atoms x nodes) block.
-
-    Underflow is ignored: a term below 1e-300, or M(jt) itself rounding to 0
-    at large t. No finite t gives a NaN: where s*t overflows, each shape
-    takes its limit at |u| = inf.
-    """
-    t = np.asarray(t, dtype=float)
-    nodes = t.ravel()
-    log_cf = np.zeros(nodes.shape, dtype=complex)
-    with np.errstate(under="ignore"):
-        for shape, jt in _JT.items():
-            ws = [(w, s) for f, w, s in atoms if f is shape]
-            if not ws:
-                continue
-            w, s = np.array(ws).T
-            with np.errstate(over="ignore"):  # |s*t| = inf takes each kernel's limit
-                u = np.multiply.outer(s, nodes)
-            re, im = jt(u)
-            log_cf.real += np.einsum("a,an->n", w, re)
-            log_cf.imag += np.einsum("a,an->n", w, im)
-        return np.exp(log_cf.reshape(t.shape))
-
-
-def atoms_strip(atoms) -> Strip:
-    """Convergence strip of a sum of atoms: bounded by the nearest poles."""
-    poles = [1.0 / a.scale for a in atoms if a.shape in _POLAR]
-    return Strip(max((p for p in poles if p < 0.0), default=-math.inf),
-                 min((p for p in poles if p > 0.0), default=math.inf))
 
 
 # The kernels of the shapes with a pole, elementwise on arrays of u: the
@@ -239,11 +203,70 @@ _KERNELS = {gamma: (_gamma_k, _gamma_whole, _gamma_12),
             noncentral: (_noncentral_k, _noncentral_whole, _noncentral_12)}
 
 
+# Sums of atoms in one layout, {shape: (weights, scales[rows, atoms])}, one
+# sum per row, and their quantities; a shape without the quantity adds a
+# block of no atoms.
+def _layout_of(atoms) -> dict:
+    """``atoms`` as a one-row layout, the shapes in the order of ``_JT`` and
+    each shape's atoms sorted by scale: the positive scales (an
+    interferer's) first, then the negative ones."""
+    ordered = sorted(atoms, key=lambda a: (a.scale < 0.0, a.scale, a.weight))
+    return {f: (np.array([w for g, w, _ in ordered if g is f]),
+                np.array([[s for g, _, s in ordered if g is f]]))
+            for f in _JT if any(a.shape is f for a in atoms)}
+
+
+def _strip_edges(layout):
+    """Each row's strip (lower, upper), bounded by the poles 1/s of its gamma
+    and noncentral atoms nearest to 0; a zero scale's pole bounds nothing."""
+    with np.errstate(divide="ignore"):
+        poles = np.concatenate([1.0 / s if f in _POLAR else s[:, :0]
+                                for f, (w, s) in layout.items()], axis=1)
+    return (np.maximum.reduce(np.where(poles < 0.0, poles, -np.inf), axis=1, initial=-np.inf),
+            np.minimum.reduce(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf))
+
+
 def _fsum_row(terms: list) -> float:
     try:
         return math.fsum(terms)
     except (OverflowError, ValueError):  # a term or a partial sum left the float range
         return math.nan
+
+
+def _moments(layout):
+    """Each row's mean and variance, whether both are finite with a variance
+    above 0, and every atom's share of the mean, w*s, as one (rows x atoms)
+    matrix. The mean sums the shares exactly rounded, nan where they overflow
+    (the caller silences overflow); the variance is numpy's sum of
+    f''(0) * w * s**2, shape by shape, quadratic first."""
+    slopes = np.concatenate([w * s if f(1) else s[:, :0] for f, (w, s) in layout.items()], axis=1)
+    variance = 0.0
+    for f in (quadratic, gamma, noncentral):  # linear atoms add nothing
+        if f in layout:
+            w, s = layout[f]
+            variance = variance + np.add.reduce(f(2) * (w * (s * s)), axis=1)
+    mean = np.array([_fsum_row(r) for r in slopes.tolist()])
+    return mean, variance, np.isfinite(mean) & np.isfinite(variance) & (variance > 0.0), slopes
+
+
+def _characteristic_function(layout, t):
+    """M(jt) of the one-row sum ``layout`` for real scalar or array t: the
+    real and imaginary parts of every w * f(j*s*t), a shape's atoms as one
+    (atoms x nodes) block, summed in real arithmetic, then one complex exp.
+
+    Underflow is ignored: a term below 1e-300, or M(jt) itself rounding to 0
+    at large t. No finite t gives a NaN: where s*t overflows, each shape
+    takes its limit at |u| = inf.
+    """
+    t = np.asarray(t, dtype=float)
+    nodes = t.ravel()
+    log_cf = np.zeros(nodes.shape, dtype=complex)
+    with np.errstate(under="ignore", over="ignore"):  # |s*t| = inf takes each limit
+        for shape, (w, s) in layout.items():
+            re, im = _JT[shape](np.multiply.outer(s[0], nodes))
+            log_cf.real += np.einsum("a,an->n", w, re)
+            log_cf.imag += np.einsum("a,an->n", w, im)
+        return np.exp(log_cf.reshape(t.shape))
 
 
 class AtomBlock:
@@ -270,27 +293,16 @@ class AtomBlock:
         with np.errstate(all="ignore"):
             self._blocks = [(f, *_KERNELS[f], w, s, w * s, w * (s * s))
                             for f, (w, s) in blocks.items() if f in _KERNELS]
-            slopes = [(w * s, (s > 0.0) & (f in _POLAR)) for f, (w, s) in blocks.items()
-                      if f(1)] or [(no_atoms[1], no_atoms[1] > 0.0)]
-            slopes, plus = (np.concatenate(a, axis=1) for a in zip(*slopes))
-            self.mean = np.array([_fsum_row(r) for r in slopes.tolist()])
+            self.mean, self.variance, self.finite, slopes = _moments(blocks)
+            self.lower, self.upper = _strip_edges(blocks)
             self._quadratic = blocks.get(quadratic, no_atoms)
             w, s = self._quadratic
             self._curvature = np.add.reduce(w * (s * s), axis=1)
             w, s = blocks.get(linear, no_atoms)
             self._linear_mean = np.add.reduce(w * s, axis=1)
-            poles = np.concatenate([1.0 / s for f, (w, s) in blocks.items() if f in _POLAR]
-                                   or [no_atoms[1]], axis=1)
-            self.lower = np.max(np.where(poles < 0.0, poles, -np.inf), axis=1, initial=-np.inf)
-            self.upper = np.min(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf)
-            # K''(0) from each shape's kernel at u = 0, not through ``k12``:
-            # the solve's evaluations of K' and K'' are all its own
-            self.variance = self._curvature
-            for _, _, _, d12, w, s, ws, ws2 in self._blocks:
-                self.variance = self.variance + np.add.reduce(
-                    d12(np.zeros_like(s), ws, ws2)[1], axis=1)
+            plus = np.concatenate([(s > 0.0) & (f in _POLAR) if f(1) else s[:, :0] > 0.0
+                                   for f, (w, s) in blocks.items()], axis=1)
             self.two_pole = self._two_pole(np.where(plus, slopes, 0.0), slopes)
-        self.finite = np.isfinite(self.mean) & np.isfinite(self.variance) & (self.variance > 0.0)
         self._whole = None  # no row sums whole atoms
 
     def _two_pole(self, plus, slopes):
@@ -386,23 +398,24 @@ class PowerDistribution:
     def atoms(self) -> tuple[Atom, ...]:
         raise NotImplementedError
 
-    def strip(self) -> Strip:
-        return atoms_strip(self.atoms())
-
-    @property
-    def mean(self) -> float:
-        return atoms_cumulant(self.atoms(), 1)
-
-    @property
-    def variance(self) -> float:
-        return atoms_cumulant(self.atoms(), 2)
+    @cached_property
+    def _layout(self) -> dict:
+        return _layout_of(self.atoms())
 
     @cached_property
     def _row(self) -> AtomBlock:
-        atoms = self.atoms()
-        return AtomBlock({f: (np.array([w for g, w, _ in atoms if g is f]),
-                              np.array([[s for g, _, s in atoms if g is f]]))
-                          for f in dict.fromkeys(a.shape for a in atoms)})
+        return AtomBlock(self._layout)
+
+    def strip(self) -> Strip:
+        return Strip(self._row.lower.item(), self._row.upper.item())
+
+    @property
+    def mean(self) -> float:
+        return self._row.mean.item()
+
+    @property
+    def variance(self) -> float:
+        return self._row.variance.item()
 
     def _at(self, n: int, t: float) -> float:
         self.strip().require(t)
@@ -417,12 +430,9 @@ class PowerDistribution:
     def cgf_d2(self, t: float) -> float:
         return self._at(2, t)
 
-    def cgf_d3(self, t: float) -> float:
-        return self._at(3, t)
-
     def characteristic_function(self, t):
         """M(jt) for real scalar or array t, from ``atoms()``."""
-        return characteristic_function(self.atoms(), t)
+        return _characteristic_function(self._layout, t)
 
     def sample(self, rng: np.random.Generator, size=None):
         """Draw power samples whose population MGF equals the family MGF."""

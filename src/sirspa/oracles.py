@@ -101,8 +101,8 @@ def _u_of_v(v: np.ndarray) -> np.ndarray:
 
 def _initial_edges(atoms, sigma: float) -> np.ndarray:
     edges = set(_UNIFORM_EDGES.tolist())
-    for u in {sigma / abs(a.scale) for a in atoms}:
-        # a scale beyond the floating-point range has no panel to cut
+    for u in {sigma / abs(a.scale) for a in atoms if a.scale}:
+        # a zero scale, or one beyond the floating-point range, has no panel to cut
         if not 0.0 < u < math.inf or 1.0 / _BULK <= u <= _BULK:
             continue
         # ladder steps from u_s back to the edge of the bulk

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import CompositeCgf
+from .composite import CompositeCgf, _invalid_threshold
 from .exceptions import DivergedSolver, InvalidScenario, NoSaddleInStrip, SirspaError
 from .fading import AtomBlock, atoms_cumulant
 
@@ -251,10 +251,8 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
     blk = c.block(qs)
     valid, failed = blk.finite, None
     if not valid.all():
-        failed = [None if ok else InvalidScenario(
-            f"threshold q={q!r} underflows the variance of q * I - S to 0" if zero else
-            f"threshold q={q!r} overflows the cumulants of q * I - S")
-            for q, ok, zero in zip(qs.tolist(), valid.tolist(), (blk.variance == 0.0).tolist())]
+        failed = [None if ok else _invalid_threshold(q, v)
+                  for q, ok, v in zip(qs.tolist(), valid.tolist(), blk.variance.tolist())]
         qs, x = qs[valid], x[valid]
         blk = c.block(qs)
     t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)

@@ -238,6 +238,49 @@ class TestOutageCommand:
         assert [r["p_out"] for r in csv_rows] == ["1.0", "0.0", "1.0", "0.0", repr(raw[4])]
         assert [r["clamped"] for r in csv_rows] == ["true"] * 4 + ["false"]
 
+    def test_zero_scale_interferer(self, tmp_path, capsys):
+        # a -2000 dBm interferer at q = -1500 dB: its scale q * s underflows
+        # to 0, an atom without a pole that adds nothing, and the outage is ~0
+        cfg = base_config(grid={"start_db": -1500.0, "stop_db": -1500.0, "step_db": 1.0},
+                          methods=["spa", "gil_pelaez", "closed_form", "monte_carlo"],
+                          monte_carlo={"samples": 10000, "seed": 1, "batches": 2})
+        cfg["curves"][0]["interferers"] = [nakagami(1.0, -2000.0)]
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, cfg), "--output", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["spa", "gil_pelaez", "closed_form", "monte_carlo"]
+        assert all(abs(float(r["p_out"])) <= 1e-9 for r in rows)
+
+    def test_linear_atom_at_a_huge_scale(self, tmp_path):
+        # a Gaussian signal of variance 1e-208 at its mean: its skewness
+        # term scales the linear atom by 1/sigma = 1e104, whose cube overflows
+        cfg = base_config(grid={"start_db": 0.0, "stop_db": 0.0, "step_db": 1.0},
+                          methods=["spa", "gil_pelaez"])
+        cfg["curves"][0].update(
+            desired={"family": "gaussian", "mean_mw": 1e-90, "variance_mw2": 1e-208},
+            interferers=[nakagami(1.0, -2000.0)], noise_power_dbm=-900.0)
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, cfg), "--output", str(out)]) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["method"], r["near_mean"]) for r in rows] == [
+            ("spa", "true"), ("gil_pelaez", "false")]
+        assert all(float(r["p_out"]) == pytest.approx(0.5, abs=1e-9) for r in rows)
+
+    def test_gil_pelaez_rows_do_not_depend_on_interferer_order(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "fig4.json").read_text())
+        cfg.pop("output")
+        outputs = []
+        for name in ("fig4", "reversed"):
+            out = tmp_path / f"{name}.csv"
+            assert main(["outage", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--method", "gil_pelaez", "--output", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+            for curve in cfg["curves"]:
+                curve["interferers"].reverse()
+        assert outputs[0] == outputs[1]
+
     def test_csv_output(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
         out = tmp_path / "out.csv"

@@ -1,5 +1,6 @@
 """Saddle solver and Lugannani-Rice tail: roots, branches, exactness."""
 
+import itertools
 import math
 from dataclasses import fields, replace
 
@@ -382,6 +383,15 @@ class TestBreakdownBranch:
                                         threshold_q=1.0))
         assert abs(ccdf_at_mean(c) - 0.5542891679892133) <= 1e-15  # its value at 1e100 mW
 
+    def test_linear_atom_at_a_huge_scale(self):
+        # a signal of mean 1e-90 and variance 1e-208 over an interferer that
+        # adds nothing: scaled by 1/sigma = 1e104, the Gaussian's atoms have
+        # a scale**3 beyond the float range, but they add 0 to kappa3
+        c = build_composite(SirScenario(desired=GaussianTest(mu=1e-90, sigma2=1e-208),
+                                        interferers=(NakagamiM(m=1.0, mean_power=1e-200),),
+                                        threshold_q=1.0))
+        assert ccdf_at_mean(c) == 0.5
+
     def test_anchors_round_to_the_mean_at_huge_variance(self):
         # both anchors round to the mean, whose skewness term raised an
         # OverflowError from kappa2**1.5
@@ -437,6 +447,17 @@ class TestBreakdownBranch:
 
 
 class TestCcdf:
+    def test_rows_do_not_depend_on_interferer_order(self):
+        # a Gaussian-family interferer beside gamma and noncentral ones: the
+        # shapes of every order are laid out alike, so the rows are the same
+        ints = (GaussianTest(mu=0.92, sigma2=0.05), NakagamiM(m=0.67, mean_power=0.41),
+                Rician(r=1.57, mean_power=0.44))
+        rows = [ccdf_block(build_composite(SirScenario(Rician(r=2.38, mean_power=9.17),
+                                                       order, threshold_q=1.0)),
+                           [0.1, 0.3, 1.0, 3.0], [0.0] * 4)
+                for order in itertools.permutations(ints)]
+        assert all(r == rows[0] for r in rows)
+
     def test_monotone_and_limits(self):
         c = gaussian_composite(mu=0.0, sigma2=1.0)
         xs = np.linspace(-8.0, 8.0, 100)

@@ -17,20 +17,26 @@ writes its CSV into OUTDIR through ``--output``, and its stdout, stderr
 and exit code beside it, as ``<name>.stdout``, ``<name>.stderr`` and
 ``<name>.exit``. Nothing is written at the root of the tree. Two trees give
 the same outputs when ``diff -r`` finds no difference between their OUTDIRs.
+
+    python3 tools/reference_outputs.py OUTDIR --against OLDDIR
+
+compares two such directories instead of writing one, and needs no source
+tree. For each CSV table (the ``.csv`` files, and ``compare``'s table on
+stdout) and each method in it, it prints how many rows differ and the
+largest |difference| of each value column (``p_out``, ``capacity_bits``,
+``max_abs_dev``, ``mean_abs_dev`` and ``error_estimate``); rows are matched
+by position. Every other file is reported only when its bytes differ.
 """
 
 import contextlib
+import csv
 import io
+import math
 import sys
 from pathlib import Path
 
 ROOT = Path.cwd()
-if not (ROOT / "src" / "sirspa").is_dir():
-    sys.exit(f"{ROOT} is not the root of a sirspa source tree")
-sys.path.insert(0, str(ROOT / "src"))
-
-import sirspa  # noqa: E402
-from sirspa.cli import main  # noqa: E402
+VALUES = ("p_out", "capacity_bits", "max_abs_dev", "mean_abs_dev", "error_estimate")
 
 # (name, arguments before the config, config, arguments after it)
 RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
@@ -50,6 +56,12 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
 
 
 def run(outdir: Path) -> None:
+    if not (ROOT / "src" / "sirspa").is_dir():
+        sys.exit(f"{ROOT} is not the root of a sirspa source tree")
+    sys.path.insert(0, str(ROOT / "src"))
+    import sirspa
+    from sirspa.cli import main
+
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"sirspa from {Path(sirspa.__file__).parent}")
     for name, command, config, extra in RUNS:
@@ -64,7 +76,55 @@ def run(outdir: Path) -> None:
         print(f"{name}: exit {code}")
 
 
+def _table(path: Path):
+    """The rows of a CSV table as dicts, or None for any other file."""
+    text = path.read_text()
+    return list(csv.DictReader(io.StringIO(text))) if text.startswith("curve,") else None
+
+
+def _method(row: dict) -> str:
+    return row["method"] if "method" in row else f"{row['method_a']},{row['method_b']}"
+
+
+def _delta(old: str, new: str) -> float:
+    if old == new:
+        return 0.0
+    try:
+        d = abs(float(new) - float(old))
+    except ValueError:  # an empty field on one side only
+        return math.inf
+    return math.inf if math.isnan(d) else d
+
+
+def against(newdir: Path, olddir: Path) -> None:
+    names = sorted({p.name for p in newdir.iterdir()} | {p.name for p in olddir.iterdir()})
+    for name in names:
+        new, old = newdir / name, olddir / name
+        if not (new.is_file() and old.is_file()):
+            print(f"{name}: only in {newdir if new.is_file() else olddir}")
+            continue
+        rows_new, rows_old = _table(new), _table(old)
+        if rows_new is None or rows_old is None or len(rows_new) != len(rows_old):
+            if new.read_bytes() != old.read_bytes():
+                print(f"{name}: differs")
+            continue
+        methods: dict[str, list] = {}
+        for a, b in zip(rows_old, rows_new):
+            counts = methods.setdefault(_method(a), [0, 0, {}])
+            counts[0] += 1
+            counts[1] += a != b
+            for col in VALUES:
+                if col in a:
+                    counts[2][col] = max(counts[2].get(col, 0.0), _delta(a[col], b.get(col, "")))
+        for method, (rows, differ, deltas) in methods.items():
+            largest = ", ".join(f"{col} {d:.3g}" for col, d in deltas.items())
+            print(f"{name} {method}: {differ} of {rows} rows differ; max |delta| {largest}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python3 tools/reference_outputs.py OUTDIR")
-    run(Path(sys.argv[1]))
+    if len(sys.argv) == 4 and sys.argv[2] == "--against":
+        against(Path(sys.argv[1]), Path(sys.argv[3]))
+    elif len(sys.argv) == 2:
+        run(Path(sys.argv[1]))
+    else:
+        sys.exit("usage: python3 tools/reference_outputs.py OUTDIR [--against OLDDIR]")
