@@ -4,8 +4,9 @@ For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
 by -1, the atoms of one shape and scale on either side merged into one. A
-curve lays them out once, each shape's sorted by scale, and moves that
-layout to each q (``at``), or to all of its q at once (``block``).
+composite lays them out once, at q = 1 (``fading._layout_of``), and moves
+that layout to each q (``at``), or to all of a curve's q at once
+(``block``); no tuple of atoms is kept.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidScenario
-from .fading import (AtomBlock, PowerDistribution, Strip, _characteristic_function, _layout_of,
-                     _moments, _strip_edges, merge_atoms)
+from .fading import (Atom, AtomBlock, PowerDistribution, Strip, _characteristic_function,
+                     _layout_of, _moments, _strip_edges)
 
 
 def _invalid_threshold(q, variance: float) -> InvalidScenario:
@@ -52,24 +53,23 @@ class CompositeCgf:
 
     Immutable; all evaluation methods are pure. The strip, mean, variance
     and CF are read from the layout at q, and K and its derivatives at t
-    from the row of ``block([q])``; neither depends on interferer order.
+    from a one-row block of it, the row of ``block([q])``; neither depends
+    on interferer order.
     """
 
     def __init__(self, desired: PowerDistribution,
                  interferers: tuple[PowerDistribution, ...], q: float):
         self.interferers = tuple(interferers)
-        self._unit = merge_atoms(tuple([a for d in self.interferers for a in d.atoms()]))
-        self._signal = merge_atoms(tuple([a.scaled(-1.0) for a in desired.atoms()]))
-        self._shapes = _layout_of(self._unit + self._signal)  # at q = 1
+        self._shapes = _layout_of([a for d in self.interferers for a in d.atoms()]
+                                  + [Atom(f, w, -s) for f, w, s in desired.atoms()])  # at q = 1
         self._place(q)
 
     def at(self, q: float) -> "CompositeCgf":
-        """The composite at threshold q, from this one's atoms: a build at q."""
+        """The composite at threshold q, from this one's layout: a build at q."""
         if not q > 0:
             raise InvalidScenario(f"threshold q must be > 0, got {q}")
         c = object.__new__(CompositeCgf)
-        c.interferers, c._unit, c._signal = self.interferers, self._unit, self._signal
-        c._shapes = self._shapes
+        c.interferers, c._shapes = self.interferers, self._shapes
         c._place(q)
         return c
 
@@ -86,8 +86,6 @@ class CompositeCgf:
         if not valid[0]:
             raise _invalid_threshold(q, variance.item())
         self.mean, self.variance = mean.item(), variance.item()
-        # a list, not a generator: a tuple grown from one swells a free list (~2 MB a run)
-        self.atoms = tuple([a.scaled(float(q)) for a in self._unit]) + self._signal
 
     @cached_property
     def strip(self) -> Strip:
@@ -100,7 +98,7 @@ class CompositeCgf:
 
     @cached_property
     def _row(self) -> AtomBlock:
-        return self.block([self.q])
+        return AtomBlock(self._layout)
 
     def _at(self, n: int, t: float) -> float:
         self.strip.require(t)

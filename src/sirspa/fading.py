@@ -8,12 +8,15 @@ of closed-form atoms, weight * f(scale * t) for one of four shapes f:
 - linear: f(u) = u;
 - quadratic: f(u) = u**2 / 2.
 
-Everything follows from a family's ``atoms()``, read in one layout: per
-shape, in a fixed order, its weights and a (rows x atoms) matrix of scales
-sorted by scale, one sum per row. The strip, the mean and variance with their
-validity, and the characteristic function each have one function over it.
-``AtomBlock``, the one evaluator of K and its derivatives at t, holds many
-rows. Only the mean is exactly rounded. The characteristic function
+Everything follows from a family's ``atoms()``, the one place where a sum
+is a tuple of ``Atom``s. ``_layout_of`` reads it into the layout that
+everything downstream, a composite included, reads: per shape, in a fixed
+order, its weights and a (rows x atoms) matrix of scales sorted by scale, one
+sum per row, the atoms of one shape and scale merged into one. The strip,
+the mean and variance with their validity, the cumulants at 0 and the
+characteristic function each have one function over it. ``AtomBlock``, the
+one evaluator of K and its derivatives at t, holds many rows. Only the mean
+and the cumulants at 0 are exactly rounded. The characteristic function
 M(jt) = exp(sum of weight * f(j*scale*t)) takes each f(j*u) as its real
 and imaginary parts in real arithmetic: -log1p(u**2) / 2 and arctan(u) for
 gamma, -u**2 / (1 + u**2) and u / (1 + u**2) for noncentral, 0 and u for
@@ -136,27 +139,6 @@ class Atom(NamedTuple):
     weight: float
     scale: float
 
-    def scaled(self, c: float) -> "Atom":
-        """The atom of c * X: the CGF argument t becomes c * t."""
-        return Atom(self.shape, self.weight, self.scale * c)
-
-
-def atoms_cumulant(atoms, n: int) -> float:
-    """n-th cumulant, K^(n)(0) for n >= 1, of the sum of ``atoms``: their
-    weight * scale**n * f^(n)(0), exactly rounded, so in any order. An atom
-    whose f^(n)(0) is 0 adds nothing, however large its scale**n."""
-    return math.fsum([w * s ** n * f(n) for f, w, s in atoms if f(n)])
-
-
-def merge_atoms(atoms: tuple[Atom, ...]) -> tuple[Atom, ...]:
-    """Atoms of the same shape and scale merged into one, their weights added
-    (exactly rounded): a sum of such atoms is one atom of the summed weight.
-    The rest keep their order and weight."""
-    weights: dict[tuple, list[float]] = {}
-    for f, w, s in atoms:
-        weights.setdefault((f, s), []).append(w)
-    return tuple([Atom(f, math.fsum(ws), s) for (f, s), ws in weights.items()])
-
 
 # The kernels of the shapes with a pole, elementwise on arrays of u: the
 # shape without its linear part, f(u) - u, and the whole shape, -log(1 - u)
@@ -209,11 +191,14 @@ _KERNELS = {gamma: (_gamma_k, _gamma_whole, _gamma_12),
 def _layout_of(atoms) -> dict:
     """``atoms`` as a one-row layout, the shapes in the order of ``_JT`` and
     each shape's atoms sorted by scale: the positive scales (an
-    interferer's) first, then the negative ones."""
-    ordered = sorted(atoms, key=lambda a: (a.scale < 0.0, a.scale, a.weight))
-    return {f: (np.array([w for g, w, _ in ordered if g is f]),
-                np.array([[s for g, _, s in ordered if g is f]]))
-            for f in _JT if any(a.shape is f for a in atoms)}
+    interferer's) first, then the negative ones. Atoms of one shape and
+    scale are one atom of their summed weight, exactly rounded."""
+    weights: dict[tuple, list[float]] = {}
+    for f, w, s in sorted(atoms, key=lambda a: (a.scale < 0.0, a.scale)):
+        weights.setdefault((f, s), []).append(w)
+    return {f: (np.array([math.fsum(ws) for (g, _), ws in weights.items() if g is f]),
+                np.array([[s for g, s in weights if g is f]]))
+            for f in _JT if any(g is f for g, _ in weights)}
 
 
 def _strip_edges(layout):
@@ -247,6 +232,14 @@ def _moments(layout):
             variance = variance + np.add.reduce(f(2) * (w * (s * s)), axis=1)
     mean = np.array([_fsum_row(r) for r in slopes.tolist()])
     return mean, variance, np.isfinite(mean) & np.isfinite(variance) & (variance > 0.0), slopes
+
+
+def _cumulant(layout, n: int) -> float:
+    """n-th cumulant, K^(n)(0) for n >= 1, of the one-row sum ``layout``:
+    its weight * scale**n * f^(n)(0), exactly rounded, so in any order. A
+    shape whose f^(n)(0) is 0 adds nothing, however large its scale**n."""
+    return math.fsum([w * s ** n * f(n) for f, (ws, ss) in layout.items() if f(n)
+                      for w, s in zip(ws.tolist(), ss[0].tolist())])
 
 
 def _characteristic_function(layout, t):
@@ -300,8 +293,9 @@ class AtomBlock:
             self._curvature = np.add.reduce(w * (s * s), axis=1)
             w, s = blocks.get(linear, no_atoms)
             self._linear_mean = np.add.reduce(w * s, axis=1)
-            plus = np.concatenate([(s > 0.0) & (f in _POLAR) if f(1) else s[:, :0] > 0.0
-                                   for f, (w, s) in blocks.items()], axis=1)
+            upper_pole = np.isfinite(self.upper)[:, None]
+            plus = np.concatenate([(s > 0.0) & (f in _POLAR or upper_pole) if f(1)
+                                   else s[:, :0] > 0.0 for f, (w, s) in blocks.items()], axis=1)
             self.two_pole = self._two_pole(np.where(plus, slopes, 0.0), slopes)
         self._whole = None  # no row sums whole atoms
 
@@ -309,16 +303,18 @@ class AtomBlock:
         """(A+, A-, 1/p+, 1/p-) of every row for the model
         A+ / (1 - t/p+) - A- / (1 - t/p-) of K', which is K' itself when each
         side is one gamma atom. A+ is the mean of the row's positive-scale
-        gamma and noncentral atoms (the interferers), A- the rest of the mean
-        with its sign flipped, each summed on its own so that neither is lost
-        in the other; p+ and p- are the strip edges. A side without a pole
-        takes the scale of the gamma that matches its mean and variance,
-        variance / mean, for 1/p: a Gaussian-family signal. Gaussian-family
-        interferers leave A+ = 0, so 1/p+ is not finite and the solve starts
-        from 0, from where Newton on their linear K' lands in one step.
+        atoms (the interferers), A- the rest of the mean with its sign
+        flipped, each summed on its own so that neither is lost in the other;
+        p+ and p- are the strip edges. A side without a pole takes the scale
+        of the gamma that matches its mean and variance, variance / mean, for
+        1/p: a Gaussian-family signal. Gaussian-family interferers count in
+        A+ only beside a gamma or noncentral one, which bounds the strip
+        above; in A- their slope would put the start far from the root. On
+        their own they leave A+ = 0, so 1/p+ is not finite and the solve
+        starts from 0, from where Newton on their linear K' lands in one step.
 
         ``slopes`` holds every atom's share of the mean, w*s, and ``plus``
-        those of the positive-scale gamma and noncentral atoms, 0 elsewhere.
+        those of the interferers that count in A+, 0 elsewhere.
         """
         a_plus = np.add.reduce(plus, axis=1)
         a_minus = np.add.reduce(plus - slopes, axis=1)

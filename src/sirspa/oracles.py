@@ -99,9 +99,9 @@ def _u_of_v(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0.0, tan_v, -1.0 / tan_v)
 
 
-def _initial_edges(atoms, sigma: float) -> np.ndarray:
+def _initial_edges(layout, sigma: float) -> np.ndarray:
     edges = set(_UNIFORM_EDGES.tolist())
-    for u in {sigma / abs(a.scale) for a in atoms if a.scale}:
+    for u in {sigma / abs(s) for _, ss in layout.values() for s in ss[0].tolist() if s}:
         # a zero scale, or one beyond the floating-point range, has no panel to cut
         if not 0.0 < u < math.inf or 1.0 / _BULK <= u <= _BULK:
             continue
@@ -170,16 +170,15 @@ def gil_pelaez_ccdf(c, x: float,
     then refined by ``adaptive_gl``. The integrand limit at t -> 0 is
     supplied analytically ((mean - x) / sigma) to avoid 0/0 cancellation.
 
-    ``c`` needs ``characteristic_function``, ``mean``, ``variance`` and
-    ``atoms``; both the composite CGF object (atoms as a tuple) and a single
-    power distribution (atoms as a method) qualify.
+    ``c`` needs ``characteristic_function``, ``mean``, ``variance`` and the
+    one-row layout of its atoms, ``_layout``; both the composite CGF object
+    and a single power distribution qualify, by one path.
 
     Returns the clamped probability and the quadrature's own error estimate
     (in probability units).
     """
     mean = c.mean
     sigma = math.sqrt(c.variance)
-    atoms = c.atoms() if callable(c.atoms) else c.atoms
 
     def integrand(v):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -196,7 +195,7 @@ def gil_pelaez_ccdf(c, x: float,
         return np.pi * max(qc.abs_tol, qc.rel_tol * max(abs(p), 1e-3))
 
     integral, err, exhausted = adaptive_gl(
-        integrand, _initial_edges(atoms, sigma), tol, qc.max_panels)
+        integrand, _initial_edges(c._layout, sigma), tol, qc.max_panels)
     err_p = err / np.pi
     p = min(1.0, max(0.0, 0.5 + integral / np.pi))
     if exhausted and err > tol(integral):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .composite import CompositeCgf, _invalid_threshold
 from .exceptions import DivergedSolver, InvalidScenario, NoSaddleInStrip, SirspaError
-from .fading import AtomBlock, atoms_cumulant
+from .fading import AtomBlock, _cumulant
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -203,10 +203,11 @@ def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) 
 
 def ccdf_at_mean(c: CompositeCgf) -> float:
     """Skewness-corrected tail probability at x = E[X] (saddle point 0). The
-    skewness, kappa3 / sigma**3, is the third cumulant of the atoms scaled
-    by 1/sigma, so that no power of sigma can overflow."""
-    scaled = [a.scaled(1.0 / math.sqrt(c.variance)) for a in c.atoms]
-    p = 0.5 - atoms_cumulant(scaled, 3) / (6.0 * _SQRT_2PI)
+    skewness, kappa3 / sigma**3, is the third cumulant of the layout with
+    its scales times 1/sigma, so that no power of sigma can overflow."""
+    scale = 1.0 / math.sqrt(c.variance)
+    skewness = _cumulant({f: (w, s * scale) for f, (w, s) in c._layout.items()}, 3)
+    p = 0.5 - skewness / (6.0 * _SQRT_2PI)
     return min(1.0, max(0.0, p))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sirspa import CompositeCgf, Hoyt, NakagamiM, Rician, SirScenario
-from sirspa.fading import gamma, linear, noncentral, quadratic
+from sirspa.fading import Atom, gamma, linear, noncentral, quadratic
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -153,10 +153,17 @@ def cumulant(atoms, n: int, t: float) -> float:
     return math.fsum(terms)
 
 
+def layout_atoms(layout) -> tuple:
+    """The atoms of a one-row layout, such as a composite's or a family's
+    ``_layout``: shape by shape, each shape's in the layout's order."""
+    return tuple([Atom(f, w, s) for f, (ws, ss) in layout.items()
+                  for w, s in zip(ws.tolist(), ss[0].tolist())])
+
+
 def complex_log_cf(atoms, t):
     """M(jt) of a sum of atoms from each shape's full f at the complex
     argument j*s*t, in numpy's complex arithmetic: the reference the
-    real-arithmetic ``fading.characteristic_function`` is checked against."""
+    real-arithmetic ``fading._characteristic_function`` is checked against."""
     full_f = {gamma: lambda z: -np.log1p(-z), noncentral: lambda z: z / (1.0 - z),
               linear: lambda z: z, quadratic: lambda z: 0.5 * z * z}
     t = np.asarray(t, dtype=float)

@@ -6,12 +6,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from sirspa import GaussianTest, Hoyt, NakagamiM, Rician, Strip, StripViolation, build_composite
+from sirspa import (GaussianTest, Hoyt, NakagamiM, QuadratureConfig, QuadratureNotConverged,
+                    Rician, Strip, StripViolation, build_composite, gil_pelaez_ccdf)
 from sirspa import fading
 from sirspa.fading import (
     Atom,
     AtomBlock,
-    atoms_cumulant,
     gamma,
     linear,
     noncentral,
@@ -23,6 +23,7 @@ from conftest import (
     cumulant,
     dist_to_edge,
     fd_step,
+    layout_atoms,
     random_distribution,
     random_scenario,
     strip_points,
@@ -163,10 +164,10 @@ class TestAtoms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cumulants_at_zero_are_the_reference(self, n, rng):
         # bit for bit the exactly rounded derivative at 0
-        sums = [d.atoms() for d in ALL_FAMILIES] + [tuple(ATOMS)]
-        sums += [build_composite(random_scenario(rng)).atoms for _ in range(100)]
-        for atoms in sums:
-            assert atoms_cumulant(atoms, n) == cumulant(atoms, n, 0.0)
+        layouts = [d._layout for d in ALL_FAMILIES] + [fading._layout_of(ATOMS)]
+        layouts += [build_composite(random_scenario(rng))._layout for _ in range(100)]
+        for layout in layouts:
+            assert fading._cumulant(layout, n) == cumulant(layout_atoms(layout), n, 0.0)
 
 
 class TestStrips:
@@ -197,6 +198,16 @@ class TestStrips:
         assert math.isfinite(d.cgf(upper * (1.0 - 1e-9)))
 
 
+def gil_pelaez(d, x: float) -> tuple[float, float]:
+    """Gil-Pelaez (p, error estimate) of one family at x, on a budget of 256
+    panels: a single exponential's CF decays like 1/t, and the default
+    tolerance would take 2**17 panels."""
+    try:
+        return gil_pelaez_ccdf(d, x, QuadratureConfig(max_panels=256))
+    except QuadratureNotConverged as e:
+        return e.value, e.error_estimate
+
+
 class TestFamilyCollapse:
     def test_rayleigh_equivalence(self, rng):
         for p in (0.5, 1.0, 3.1622776601683795):
@@ -207,6 +218,22 @@ class TestFamilyCollapse:
                 ref = nak.cgf(t)
                 assert abs(ric.cgf(t) - ref) <= 1e-12
                 assert abs(hoyt.cgf(t) - ref) <= 1e-12
+
+    def test_hoyt_b0_merges_to_nakagami_m1(self, rng):
+        # Hoyt's two half-weight gamma atoms of one scale are one atom of
+        # weight 1: NakagamiM(1)'s layout, so the same bits from every reader
+        for p in (0.5, 1.0, 3.1622776601683795):
+            nak, hoyt = NakagamiM(m=1.0, mean_power=p), Hoyt(b=0.0, mean_power=p)
+            assert list(hoyt._layout) == list(nak._layout) == [gamma]
+            for (w, s), (w_ref, s_ref) in zip(hoyt._layout.values(), nak._layout.values()):
+                assert w.tolist() == w_ref.tolist() and s.tolist() == s_ref.tolist()
+            for t in strip_points(nak.strip(), rng, 20):
+                assert hoyt.cgf(t) == nak.cgf(t)
+            ts = np.logspace(-6.0, 12.0, 181) / p
+            cf = hoyt.characteristic_function(ts)
+            assert cf.tolist() == nak.characteristic_function(ts).tolist()
+            for x in (0.1 * p, p, 5.0 * p):
+                assert gil_pelaez(hoyt, x) == gil_pelaez(nak, x)
 
 
 def textbook_cf(d, t):

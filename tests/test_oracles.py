@@ -30,7 +30,7 @@ from sirspa import oracles
 from sirspa.config import load_config
 from sirspa.oracles import RNG_ALGORITHM, map_batches
 
-from conftest import CONFIG_DIR, complex_log_cf, random_scenario, serial_batches
+from conftest import CONFIG_DIR, complex_log_cf, layout_atoms, random_scenario, serial_batches
 
 
 def rayleigh_pair(q: float = 1.0) -> SirScenario:
@@ -115,7 +115,8 @@ class ComplexLogCf:
     complex-arithmetic reference; counts the nodes it is evaluated at."""
 
     def __init__(self, c):
-        self.mean, self.variance, self.atoms = c.mean, c.variance, c.atoms
+        self.mean, self.variance, self._layout = c.mean, c.variance, c._layout
+        self.atoms = layout_atoms(c._layout)
         self.nodes = 0
 
     def characteristic_function(self, t):
@@ -181,7 +182,7 @@ class TestGilPelaezScale:
 
     def test_no_cuts_when_every_scale_is_near_sigma(self):
         c = build_composite(fig1_scenario(m0=1.0, q=1.0))
-        edges = oracles._initial_edges(c.atoms, math.sqrt(c.variance))
+        edges = oracles._initial_edges(c._layout, math.sqrt(c.variance))
         assert len(edges) == 17
 
     def test_far_scale_ladder_reaches_the_bulk(self):
@@ -189,7 +190,7 @@ class TestGilPelaezScale:
         # bulk, each a factor 4 apart in u
         c = build_composite(rayleigh_pair(1e8))
         sigma = math.sqrt(c.variance)
-        v = oracles._initial_edges(c.atoms, sigma)
+        v = oracles._initial_edges(c._layout, sigma)
         u = oracles._u_of_v(v[v < 0.0])
         far = np.sort(u[u > 16.0])
         assert far[-1] == pytest.approx(16.0 * sigma, rel=1e-12)

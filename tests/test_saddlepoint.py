@@ -27,7 +27,7 @@ from sirspa.exceptions import InvalidScenario
 from sirspa.fading import AtomBlock
 from sirspa.saddlepoint import ccdf_block
 
-from conftest import CONFIG_DIR, random_scenario
+from conftest import CONFIG_DIR, layout_atoms, random_scenario
 
 
 def nakagami_saddle_closed_form(m0, lam0, m, lam, L, q):
@@ -271,6 +271,24 @@ class TestTwoPoleStart:
                 assert sol.converged and sol.iterations <= 2
                 assert abs(sol.t_hat - exact) <= 1e-12 * abs(exact), (curve.label, q_db)
 
+    def test_gaussian_interferers_beside_gamma_ones(self):
+        # a Gaussian-family interferer's slope counts in A+ once a gamma or
+        # noncentral interferer bounds the strip above. Counted in A-, it
+        # put the start far from the root: at 10 dB the solve took 73 Newton
+        # steps, past the default budget of 50
+        def mw(dbm):
+            return 10.0 ** (dbm / 10.0)
+        c = build_composite(SirScenario(
+            desired=Rician(r=2.415, mean_power=mw(8.08)),
+            interferers=(GaussianTest(mu=0.5638, sigma2=0.03572),
+                         NakagamiM(m=0.6348, mean_power=mw(-3.517)),
+                         Rician(r=1.2254, mean_power=mw(-8.516)),
+                         GaussianTest(mu=0.14388, sigma2=0.09993)),
+            threshold_q=1.0))
+        qs = 10.0 ** (np.arange(-10.0, 10.5, 0.5) / 10.0)
+        for q, row in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
+            assert isinstance(row, tuple) and row[4] <= 5, q
+
     @pytest.mark.parametrize("noise_power", [1e9, 1e12])
     def test_heavy_noise_resolved_to_float_precision(self, noise_power):
         # x = -N0 puts the root within 1/N0 of the signal pole, where one ulp
@@ -316,9 +334,10 @@ class TestLugannaniRice:
         c = build_composite(replace(template, threshold_q=10.0 ** -0.2))
         p, sol = ccdf(c, 0.0)
         shapes = {"gamma": lambda u: -mp.log1p(-u), "noncentral": lambda u: u / (1 - u)}
+        atoms = layout_atoms(c._layout)
         with mp.workdps(40):
             def k(t):
-                return mp.fsum(w * shapes[f.__name__](s * t) for f, w, s in c.atoms)
+                return mp.fsum(w * shapes[f.__name__](s * t) for f, w, s in atoms)
             t = mp.findroot(lambda t: mp.diff(k, t), mp.mpf(sol.t_hat))
             w = mp.sign(t) * mp.sqrt(-2 * k(t))
             u = t * mp.sqrt(mp.diff(k, t, 2))

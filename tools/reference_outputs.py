@@ -10,13 +10,16 @@ process, from that tree's ``src`` and with its ``configs``, for
 ``outage`` on fig1-fig4, ``capacity`` on rayleigh_pair (with the configured
 methods and with ``--method spa,gil_pelaez``), ``compare`` on fig4,
 ``outage`` on rayleigh_pair with every method (its 0 dB point is a
-near-mean ``spa`` row), and three runs that fail points: ``outage`` on fig2
+near-mean ``spa`` row), three runs that fail points: ``outage`` on fig2
 with ``--method closed_form``, ``capacity`` on rayleigh_pair and
-``compare`` on fig2, each with ``--method spa,closed_form``. Each run
-writes its CSV into OUTDIR through ``--output``, and its stdout, stderr
-and exit code beside it, as ``<name>.stdout``, ``<name>.stderr`` and
-``<name>.exit``. Nothing is written at the root of the tree. Two trees give
-the same outputs when ``diff -r`` finds no difference between their OUTDIRs.
+``compare`` on fig2, each with ``--method spa,closed_form``, and ``outage``
+with ``spa`` on a Rician signal under Gaussian-family interferers beside
+gamma and noncentral ones, a config this script writes into OUTDIR as
+``<name>.json``. Each run writes its CSV into OUTDIR through ``--output``,
+and its stdout, stderr and exit code beside it, as ``<name>.stdout``,
+``<name>.stderr`` and ``<name>.exit``. Nothing is written at the root of
+the tree. Two trees give the same outputs when ``diff -r`` finds no
+difference between their OUTDIRs.
 
     python3 tools/reference_outputs.py OUTDIR --against OLDDIR
 
@@ -24,21 +27,43 @@ compares two such directories instead of writing one, and needs no source
 tree. For each CSV table (the ``.csv`` files, and ``compare``'s table on
 stdout) and each method in it, it prints how many rows differ and the
 largest |difference| of each value column (``p_out``, ``capacity_bits``,
-``max_abs_dev``, ``mean_abs_dev`` and ``error_estimate``); rows are matched
-by position. Every other file is reported only when its bytes differ.
+``max_abs_dev``, ``mean_abs_dev``, ``error_estimate``, and the solve's
+``t_hat`` and ``iterations``); rows are matched by position. Every other
+file is reported only when its bytes differ.
 """
 
 import contextlib
 import csv
 import io
+import json
 import math
 import sys
 from pathlib import Path
 
 ROOT = Path.cwd()
-VALUES = ("p_out", "capacity_bits", "max_abs_dev", "mean_abs_dev", "error_estimate")
+VALUES = ("p_out", "capacity_bits", "max_abs_dev", "mean_abs_dev", "error_estimate",
+          "t_hat", "iterations")
 
-# (name, arguments before the config, config, arguments after it)
+# Gaussian-family interferers beside gamma and noncentral ones, where the
+# two-pole start decides how many Newton steps a point takes: with their
+# slope on the signal's side, the 10 dB point took 73 and a CLI retry
+GAUSSIAN_MIX = {
+    "curves": [{
+        "label": "g",
+        "desired": {"family": "rician", "r": 2.415, "mean_power_dbm": 8.08},
+        "interferers": [
+            {"family": "gaussian", "mean_mw": 0.5638, "variance_mw2": 0.03572},
+            {"family": "nakagami_m", "m": 0.6348, "mean_power_dbm": -3.517},
+            {"family": "rician", "r": 1.2254, "mean_power_dbm": -8.516},
+            {"family": "gaussian", "mean_mw": 0.14388, "variance_mw2": 0.09993},
+        ],
+    }],
+    "grid": {"start_db": -10.0, "stop_db": 10.0, "step_db": 1.0},
+    "methods": ["spa"],
+}
+
+# (name, arguments before the config, a shipped config's name or a config
+# to write, arguments after it)
 RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("capacity_rayleigh_pair", ["capacity"], "rayleigh_pair", []),
     ("capacity_rayleigh_pair_spa_gil_pelaez", ["capacity"], "rayleigh_pair",
@@ -52,6 +77,7 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("capacity_rayleigh_pair_spa_closed_form", ["capacity"], "rayleigh_pair",
      ["--method", "spa,closed_form"]),
     ("compare_fig2_spa_closed_form", ["compare"], "fig2", ["--method", "spa,closed_form"]),
+    ("outage_gaussian_mix", ["outage"], GAUSSIAN_MIX, []),
 ]
 
 
@@ -65,8 +91,12 @@ def run(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"sirspa from {Path(sirspa.__file__).parent}")
     for name, command, config, extra in RUNS:
-        argv = command + [str(ROOT / "configs" / f"{config}.json"),
-                          "--output", str(outdir / f"{name}.csv")] + extra
+        if isinstance(config, dict):
+            path = outdir / f"{name}.json"
+            path.write_text(json.dumps(config, indent=2) + "\n")
+        else:
+            path = ROOT / "configs" / f"{config}.json"
+        argv = command + [str(path), "--output", str(outdir / f"{name}.csv")] + extra
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
