@@ -12,6 +12,8 @@ import functools
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .analysis import (
     OutageResult,
     ergodic_capacity,
@@ -154,17 +156,17 @@ def cmd_capacity(cfg: RunConfig) -> int:
 
 
 def _in_breakdown(template, qs: list[float]) -> list[bool]:
-    """Whether x = 0 lies in the breakdown band at each threshold of ``qs``,
-    from one composite moved to each; a threshold whose composite cannot be
-    built (its cumulants overflow) lies outside the band."""
-    base, flags = None, []
+    """Whether x = 0 lies in the breakdown band, within 0.05 standard
+    deviations of the mean, at each threshold of ``qs``: one block of the
+    first composite that builds. A threshold that cannot be placed (its
+    cumulants overflow or its variance underflows) lies outside the band."""
     for q in qs:
         try:
-            base = base or build_composite(replace(template, threshold_q=q))
-            flags.append(base.at(q).in_breakdown)
+            blk = build_composite(replace(template, threshold_q=q)).block(qs)
         except InvalidScenario:
-            flags.append(False)
-    return flags
+            continue
+        return (blk.finite & (np.abs(blk.mean) < 0.05 * np.sqrt(blk.variance))).tolist()
+    return [False] * len(qs)
 
 
 def cmd_compare(cfg: RunConfig) -> int:

@@ -11,7 +11,6 @@ that layout to each q (``at``), or to all of a curve's q at once
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,11 +89,6 @@ class CompositeCgf:
     @cached_property
     def strip(self) -> Strip:
         return Strip(*[edge.item() for edge in _strip_edges(self._layout)])
-
-    @property
-    def in_breakdown(self) -> bool:
-        """Whether x = 0 lies within 0.05 standard deviations of the mean."""
-        return abs(self.mean) < 0.05 * math.sqrt(self.variance)
 
     @cached_property
     def _row(self) -> AtomBlock:

@@ -271,7 +271,8 @@ class AtomBlock:
     row is a contiguous run of that axis and is reduced on its own, so a
     row's values do not depend on how many rows share the block. Only each
     row's mean is exactly rounded, and ``finite`` marks the rows whose mean
-    and variance are finite, with a variance above 0. Overflow and
+    and variance are finite, with a variance above 0; ``k1_limits`` holds
+    each row's K' at its strip's lower and upper edges. Overflow and
     underflow in K and its derivatives are the caller's to silence.
 
     Each atom's linear part is summed into the mean, so K and K' keep their
@@ -293,6 +294,12 @@ class AtomBlock:
             self._curvature = np.add.reduce(w * (s * s), axis=1)
             w, s = blocks.get(linear, no_atoms)
             self._linear_mean = np.add.reduce(w * s, axis=1)
+            # K' at the strip's lower and upper edges: -inf and +inf at a pole or
+            # with a curvature; else every term but the linear atoms' tends to 0
+            curved = self._curvature > 0.0
+            self.k1_limits = (
+                np.where(np.isfinite(self.lower) | curved, -np.inf, self._linear_mean),
+                np.where(np.isfinite(self.upper) | curved, np.inf, self._linear_mean))
             upper_pole = np.isfinite(self.upper)[:, None]
             plus = np.concatenate([(s > 0.0) & (f in _POLAR or upper_pole) if f(1)
                                    else s[:, :0] > 0.0 for f, (w, s) in blocks.items()], axis=1)

@@ -168,14 +168,16 @@ def gil_pelaez_ccdf(c, x: float,
     integrand sits at u ~ 1 whatever the scale of the variable. The first
     panels are cut at every atom scale far from sigma (``_initial_edges``),
     then refined by ``adaptive_gl``. The integrand limit at t -> 0 is
-    supplied analytically ((mean - x) / sigma) to avoid 0/0 cancellation.
+    supplied analytically ((mean - x) / sigma) to avoid 0/0 cancellation,
+    and where u overflows to inf the integrand takes its limit, 0.
 
     ``c`` needs ``characteristic_function``, ``mean``, ``variance`` and the
     one-row layout of its atoms, ``_layout``; both the composite CGF object
     and a single power distribution qualify, by one path.
 
     Returns the clamped probability and the quadrature's own error estimate
-    (in probability units).
+    (in probability units). An integral or error estimate that is not finite
+    raises ``QuadratureNotConverged``; it is never clamped into [0, 1].
     """
     mean = c.mean
     sigma = math.sqrt(c.variance)
@@ -185,8 +187,9 @@ def gil_pelaez_ccdf(c, x: float,
             u = _u_of_v(v)
             t = u / sigma
             z = c.characteristic_function(t) * np.exp(-1j * t * x)
-            # dt / t = (u + 1/u) dv on both branches
-            val = z.imag * (u + 1.0 / u)
+            # dt / t = (u + 1/u) dv on both branches; at u = inf (v within
+            # ~1e-308 of 0) the limit 0, not 0 * inf
+            val = np.multiply(z.imag, u + 1.0 / u, out=np.zeros_like(u), where=u < np.inf)
         return np.where(u < 1e-12, (mean - x) / sigma, val)
 
     def tol(integral: float) -> float:
@@ -197,6 +200,9 @@ def gil_pelaez_ccdf(c, x: float,
     integral, err, exhausted = adaptive_gl(
         integrand, _initial_edges(c._layout, sigma), tol, qc.max_panels)
     err_p = err / np.pi
+    if not (math.isfinite(integral) and math.isfinite(err)):
+        raise QuadratureNotConverged(
+            f"integral {integral} with error estimate {err_p} is not finite")
     p = min(1.0, max(0.0, 0.5 + integral / np.pi))
     if exhausted and err > tol(integral):
         raise QuadratureNotConverged(

@@ -1,19 +1,20 @@
 """Saddle-point solver and Lugannani-Rice tail approximation.
 
 The saddle point solves K'(t) = x on the composite CGF. K' is strictly
-increasing on the open strip (convexity) and runs from -inf at its lower
-edge (a signal pole, or -inf with a quadratic atom) to +inf at its upper
-edge (an interferer pole, or +inf), so the root is unique and the strip
-itself brackets it. A safeguarded Newton iteration finds it, from the root
-of a two-pole model of K' with the strip's poles (``_start``), which is the
-root itself when each side of q * I - S is one gamma atom. One
-solve runs every threshold of a curve in lockstep (``ccdf_block``), from
-one ``AtomBlock`` whose K' and K'' are summed along the atom axis; the
-one-point ``solve_saddle`` and ``ccdf`` are that solve on a block of one
-row. It reads K' and K'' only; K is summed once, at the roots, for w. The
-tail is the three-term Lugannani-Rice value; near the mean, where its
-1/u - 1/w term cancels, ``ccdf`` interpolates between two tail values
-around the mean instead.
+increasing on the open strip (convexity), so the root is unique and the
+strip itself brackets it. K' runs to -inf at a lower pole (the signal's)
+and +inf at an upper one (an interferer's), or with a quadratic atom; on a
+side with neither it tends to the linear atoms' slope, and an x at or
+beyond that has no root (``NoSaddleInStrip``). A safeguarded Newton
+iteration finds it, from the root of a two-pole model of K' with the
+strip's poles (``_start``), which is the root itself when each side of
+q * I - S is one gamma atom. One solve runs every threshold of a curve in
+lockstep (``ccdf_block``), from one ``AtomBlock`` whose K' and K'' are
+summed along the atom axis; the one-point ``solve_saddle`` and ``ccdf``
+are that solve on a block of one row. It reads K' and K'' only; K is
+summed once, at the roots, for w. The tail is the three-term
+Lugannani-Rice value; near the mean, where its 1/u - 1/w term cancels,
+``ccdf`` interpolates between two tail values around the mean instead.
 """
 
 from __future__ import annotations
@@ -89,11 +90,13 @@ def _start(blk: AtomBlock, x: np.ndarray, floor: np.ndarray, ceiling: np.ndarray
     return np.where(np.isfinite(t), np.minimum(np.maximum(t, floor), ceiling), 0.0)
 
 
-def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
-    """Safeguarded Newton iteration on K'(t) = x for every row of ``blk`` in
-    lockstep, each from the root of its two-pole model of K' (``_start``),
-    with one ``blk.k12`` per round; the start's evaluation is the first.
-    The rows whose start lies far out sum whole atoms (``blk.sum_whole``).
+def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig, rootless: np.ndarray):
+    """Safeguarded Newton iteration on K'(t) = x for the rows of ``blk`` that
+    ``blk.finite`` marks and that are not ``rootless``, in lockstep, each
+    from the root of its two-pole model of K' (``_start``), with one
+    ``blk.k12`` per round; the start's evaluation is the first. The rows
+    whose start lies far out sum whole atoms (``blk.sum_whole``). The other
+    rows never run a round.
 
     Each row's bracket starts as its strip and shrinks to the iterates on
     either side of the root. A Newton step that would leave the bracket is
@@ -115,7 +118,7 @@ def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     k1, k2 = blk.k12(t)
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)  # a row polishes once it has converged
-    active = np.ones(n, dtype=bool)
+    active = blk.finite & ~rootless
     for _ in range(cfg.max_iter):
         iterations += active
         g = k1 - x
@@ -149,8 +152,10 @@ def _met(g, k2, t, scale):
 def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     """Every row's solve of K'(t) = x on ``blk`` at its own x, as arrays:
     t, w, u, iterations, converged, near_mean, and whether the row failed
-    with its root within the edge margin (``edge``) or with K'' underflowing
-    to 0 at a root off 0 (``flat``); ``_failure`` gives those errors.
+    with no root inside the strip's margins (``edge``) or with K''
+    underflowing to 0 at a root off 0 (``flat``); ``_failure`` gives those
+    errors. A row is solved only if ``blk.finite`` marks it and its x lies
+    between K' at the strip's edges (``blk.k1_limits``).
 
     Once converged, one more Newton step without a new evaluation: x*t - K(t)
     is stationary at the root, so the step adds -g*dt/2 to it (second
@@ -158,18 +163,20 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     whose step would leave the strip's margins keeps its last iterate:
     there K' is rounding noise, and g / K'' need not point at the root.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # 0/0 where K'' is 0
-        t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg)
+    k1_lower, k1_upper = blk.k1_limits
+    rootless = (x <= k1_lower) | (x >= k1_upper)  # K' never reaches x on the strip
+    with np.errstate(all="ignore"):  # the rows not solved, and 0/0 where K'' is 0
+        t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg, rootless)
         k = blk.k(t)
         dt = -g / k2
-    dt = np.where(converged & (t + dt >= floor) & (t + dt <= ceiling), dt, 0.0)
-    arg = 2.0 * (x * t - k) - g * dt
-    t = t + dt
-    w = np.copysign(np.sqrt(np.maximum(arg, 0.0)), t)
-    u = t * np.sqrt(k2)
+        dt = np.where(converged & (t + dt >= floor) & (t + dt <= ceiling), dt, 0.0)
+        arg = 2.0 * (x * t - k) - g * dt
+        t = t + dt
+        w = np.copysign(np.sqrt(np.maximum(arg, 0.0)), t)
+        u = t * np.sqrt(k2)
     near_mean = (t == 0.0) | (np.abs(w) < _NEAR_MEAN_W)
-    # stopped at a margin with the root still beyond it
-    edge = ~converged & (((t == ceiling) & (g < 0.0)) | ((t == floor) & (g > 0.0)))
+    # no root, or stopped at a margin with the root still beyond it
+    edge = rootless | (~converged & (((t == ceiling) & (g < 0.0)) | ((t == floor) & (g > 0.0))))
     flat = converged & (t != 0.0) & (k2 == 0.0)  # u = 0: the tail formula divides by it
     return t, w, u, iterations, converged, near_mean, edge, flat
 
@@ -241,27 +248,24 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
     of every threshold, as ``ccdf`` takes it: per threshold the tuple
     ``(p, t_hat, w, u, iterations, near_mean, clamped)`` of a converged
     solve, or the ``SirspaError`` that ``ccdf`` raises. Each row is read
-    once from the solve's arrays.
+    once from the solve's arrays, rows of the one block ``c.block(qs)``.
 
     A threshold whose cumulants overflow, or whose variance underflows to 0,
-    gives ``InvalidScenario``.
+    is a row the solve leaves inactive; it gives ``InvalidScenario``.
     """
     qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"x must be finite, got {x}")
     blk = c.block(qs)
-    valid, failed = blk.finite, None
-    if not valid.all():
-        failed = [None if ok else _invalid_threshold(q, v)
-                  for q, ok, v in zip(qs.tolist(), valid.tolist(), blk.variance.tolist())]
-        qs, x = qs[valid], x[valid]
-        blk = c.block(qs)
     t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)
     rows = []
-    for q, xi, ti, wi, ui, n, ok, m, e, f in zip(
+    for q, xi, ti, wi, ui, n, ok, m, e, f, valid, v in zip(
             qs.tolist(), x.tolist(), t.tolist(), w.tolist(), u.tolist(),
             iterations.tolist(), converged.tolist(), near_mean.tolist(), edge.tolist(),
-            flat.tolist()):
+            flat.tolist(), blk.finite.tolist(), blk.variance.tolist()):
+        if not valid:
+            rows.append(_invalid_threshold(q, v))
+            continue
         if e or f or not ok:
             rows.append(_failure(xi, ti, e, f))
             continue
@@ -275,10 +279,7 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
             p_raw = _lugannani_rice(wi, ui)
         p = min(1.0, max(0.0, p_raw))
         rows.append((p, ti, wi, ui, n, m, p != p_raw))
-    if failed is None:
-        return rows
-    solved = iter(rows)
-    return [next(solved) if error is None else error for error in failed]
+    return rows
 
 
 def ccdf(c: CompositeCgf, x: float,

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -240,17 +241,22 @@ class TestOutageCommand:
 
     def test_zero_scale_interferer(self, tmp_path, capsys):
         # a -2000 dBm interferer at q = -1500 dB: its scale q * s underflows
-        # to 0, an atom without a pole that adds nothing, and the outage is ~0
+        # to 0, an atom without a pole that adds nothing, and the outage is ~0.
+        # K' < 0 = x on the whole strip (-1, inf), so spa has no saddle point
         cfg = base_config(grid={"start_db": -1500.0, "stop_db": -1500.0, "step_db": 1.0},
                           methods=["spa", "gil_pelaez", "closed_form", "monte_carlo"],
                           monte_carlo={"samples": 10000, "seed": 1, "batches": 2})
         cfg["curves"][0]["interferers"] = [nakagami(1.0, -2000.0)]
         out = tmp_path / "out.csv"
-        assert main(["outage", write_config(tmp_path, cfg), "--output", str(out)]) == EXIT_OK
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.splitlines() == [
+            "FAILED pair spa q_db=-1500: NoSaddleInStrip: K' does not cross x=-0.0 inside "
+            "the strip"]
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["spa", "gil_pelaez", "closed_form", "monte_carlo"]
-        assert all(abs(float(r["p_out"])) <= 1e-9 for r in rows)
+        assert all(abs(float(r["p_out"])) <= 1e-9 for r in rows[1:])
 
     def test_linear_atom_at_a_huge_scale(self, tmp_path):
         # a Gaussian signal of variance 1e-208 at its mean: its skewness
@@ -582,6 +588,25 @@ class TestCompareCommand:
         assert captured.err == ""
         assert captured.out.splitlines()[1:] == ["pair,monte_carlo,closed_form,0.0,0.0,0.01,true"]
 
+    def test_points_past_the_last_composite_are_outside_the_band(self, tmp_path, capsys):
+        # the Rayleigh pair's cumulants overflow from 1545 dB on, so the
+        # curve's block has two rows that cannot be placed; both methods
+        # succeed at every point
+        cfg = base_config(grid={"start_db": 1525.0, "stop_db": 1550.0, "step_db": 5.0},
+                          monte_carlo={"samples": 2000, "seed": 1, "batches": 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["compare", write_config(tmp_path, cfg),
+                         "--method", "monte_carlo,closed_form"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == [
+            "curve,method_a,method_b,max_abs_dev,mean_abs_dev,bound,ok",
+            "pair,monte_carlo,closed_form,0.0,0.0,0.01,true"]
+        template = load_config(write_config(tmp_path, cfg)).curves[0].template
+        qs = [10.0 ** (q_db / 10.0) for q_db in (0.0, 1525.0, 1545.0, 1550.0)]
+        assert cli._in_breakdown(template, qs) == [True, False, False, False]
+
     def test_single_method_exit_config(self, tmp_path, capsys):
         cfg = base_config(methods=["spa"])
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -726,27 +751,33 @@ class TestCompareBound:
         assert float(row[3]) == pytest.approx(0.2)
         assert row[5] == "0.05" and row[6] == "false"
 
-    def test_one_composite_per_point_and_curve(self, tmp_path, monkeypatch, capsys):
-        # the breakdown flag of each point is found once per curve, not once
-        # per method pair; the curves are stubbed, so every move is compare's
+    def test_one_block_per_curve(self, tmp_path, monkeypatch, capsys):
+        # the breakdown flags of a curve's points come from one block, once
+        # per curve, not once per method pair, and no composite is moved to
+        # a point; the curves are stubbed, so every block is compare's
         def fake_curve(template, grid, method, *budgets):
             return [OutageResult(q_db=float(q_db), q_linear=10.0 ** (q_db / 10.0),
                                  p_out=0.5, method=method) for q_db in grid.values_db()]
 
-        moves = []
-        at = CompositeCgf.at
+        blocks, moves = [], []
+        block, at = CompositeCgf.block, CompositeCgf.at
 
-        def counting(self, q):
+        def counting_block(self, qs):
+            blocks.append(len(qs))
+            return block(self, qs)
+
+        def counting_at(self, q):
             moves.append(q)
             return at(self, q)
 
         monkeypatch.setattr(cli, "outage_curve", fake_curve)
-        monkeypatch.setattr(CompositeCgf, "at", counting)
+        monkeypatch.setattr(CompositeCgf, "block", counting_block)
+        monkeypatch.setattr(CompositeCgf, "at", counting_at)
         cfg = base_config()  # three methods, so three pairs, and five points
         cfg["curves"].append(dict(cfg["curves"][0], label="other"))
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_OK
         assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3
-        assert len(moves) == 2 * 5
+        assert blocks == [5, 5] and moves == []
 
 
 def test_import_leaves_numpy_polynomial_out():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from sirspa import (
+    CompositeCgf,
     DivergedSolver,
     GaussianTest,
     NakagamiM,
@@ -23,7 +25,7 @@ from sirspa import (
     solve_saddle,
 )
 from sirspa.config import load_config
-from sirspa.exceptions import InvalidScenario
+from sirspa.exceptions import InvalidScenario, NoSaddleInStrip
 from sirspa.fading import AtomBlock
 from sirspa.saddlepoint import ccdf_block
 
@@ -167,6 +169,25 @@ class TestSolveSaddle:
         c = gaussian_composite()
         with pytest.raises(ValueError):
             solve_saddle(c, math.inf)
+
+    @pytest.mark.parametrize("desired, interferer, q, x_inside, t_inside", [
+        # q * s of the interferer rounds to 0: the strip is (-1, inf)
+        (NakagamiM(1.0, 1.0), NakagamiM(1.0, 1e-200), 1e-150, -2.0, -0.5),
+        # the signal's scale rounds to 0: the strip is (-inf, 1)
+        (NakagamiM(2.0, 5e-324), NakagamiM(1.0, 1.0), 1.0, 2.0, 0.5),
+    ], ids=["upper", "lower"])
+    def test_no_root_beyond_the_linear_limit(self, desired, interferer, q, x_inside, t_inside):
+        # with neither a pole nor a quadratic atom on one side, K' tends there
+        # to the linear atoms' slope, 0 here, so x = 0 has no root. The solve
+        # used to stop at t = +-536870911 after 29 iterations, where
+        # |K'| = 1.9e-9 met tol, and report p = 4.5e-10 or 1 - 4.5e-10
+        c = build_composite(SirScenario(desired, (interferer,), q))
+        with pytest.raises(NoSaddleInStrip, match="does not cross x=0.0"):
+            solve_saddle(c, 0.0)
+        (row,) = ccdf_block(c, [q], [0.0])
+        assert isinstance(row, NoSaddleInStrip)
+        sol = solve_saddle(c, x_inside)
+        assert sol.converged and sol.t_hat == pytest.approx(t_inside, rel=1e-12)
 
     def test_bracket_probe_far_below_interferer_scale(self):
         # q = 2**60 on the Rayleigh pair: the probe at t = -0.5 evaluates K at
@@ -504,6 +525,41 @@ class TestCcdf:
         assert isinstance(ok, tuple) and ok[0] == pytest.approx(0.5)
         assert isinstance(underflow, InvalidScenario)
         assert str(underflow) == "threshold q=1e-30 underflows the variance of q * I - S to 0"
+
+    def test_unplaceable_rows_are_rows_of_the_one_block(self, monkeypatch):
+        # the signal's variance underflows on its own: below q ~ 1e-12 the
+        # variance of q * I - S underflows to 0, and from q ~ 1e304 its
+        # cumulants overflow. Those rows stay in the one block, unsolved;
+        # every other row is its one-point solve, the K'' underflow at 1e-3
+        # included
+        c = build_composite(SirScenario(desired=NakagamiM(1.0, 1e-170),
+                                        interferers=(GaussianTest(1e-160, 1e-321),
+                                                     NakagamiM(1.0, 1e-150)),
+                                        threshold_q=1.0))
+        qs = [1e-30, 1e-12, 1e-11, 1e-6, 1e-3, 1e100, 1e300, 1e306]
+        blocks = []
+        block = CompositeCgf.block
+
+        def counting(self, qs):
+            blocks.append(qs)
+            return block(self, qs)
+
+        monkeypatch.setattr(CompositeCgf, "block", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = ccdf_block(c, qs, [0.0] * len(qs))
+        assert len(blocks) == 1
+        monkeypatch.undo()
+        assert [type(r).__name__ for r in rows] == ["InvalidScenario"] * 2 + ["tuple"] * 2 + [
+            "InvalidScenario", "tuple", "InvalidScenario", "InvalidScenario"]
+        for q, row in zip(qs, rows):
+            try:
+                p, sol = ccdf(c.at(q), 0.0)
+            except InvalidScenario as exc:
+                assert str(row) == str(exc), q
+                continue
+            assert row == (p, sol.t_hat, sol.w, sol.u, sol.iterations, sol.near_mean,
+                           sol.clamped), q
 
     def test_curvature_underflow_is_typed(self):
         # the signal is 1e70 times weaker than the interferer at tiny powers:

@@ -12,14 +12,18 @@ methods and with ``--method spa,gil_pelaez``), ``compare`` on fig4,
 ``outage`` on rayleigh_pair with every method (its 0 dB point is a
 near-mean ``spa`` row), three runs that fail points: ``outage`` on fig2
 with ``--method closed_form``, ``capacity`` on rayleigh_pair and
-``compare`` on fig2, each with ``--method spa,closed_form``, and ``outage``
+``compare`` on fig2, each with ``--method spa,closed_form``, ``outage``
 with ``spa`` on a Rician signal under Gaussian-family interferers beside
-gamma and noncentral ones, a config this script writes into OUTDIR as
-``<name>.json``. Each run writes its CSV into OUTDIR through ``--output``,
-and its stdout, stderr and exit code beside it, as ``<name>.stdout``,
-``<name>.stderr`` and ``<name>.exit``. Nothing is written at the root of
-the tree. Two trees give the same outputs when ``diff -r`` finds no
-difference between their OUTDIRs.
+gamma and noncentral ones, and three runs at the edges of what can be
+placed: ``outage`` with ``spa,gil_pelaez,closed_form`` on the Rayleigh pair
+and a -1540 dBm signal from 1525 to 1550 dB, the same on a -2000 dBm
+interferer around -1500 dB, and ``compare`` on the Rayleigh pair from 1525
+to 1550 dB with ``--method monte_carlo,closed_form``. Each config that is
+not shipped is written into OUTDIR as ``<name>.json``. Each run writes its
+CSV into OUTDIR through ``--output``, and its stdout, stderr and exit code
+beside it, as ``<name>.stdout``, ``<name>.stderr`` and ``<name>.exit``.
+Nothing is written at the root of the tree. Two trees give the same
+outputs when ``diff -r`` finds no difference between their OUTDIRs.
 
     python3 tools/reference_outputs.py OUTDIR --against OLDDIR
 
@@ -62,6 +66,35 @@ GAUSSIAN_MIX = {
     "methods": ["spa"],
 }
 
+
+def _nakagami(m, dbm):
+    return {"family": "nakagami_m", "m": m, "mean_power_dbm": dbm}
+
+
+# Thresholds at the edge of what can be placed: the Rayleigh pair's
+# cumulants overflow from 1545 dB on, and the -1540 dBm signal's Gil-Pelaez
+# ladder runs to u ~ 1e307, past which u is inf
+PLACEMENT_EDGES = {
+    "curves": [
+        {"label": "rayleigh-pair", "desired": _nakagami(1.0, 0.0),
+         "interferers": [_nakagami(1.0, 0.0)]},
+        {"label": "signal-1540dBm", "desired": _nakagami(1.0, -1540.0),
+         "interferers": [_nakagami(2.0, -10.0)]},
+    ],
+    "grid": {"start_db": 1525.0, "stop_db": 1550.0, "step_db": 5.0},
+    "methods": ["spa", "gil_pelaez", "closed_form"],
+    "monte_carlo": {"samples": 2000, "seed": 1, "batches": 4},
+}
+
+# A -2000 dBm interferer whose scale q * s rounds to 0: K' < 0 = x on the
+# whole strip (-1, inf), so spa has no saddle point
+ZERO_SCALE_INTERFERER = {
+    "curves": [{"label": "zero-scale", "desired": _nakagami(1.0, 0.0),
+                "interferers": [_nakagami(1.0, -2000.0)]}],
+    "grid": {"start_db": -1510.0, "stop_db": -1490.0, "step_db": 5.0},
+    "methods": ["spa", "gil_pelaez", "closed_form"],
+}
+
 # (name, arguments before the config, a shipped config's name or a config
 # to write, arguments after it)
 RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
@@ -78,6 +111,11 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
      ["--method", "spa,closed_form"]),
     ("compare_fig2_spa_closed_form", ["compare"], "fig2", ["--method", "spa,closed_form"]),
     ("outage_gaussian_mix", ["outage"], GAUSSIAN_MIX, []),
+    ("outage_placement_edges", ["outage"], PLACEMENT_EDGES, []),
+    ("outage_zero_scale_interferer", ["outage"], ZERO_SCALE_INTERFERER, []),
+    ("compare_placement_edges", ["compare"],
+     dict(PLACEMENT_EDGES, curves=PLACEMENT_EDGES["curves"][:1]),
+     ["--method", "monte_carlo,closed_form"]),
 ]
 
 
