@@ -2,7 +2,7 @@
 
 One function, ``_outage``, turns thresholds into results for every method:
 ``outage_point`` is its one-point case and ``outage_curve`` its grid case.
-The capacity integrand reads the same tails (``_tails``) from its composite.
+The capacity integrand reads the same tails (``_tails``) from its scenario.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .composite import CompositeCgf, SirScenario, build_composite
+from .composite import SirScenario
 from .exceptions import QuadratureNotConverged, SirspaError, UnsupportedScenario
 from .oracles import (
     MonteCarloConfig,
@@ -157,27 +157,23 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
 
 
 def _tails(s: SirScenario, qs: list[float], method: str, solver: SolverConfig,
-           quadrature: QuadratureConfig, base: CompositeCgf | None = None):
+           quadrature: QuadratureConfig):
     """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
     (p, error estimate) or (p, None), each with p first, or the
-    ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call, on
-    ``base`` or else the composite of the first threshold that builds;
-    ``gil_pelaez`` and ``closed_form`` go one per read."""
-    for i, q in enumerate(qs):
+    ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call;
+    ``gil_pelaez`` (on ``s.at(q)``) and ``closed_form`` go one per read."""
+    if method == "spa":
+        yield from ccdf_block(s, qs, [-q * s.noise_power for q in qs], solver)
+        return
+    for q in qs:
         try:
             if method == "closed_form":
                 tail = exponential_signal_closed_form(replace(s, threshold_q=q)), None
             else:
-                base = base or build_composite(replace(s, threshold_q=q))
-                if method == "spa":
-                    break
-                tail = gil_pelaez_ccdf(base.at(q), -q * s.noise_power, quadrature)
+                tail = gil_pelaez_ccdf(s.at(q), -q * s.noise_power, quadrature)
         except SirspaError as exc:
             tail = exc
         yield tail
-    else:  # not spa, or no threshold's composite builds
-        return
-    yield from ccdf_block(base, qs[i:], [-q * s.noise_power for q in qs[i:]], solver)
 
 
 # Panel budget of the capacity integral, and the capacities probed for its cut.
@@ -208,13 +204,11 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         error = UnsupportedScenario if method == "closed_form" else ValueError
         raise error(f"capacity supports methods 'spa'/'gil_pelaez', got {method!r}")
 
-    base = build_composite(replace(template, threshold_q=1.0))  # q at c = 1
-
     def successes(cs: list[float]):
         """Success probability at each capacity of ``cs``, in order. A failed
         point raises its error when it is reached."""
         qs = [2.0 ** c - 1.0 for c in cs]
-        tails = _tails(template, [q for q in qs if q > 0.0], method, solver, quadrature, base)
+        tails = _tails(template, [q for q in qs if q > 0.0], method, solver, quadrature)
         for q in qs:
             tail = next(tails) if q > 0.0 else (0.0, None)
             if isinstance(tail, SirspaError):

@@ -22,12 +22,10 @@ from .analysis import (
     outage_curve,
     outage_point,
 )
-from .composite import build_composite
 from .config import RunConfig, load_config, parse_methods
 from .exceptions import (
     ConfigError,
     DivergedSolver,
-    InvalidScenario,
     QuadratureNotConverged,
     SirspaError,
 )
@@ -158,15 +156,10 @@ def cmd_capacity(cfg: RunConfig) -> int:
 def _in_breakdown(template, qs: list[float]) -> list[bool]:
     """Whether x = 0 lies in the breakdown band, within 0.05 standard
     deviations of the mean, at each threshold of ``qs``: one block of the
-    first composite that builds. A threshold that cannot be placed (its
-    cumulants overflow or its variance underflows) lies outside the band."""
-    for q in qs:
-        try:
-            blk = build_composite(replace(template, threshold_q=q)).block(qs)
-        except InvalidScenario:
-            continue
-        return (blk.finite & (np.abs(blk.mean) < 0.05 * np.sqrt(blk.variance))).tolist()
-    return [False] * len(qs)
+    scenario. A threshold that cannot be placed (its cumulants overflow or
+    its variance underflows) lies outside the band."""
+    blk = template.block(qs)
+    return (blk.finite & (np.abs(blk.mean) < 0.05 * np.sqrt(blk.variance))).tolist()
 
 
 def cmd_compare(cfg: RunConfig) -> int:

@@ -4,9 +4,10 @@ For a scenario with desired-signal power S, interferer powers P_1..P_L and
 linear threshold q, the outage variable is q * sum_k P_k - S. Its CGF is
 one flat sum of atoms: each interferer's atoms scaled by q and the signal's
 by -1, the atoms of one shape and scale on either side merged into one. A
-composite lays them out once, at q = 1 (``fading._layout_of``), and moves
-that layout to each q (``at``), or to all of a curve's q at once
-(``block``); no tuple of atoms is kept.
+scenario lays them out once, at q = 1 (``fading._layout_of``), and places
+that layout at any q: one threshold as a ``CompositeCgf`` (``at``), or all
+of a curve's thresholds at once as an ``AtomBlock`` (``block``); no tuple
+of atoms is kept.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ def _invalid_threshold(q, variance: float) -> InvalidScenario:
 
 @dataclass(frozen=True)
 class SirScenario:
-    """Desired signal, interferers, linear SIR threshold and noise power (mW)."""
+    """Desired signal, interferers, linear SIR threshold and noise power (mW).
+    Its atoms are laid out once, on first use, and placed at any threshold;
+    equality and the hash read only the four fields."""
 
     desired: PowerDistribution
     interferers: tuple[PowerDistribution, ...]
@@ -46,40 +49,44 @@ class SirScenario:
         if not self.noise_power >= 0:
             raise InvalidScenario(f"noise_power must be >= 0, got {self.noise_power}")
 
-
-class CompositeCgf:
-    """CGF of q * sum(interferers) - desired, with derivatives, strip and CF.
-
-    Immutable; all evaluation methods are pure. The strip, mean, variance
-    and CF are read from the layout at q, and K and its derivatives at t
-    from a one-row block of it, the row of ``block([q])``; neither depends
-    on interferer order.
-    """
-
-    def __init__(self, desired: PowerDistribution,
-                 interferers: tuple[PowerDistribution, ...], q: float):
-        self.interferers = tuple(interferers)
-        self._shapes = _layout_of([a for d in self.interferers for a in d.atoms()]
-                                  + [Atom(f, w, -s) for f, w, s in desired.atoms()])  # at q = 1
-        self._place(q)
-
-    def at(self, q: float) -> "CompositeCgf":
-        """The composite at threshold q, from this one's layout: a build at q."""
-        if not q > 0:
-            raise InvalidScenario(f"threshold q must be > 0, got {q}")
-        c = object.__new__(CompositeCgf)
-        c.interferers, c._shapes = self.interferers, self._shapes
-        c._place(q)
-        return c
+    @cached_property
+    def _shapes(self) -> dict:
+        """The layout of q * I - S at q = 1."""
+        return _layout_of([a for d in self.interferers for a in d.atoms()]
+                          + [Atom(f, w, -s) for f, w, s in self.desired.atoms()])
 
     def _layout_at(self, qs) -> dict:
         """The layout at each threshold of ``qs``: the interferers' (positive) scales times q."""
         qs = np.asarray(qs, dtype=float)[:, None]
         return {f: (w, s * np.where(s > 0.0, qs, 1.0)) for f, (w, s) in self._shapes.items()}
 
-    def _place(self, q: float) -> None:
-        self.q = q
-        self._layout = layout = self._layout_at([q])
+    def at(self, q: float) -> "CompositeCgf":
+        """The composite at threshold q, its own or any other."""
+        return CompositeCgf(self, q)
+
+    def block(self, qs) -> AtomBlock:
+        """The composite at every threshold of ``qs`` as one block: row i holds
+        the atoms of ``at(qs[i])``, and a threshold that ``at`` rejects is a
+        row that ``finite`` leaves unmarked."""
+        return AtomBlock(self._layout_at(qs))
+
+
+class CompositeCgf:
+    """CGF of q * sum(interferers) - desired, with derivatives, strip and CF:
+    the layout of ``scenario`` placed at q > 0, with a finite mean and a
+    finite variance above 0 (else ``InvalidScenario``).
+
+    Immutable; all evaluation methods are pure. The strip, mean, variance
+    and CF are read from the layout at q, and K and its derivatives at t
+    from a one-row block of it, the row of ``scenario.block([q])``; neither
+    depends on interferer order.
+    """
+
+    def __init__(self, scenario: SirScenario, q: float):
+        if not q > 0:
+            raise InvalidScenario(f"threshold q must be > 0, got {q}")
+        self.scenario, self.interferers, self.q = scenario, scenario.interferers, q
+        self._layout = layout = scenario._layout_at([q])
         with np.errstate(all="ignore"):
             mean, variance, valid, _ = _moments(layout)
         if not valid[0]:
@@ -111,11 +118,6 @@ class CompositeCgf:
         """(K'(t), K''(t))."""
         return self.k1(t), self.k2(t)
 
-    def block(self, qs) -> AtomBlock:
-        """The composite at every threshold of ``qs`` as one block: row i holds
-        the atoms of ``at(qs[i])``."""
-        return AtomBlock(self._layout_at(qs))
-
     def characteristic_function(self, t):
         """M(jt) of the composite variable, for real scalar or array t."""
         return _characteristic_function(self._layout, t)
@@ -127,4 +129,4 @@ def build_composite(s: SirScenario) -> CompositeCgf:
     Noise power is deliberately not folded in here; SINR evaluation shifts
     the evaluation point instead (see the analysis module).
     """
-    return CompositeCgf(s.desired, s.interferers, s.threshold_q)
+    return s.at(s.threshold_q)

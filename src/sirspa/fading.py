@@ -368,7 +368,8 @@ class AtomBlock:
         mean = self.mean if whole is None else np.where(whole[:, 0], self._linear_mean, self.mean)
         tc = t[:, None]
         w, s = self._quadratic
-        k = mean * t + np.add.reduce(w * (0.5 * np.square(s * tc)), axis=1)
+        u = s * tc
+        k = mean * t + np.add.reduce(0.5 * (w * u) * u, axis=1)  # (s*t)**2 alone may overflow
         with np.errstate(divide="ignore", invalid="ignore"):  # branches np.where drops
             for _, f0, f, _, w, s, ws, ws2 in self._blocks:
                 u = s * tc

@@ -323,6 +323,7 @@ def exponential_signal_closed_form(s: SirScenario) -> float:
         raise UnsupportedScenario("closed form needs Nakagami-m interferers")
     lam0 = d.rate
     q = s.threshold_q
-    log_success = -lam0 * q * s.noise_power - math.fsum(
+    noise = -lam0 * q * s.noise_power if s.noise_power else 0.0  # not -inf * 0 once q*L0 overflows
+    log_success = noise - math.fsum(
         k.m * math.log1p(q * lam0 / k.rate) for k in s.interferers)
     return 1.0 - math.exp(log_success)

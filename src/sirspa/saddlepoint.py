@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composite import CompositeCgf, _invalid_threshold
+from .composite import CompositeCgf, SirScenario, _invalid_threshold
 from .exceptions import DivergedSolver, InvalidScenario, NoSaddleInStrip, SirspaError
 from .fading import AtomBlock, _cumulant
 
@@ -202,7 +202,7 @@ def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) 
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
     t, w, u, iterations, converged, near_mean, edge, flat = (
-        a.item() for a in _solutions(c.block([c.q]), np.array([x]), cfg))
+        a.item() for a in _solutions(c.scenario.block([c.q]), np.array([x]), cfg))
     if edge or flat:
         raise _failure(x, t, edge, flat)
     return SaddleSolution(t, w, u, iterations, converged, near_mean)
@@ -242,21 +242,22 @@ def _near_mean(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
     return (1.0 - frac) * p_lo + frac * p_hi
 
 
-def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> list:
-    """Upper-tail probability of the composite variable at each threshold of
-    ``qs`` (``c.at(q)``) and its own x, from one lockstep saddle-point solve
-    of every threshold, as ``ccdf`` takes it: per threshold the tuple
-    ``(p, t_hat, w, u, iterations, near_mean, clamped)`` of a converged
-    solve, or the ``SirspaError`` that ``ccdf`` raises. Each row is read
-    once from the solve's arrays, rows of the one block ``c.block(qs)``.
+def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> list:
+    """Upper-tail probability of the composite variable of ``s`` at each
+    threshold of ``qs`` (``s.at(q)``) and its own x, from one lockstep
+    saddle-point solve of every threshold, as ``ccdf`` takes it: per
+    threshold the tuple ``(p, t_hat, w, u, iterations, near_mean, clamped)``
+    of a converged solve, or the ``SirspaError`` that ``ccdf`` raises. Each
+    row is read once from the solve's arrays, rows of the one block
+    ``s.block(qs)``.
 
-    A threshold whose cumulants overflow, or whose variance underflows to 0,
-    is a row the solve leaves inactive; it gives ``InvalidScenario``.
+    A threshold that ``s.at`` rejects is a row the solve leaves inactive; it
+    gives the same ``InvalidScenario``.
     """
     qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    blk = s.block(qs)
+    if not np.isfinite(x[blk.finite]).all():  # only a placeable row is solved at its x
         raise ValueError(f"x must be finite, got {x}")
-    blk = c.block(qs)
     t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)
     rows = []
     for q, xi, ti, wi, ui, n, ok, m, e, f, valid, v in zip(
@@ -271,7 +272,7 @@ def ccdf_block(c: CompositeCgf, qs, x, cfg: SolverConfig = SolverConfig()) -> li
             continue
         if m:
             try:
-                p_raw = _near_mean(c.at(q), xi, cfg)
+                p_raw = _near_mean(s.at(q), xi, cfg)
             except SirspaError as exc:
                 rows.append(exc)
                 continue
@@ -294,7 +295,7 @@ def ccdf(c: CompositeCgf, x: float,
     both anchors round to the mean their common value is returned. Raises
     ``DivergedSolver`` when a solve runs out of iterations.
     """
-    (r,) = ccdf_block(c, [c.q], [x], cfg)
+    (r,) = ccdf_block(c.scenario, [c.q], [x], cfg)
     if isinstance(r, SirspaError):
         raise r
     p, t_hat, w, u, iterations, near_mean, clamped = r

@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from sirspa import (
-    CompositeCgf,
     GaussianTest,
     MonteCarloConfig,
     NakagamiM,
@@ -22,7 +21,7 @@ from sirspa import (
     outage_curve,
     outage_point,
 )
-from sirspa import analysis, build_composite, saddlepoint
+from sirspa import analysis, build_composite, composite, saddlepoint
 from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
 from sirspa.exceptions import (
@@ -211,15 +210,15 @@ class TestOutageCurve:
 
 
 def count_builds(monkeypatch) -> list[int]:
-    """Count the composites built from a scenario (``CompositeCgf.__init__``)."""
+    """Count the layouts built from a scenario (``composite._layout_of``)."""
     builds = [0]
-    init = CompositeCgf.__init__
+    layout_of = composite._layout_of
 
-    def counting(self, *args):
+    def counting(atoms):
         builds[0] += 1
-        init(self, *args)
+        return layout_of(atoms)
 
-    monkeypatch.setattr(CompositeCgf, "__init__", counting)
+    monkeypatch.setattr(composite, "_layout_of", counting)
     return builds
 
 
@@ -240,6 +239,10 @@ class TestOneCompositePerCall:
         template = replace(fig1_template(), interferers=(NakagamiM(1.0, 1e300),))
         results = outage_curve(template, ThresholdGrid(0.0, 4.0, 2.0), "spa")
         assert [r.error.split(":")[0] for r in results] == ["InvalidScenario"] * 3
+        # nor where x = -q * N0 overflows too, at 4 dB: no unplaced row reads its x
+        results = outage_curve(replace(template, noise_power=1e308),
+                               ThresholdGrid(0.0, 4.0, 2.0), "spa")
+        assert [r.error.split(":")[0] for r in results] == ["InvalidScenario"] * 3
 
     def test_spa_curve_past_the_cumulant_range(self):
         # built at 1530 dB, the curve's composite overflows from about 1542 dB
@@ -248,6 +251,18 @@ class TestOneCompositePerCall:
                                               ThresholdGrid(1530.0, 1560.0, 5.0))
         assert [r.error is None for r in results] == [True] * 3 + [False] * 4
         assert all(r.error.startswith("InvalidScenario: threshold q=") for r in results[3:])
+
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez", "closed_form"])
+    def test_curve_from_unplaceable_to_placed(self, method):
+        # the variance of q * I - S underflows to 0 below about -117 dB, where
+        # no composite can be placed, and not above it
+        template = SirScenario(desired=NakagamiM(1.0, 1e-170),
+                               interferers=(NakagamiM(1.0, 1e-150),), threshold_q=1.0)
+        results = assert_curve_matches_points(template, ThresholdGrid(-130.0, -100.0, 10.0),
+                                              method=method)
+        placed = [True] * 4 if method == "closed_form" else [False] * 2 + [True] * 2
+        assert [r.error is None for r in results] == placed
+        assert all("underflows the variance" in r.error for r in results if r.error)
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_ergodic_capacity(self, method, monkeypatch):
@@ -538,15 +553,15 @@ class TestErgodicCapacity:
         calls = []
         ccdf_block = analysis.ccdf_block
 
-        def counting(c, qs, x, cfg):
+        def counting(s, qs, x, cfg):
             calls.append(len(qs))
-            return ccdf_block(c, qs, x, cfg)
+            return ccdf_block(s, qs, x, cfg)
 
         monkeypatch.setattr(analysis, "ccdf_block", counting)
         batched = ergodic_capacity(template, "spa")
         assert calls[0] == 7 and len(calls) < 10 and max(calls[1:]) >= 40
-        monkeypatch.setattr(analysis, "ccdf_block", lambda c, qs, x, cfg: [
-            r for qi, xi in zip(qs, x) for r in ccdf_block(c, [qi], [xi], cfg)])
+        monkeypatch.setattr(analysis, "ccdf_block", lambda s, qs, x, cfg: [
+            r for qi, xi in zip(qs, x) for r in ccdf_block(s, [qi], [xi], cfg)])
         assert ergodic_capacity(template, "spa") == batched
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
@@ -576,9 +591,9 @@ class TestErgodicCapacity:
             return wrapped
 
         def counting_points(fn):
-            def wrapped(c, qs, *args):
+            def wrapped(s, qs, *args):
                 calls[0] += len(qs)
-                return fn(c, qs, *args)
+                return fn(s, qs, *args)
             return wrapped
 
         monkeypatch.setattr(analysis, "ccdf_block", counting_points(analysis.ccdf_block))

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from sirspa import (
-    CompositeCgf,
     GaussianTest,
     Hoyt,
     MonteCarloConfig,
@@ -25,9 +24,9 @@ from sirspa import (
     QuadratureConfig,
     QuadratureNotConverged,
     Rician,
+    SirScenario,
     SolverConfig,
     analysis,
-    build_composite,
     cli,
     outage_point,
     saddlepoint,
@@ -229,7 +228,7 @@ class TestOutageCommand:
         monkeypatch.setattr(saddlepoint, "_solutions", synthetic)
         cfg_path = write_config(tmp_path, base_config())
         template = load_config(cfg_path).curves[0].template
-        rows = ccdf_block(build_composite(template), [1.0] * 5, [0.0] * 5)
+        rows = ccdf_block(template, [1.0] * 5, [0.0] * 5)
         assert [r[0] for r in rows] == [1.0, 0.0, 1.0, 0.0, raw[4]]
         assert [r[6] for r in rows] == [True, True, True, True, False]
         out = tmp_path / "out.csv"
@@ -760,7 +759,7 @@ class TestCompareBound:
                                  p_out=0.5, method=method) for q_db in grid.values_db()]
 
         blocks, moves = [], []
-        block, at = CompositeCgf.block, CompositeCgf.at
+        block, at = SirScenario.block, SirScenario.at
 
         def counting_block(self, qs):
             blocks.append(len(qs))
@@ -771,8 +770,8 @@ class TestCompareBound:
             return at(self, q)
 
         monkeypatch.setattr(cli, "outage_curve", fake_curve)
-        monkeypatch.setattr(CompositeCgf, "block", counting_block)
-        monkeypatch.setattr(CompositeCgf, "at", counting_at)
+        monkeypatch.setattr(SirScenario, "block", counting_block)
+        monkeypatch.setattr(SirScenario, "at", counting_at)
         cfg = base_config()  # three methods, so three pairs, and five points
         cfg["curves"].append(dict(cfg["curves"][0], label="other"))
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_OK

@@ -34,7 +34,7 @@ from conftest import (
 
 def d3(c: CompositeCgf, t: float) -> float:
     """The third derivative of a composite's CGF at t, from its one-row block."""
-    return c.block([c.q]).derivative(3, np.array([t])).item()
+    return c.scenario.block([c.q]).derivative(3, np.array([t])).item()
 
 
 def rayleigh_pair(q: float = 1.0) -> SirScenario:
@@ -75,7 +75,7 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="overflows"):
             build_composite(replace(fig4_scenario(), threshold_q=q))
         with pytest.raises(InvalidScenario, match="overflows"):
-            build_composite(fig4_scenario()).at(q)
+            fig4_scenario().at(q)
 
     def test_variance_underflow_is_typed(self):
         # both powers at -1700 dBm: the variance underflows to 0, and the
@@ -84,8 +84,21 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario, match="underflows the variance"):
             build_composite(SirScenario(desired=d, interferers=(d,), threshold_q=1.0))
         with pytest.raises(InvalidScenario, match="underflows the variance"):
-            build_composite(SirScenario(desired=d, interferers=(NakagamiM(1.0, 1e-100),),
-                                        threshold_q=1.0)).at(1e-70)
+            SirScenario(desired=d, interferers=(NakagamiM(1.0, 1e-100),),
+                        threshold_q=1.0).at(1e-70)
+
+
+class TestLayout:
+    def test_read_layout_leaves_equality_and_hash(self):
+        # the layout is cached on the scenario it was read from, and only there
+        s, fresh = fig4_scenario(), fig4_scenario()
+        s.at(2.0)
+        assert "_shapes" in vars(s) and "_shapes" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        moved = replace(s, threshold_q=2.0)
+        assert "_shapes" not in vars(moved)
+        assert moved._shapes is not s._shapes
+        assert layout_atoms(moved._shapes) == layout_atoms(s._shapes)
 
 
 class TestAt:
@@ -94,9 +107,8 @@ class TestAt:
         # one built at q, and bit-identical K, K' and K''
         for _ in range(40):
             s = random_scenario(rng)
-            base = build_composite(s)
             for q in [1e-4, 2.0 ** 60] + [float(q) for q in 10.0 ** rng.uniform(-4, 18, 4)]:
-                c, fresh = base.at(q), build_composite(replace(s, threshold_q=q))
+                c, fresh = s.at(q), build_composite(replace(s, threshold_q=q))
                 assert (c.q, layout_atoms(c._layout), c.strip) == (
                     fresh.q, layout_atoms(fresh._layout), fresh.strip)
                 assert (c.mean, c.variance) == (fresh.mean, fresh.variance)
@@ -108,13 +120,14 @@ class TestAt:
     @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
     def test_threshold_positive(self, q):
         with pytest.raises(InvalidScenario, match="must be > 0"):
-            build_composite(fig4_scenario()).at(q)
+            fig4_scenario().at(q)
 
     def test_chains(self):
         # a composite moved twice is the one moved once: every move starts
         # from the layout at q = 1
-        c = build_composite(fig4_scenario())
-        assert layout_atoms(c.at(3.0).at(0.25)._layout) == layout_atoms(c.at(0.25)._layout)
+        s = fig4_scenario()
+        twice = s.at(3.0).scenario.at(0.25)
+        assert layout_atoms(twice._layout) == layout_atoms(s.at(0.25)._layout)
 
 
 class TestBlock:
@@ -126,11 +139,10 @@ class TestBlock:
             s = random_scenario(rng) if i % 4 else replace(
                 fig1_scenario(), desired=GaussianTest(mu=2.0, sigma2=0.3),
                 interferers=(GaussianTest(mu=0.4, sigma2=0.1), NakagamiM(0.7, 1.3)))
-            base = build_composite(s)
             qs = [float(q) for q in 10.0 ** rng.uniform(-4, 6, 5)]
-            blk = base.block(qs)
+            blk = s.block(qs)
             assert blk.finite.all()
-            composites = [base.at(q) for q in qs]
+            composites = [s.at(q) for q in qs]
             for row, c in enumerate(composites):
                 assert (blk.mean[row], blk.variance[row], blk.lower[row], blk.upper[row]) == (
                     c.mean, c.variance, c.strip.lower, c.strip.upper)
@@ -151,10 +163,10 @@ class TestBlock:
         # rows switched to whole atoms keep K, K' and K'' within rounding of
         # the exactly rounded sums
         for _ in range(40):
-            base = build_composite(random_scenario(rng))
+            s = random_scenario(rng)
             qs = [float(q) for q in 10.0 ** rng.uniform(-4, 6, 5)]
-            blk = base.block(qs)
-            composites = [base.at(q) for q in qs]
+            blk = s.block(qs)
+            composites = [s.at(q) for q in qs]
             ts = np.array([strip_points(c.strip, rng, 1)[0] for c in composites])
             blk.sum_whole(ts)
             k1, k2 = blk.k12(ts)
@@ -170,7 +182,7 @@ class TestBlock:
         # interferer atom sits at u = -2**52, and with the linear parts in
         # the mean K' rounds to -1 and K to -36 (exact: 0 and -35.3505...)
         q = 2.0 ** 53
-        blk = build_composite(rayleigh_pair(q)).block([q])
+        blk = rayleigh_pair(q).block([q])
         t = np.array([(1.0 - q) / (2.0 * q)])
         assert blk.k12(t)[0][0] == -1.0
         blk.sum_whole(t)
@@ -270,7 +282,7 @@ class TestEval:
                 interferers=(GaussianTest(mu=0.4, sigma2=0.1), NakagamiM(0.7, 1.3)),
                 threshold_q=float(10.0 ** rng.uniform(-2, 2)))
             c = build_composite(s)
-            blk = c.block([c.q])
+            blk = s.block([c.q])
             for t in list(strip_points(c.strip, rng, 5)) + [0.0]:
                 ts = np.array([t])
                 k1, k2 = blk.k12(ts)
@@ -286,13 +298,13 @@ class TestEval:
 
     def test_permutation_bit_identity(self):
         s = fig4_scenario()
-        c1 = CompositeCgf(s.desired, s.interferers, s.threshold_q)
-        c2 = CompositeCgf(s.desired, tuple(reversed(s.interferers)), s.threshold_q)
+        c1 = CompositeCgf(s, s.threshold_q)
+        c2 = CompositeCgf(replace(s, interferers=tuple(reversed(s.interferers))), s.threshold_q)
         for t in (-0.2, 0.0, 0.1, 0.3):
             assert (c1.k(t), *c1.eval(t)) == (c2.k(t), *c2.eval(t))
         # and through the curve-level constructor
         for q in (1e-3, 0.7, 2.0 ** 20):
-            m1, m2 = c1.at(q), c2.at(q)
+            m1, m2 = c1.scenario.at(q), c2.scenario.at(q)
             assert (m1.mean, m1.variance) == (m2.mean, m2.variance)
             for t in (-0.2, 0.0, 0.1 / q, 0.3 / q):
                 assert (m1.k(t), *m1.eval(t)) == (m2.k(t), *m2.eval(t))

@@ -466,6 +466,15 @@ class TestClosedForm:
         expected = 1.0 - math.exp(-lam0 * 1.5 * 0.5) * (1.0 + 1.5 * lam0 / 3.0) ** -3.0
         assert exponential_signal_closed_form(s) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("q_db", [1545.0, 1550.0])
+    def test_rate_times_threshold_overflows(self, q_db):
+        # a -1540 dBm signal: q * L0 overflows, and with N0 = 0 the noise
+        # exponent -L0 * q * N0 was -inf * 0 = nan, where the outage is 1
+        s = SirScenario(desired=NakagamiM(m=1.0, mean_power=1e-154),
+                        interferers=(NakagamiM(m=2.0, mean_power=0.1),),
+                        threshold_q=10.0 ** (q_db / 10.0))
+        assert exponential_signal_closed_form(s) == 1.0
+
     def test_unsupported_scenarios(self):
         d = NakagamiM(m=2.0, mean_power=1.0)
         e = NakagamiM(m=1.0, mean_power=1.0)

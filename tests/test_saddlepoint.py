@@ -5,13 +5,13 @@ import math
 import warnings
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from sirspa import (
-    CompositeCgf,
     DivergedSolver,
     GaussianTest,
     NakagamiM,
@@ -26,7 +26,7 @@ from sirspa import (
 )
 from sirspa.config import load_config
 from sirspa.exceptions import InvalidScenario, NoSaddleInStrip
-from sirspa.fading import AtomBlock
+from sirspa.fading import AtomBlock, gamma, linear, quadratic
 from sirspa.saddlepoint import ccdf_block
 
 from conftest import CONFIG_DIR, layout_atoms, random_scenario
@@ -184,7 +184,7 @@ class TestSolveSaddle:
         c = build_composite(SirScenario(desired, (interferer,), q))
         with pytest.raises(NoSaddleInStrip, match="does not cross x=0.0"):
             solve_saddle(c, 0.0)
-        (row,) = ccdf_block(c, [q], [0.0])
+        (row,) = ccdf_block(c.scenario, [q], [0.0])
         assert isinstance(row, NoSaddleInStrip)
         sol = solve_saddle(c, x_inside)
         assert sol.converged and sol.t_hat == pytest.approx(t_inside, rel=1e-12)
@@ -307,7 +307,7 @@ class TestTwoPoleStart:
                          GaussianTest(mu=0.14388, sigma2=0.09993)),
             threshold_q=1.0))
         qs = 10.0 ** (np.arange(-10.0, 10.5, 0.5) / 10.0)
-        for q, row in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
+        for q, row in zip(qs.tolist(), ccdf_block(c.scenario, qs, np.zeros(len(qs)))):
             assert isinstance(row, tuple) and row[4] <= 5, q
 
     @pytest.mark.parametrize("noise_power", [1e9, 1e12])
@@ -332,8 +332,8 @@ class TestTwoPoleStart:
                                         threshold_q=1.0))
         qs = 2.0 ** np.linspace(54.8, 64.0, 2000) - 1.0
         # a row that did not converge would be a DivergedSolver, not a tuple
-        for q, row in zip(qs.tolist(), ccdf_block(c, qs, np.zeros(len(qs)))):
-            assert isinstance(row, tuple) and c.at(q).strip.contains(row[1]), q
+        for q, row in zip(qs.tolist(), ccdf_block(c.scenario, qs, np.zeros(len(qs)))):
+            assert isinstance(row, tuple) and c.scenario.at(q).strip.contains(row[1]), q
 
 
 class TestLugannaniRice:
@@ -492,8 +492,7 @@ class TestCcdf:
         # shapes of every order are laid out alike, so the rows are the same
         ints = (GaussianTest(mu=0.92, sigma2=0.05), NakagamiM(m=0.67, mean_power=0.41),
                 Rician(r=1.57, mean_power=0.44))
-        rows = [ccdf_block(build_composite(SirScenario(Rician(r=2.38, mean_power=9.17),
-                                                       order, threshold_q=1.0)),
+        rows = [ccdf_block(SirScenario(Rician(r=2.38, mean_power=9.17), order, threshold_q=1.0),
                            [0.1, 0.3, 1.0, 3.0], [0.0] * 4)
                 for order in itertools.permutations(ints)]
         assert all(r == rows[0] for r in rows)
@@ -521,7 +520,7 @@ class TestCcdf:
         c = build_composite(SirScenario(desired=NakagamiM(1.0, 1e-170),
                                         interferers=(GaussianTest(1e-160, 1e-300),),
                                         threshold_q=1.0))
-        ok, underflow = ccdf_block(c, [1.0, 1e-30], [0.0, 0.0])
+        ok, underflow = ccdf_block(c.scenario, [1.0, 1e-30], [0.0, 0.0])
         assert isinstance(ok, tuple) and ok[0] == pytest.approx(0.5)
         assert isinstance(underflow, InvalidScenario)
         assert str(underflow) == "threshold q=1e-30 underflows the variance of q * I - S to 0"
@@ -538,28 +537,51 @@ class TestCcdf:
                                         threshold_q=1.0))
         qs = [1e-30, 1e-12, 1e-11, 1e-6, 1e-3, 1e100, 1e300, 1e306]
         blocks = []
-        block = CompositeCgf.block
+        block = SirScenario.block
 
         def counting(self, qs):
             blocks.append(qs)
             return block(self, qs)
 
-        monkeypatch.setattr(CompositeCgf, "block", counting)
+        monkeypatch.setattr(SirScenario, "block", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = ccdf_block(c, qs, [0.0] * len(qs))
+            rows = ccdf_block(c.scenario, qs, [0.0] * len(qs))
         assert len(blocks) == 1
         monkeypatch.undo()
         assert [type(r).__name__ for r in rows] == ["InvalidScenario"] * 2 + ["tuple"] * 2 + [
             "InvalidScenario", "tuple", "InvalidScenario", "InvalidScenario"]
         for q, row in zip(qs, rows):
             try:
-                p, sol = ccdf(c.at(q), 0.0)
+                p, sol = ccdf(c.scenario.at(q), 0.0)
             except InvalidScenario as exc:
                 assert str(row) == str(exc), q
                 continue
             assert row == (p, sol.t_hat, sol.w, sol.u, sol.iterations, sol.near_mean,
                            sol.clamped), q
+
+    def test_quadratic_atom_far_out(self):
+        # at the root t = -1.09e161 the Gaussian interferer's (s*t)**2 =
+        # 1.2e322 overflows, although w * (s*t)**2 / 2 is about 6: K was inf,
+        # w rounded to 0, and the point was taken as near-mean, p = 0.7327
+        s = SirScenario(desired=NakagamiM(1.0, 1e-170),
+                        interferers=(GaussianTest(1e-160, 1e-321), NakagamiM(1.0, 1e-150)),
+                        threshold_q=1.0)
+        c = build_composite(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p, sol = ccdf(c, 0.0)
+            blk, t = s.block([1.0]), np.array([sol.t_hat])
+            blk.sum_whole(t)  # as the solve sums K there
+            k = blk.k(t).item()
+        exact_f = {gamma: lambda z: -mpmath.log(1 - z), linear: lambda z: z,
+                   quadratic: lambda z: z * z / 2}
+        with mpmath.workdps(50):
+            exact = float(mpmath.fsum(w * exact_f[f](mpmath.mpf(sc) * mpmath.mpf(sol.t_hat))
+                                      for f, w, sc in layout_atoms(c._layout)))
+        assert abs(k - exact) <= 1e-12 * abs(exact)
+        assert not sol.near_mean
+        assert abs(p - gil_pelaez_ccdf(c, 0.0)[0]) < 1e-3
 
     def test_curvature_underflow_is_typed(self):
         # the signal is 1e70 times weaker than the interferer at tiny powers:
@@ -570,7 +592,7 @@ class TestCcdf:
                                         threshold_q=1.0))
         with pytest.raises(InvalidScenario, match="K'' underflows to 0 at the saddle point"):
             ccdf(c, 0.0)
-        (row,) = ccdf_block(c, [1.0], [0.0])
+        (row,) = ccdf_block(c.scenario, [1.0], [0.0])
         assert isinstance(row, InvalidScenario)
 
     def test_solver_config_validation(self):

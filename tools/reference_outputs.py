@@ -18,10 +18,15 @@ gamma and noncentral ones, and three runs at the edges of what can be
 placed: ``outage`` with ``spa,gil_pelaez,closed_form`` on the Rayleigh pair
 and a -1540 dBm signal from 1525 to 1550 dB, the same on a -2000 dBm
 interferer around -1500 dB, and ``compare`` on the Rayleigh pair from 1525
-to 1550 dB with ``--method monte_carlo,closed_form``. Each config that is
-not shipped is written into OUTDIR as ``<name>.json``. Each run writes its
-CSV into OUTDIR through ``--output``, and its stdout, stderr and exit code
-beside it, as ``<name>.stdout``, ``<name>.stderr`` and ``<name>.exit``.
+to 1550 dB with ``--method monte_carlo,closed_form``, and two more:
+``outage`` with ``spa,gil_pelaez`` around 0 dB on a -1700 dBm signal under
+a Gaussian-family interferer whose (s*t)**2 overflows at the root, and
+``compare`` on the -1540 dBm signal from 1525 to 1550 dB with ``--method
+monte_carlo,closed_form``, where q times the signal's rate overflows.
+Each config that is not shipped is written into OUTDIR as ``<name>.json``.
+Each run writes its CSV into OUTDIR through ``--output``, and its stdout,
+stderr and exit code beside it, as ``<name>.stdout``, ``<name>.stderr``
+and ``<name>.exit``.
 Nothing is written at the root of the tree. Two trees give the same
 outputs when ``diff -r`` finds no difference between their OUTDIRs.
 
@@ -95,6 +100,16 @@ ZERO_SCALE_INTERFERER = {
     "methods": ["spa", "gil_pelaez", "closed_form"],
 }
 
+# A Gaussian-family interferer whose (s*t)**2 overflows at the root near
+# 0 dB, although its share of K does not
+QUADRATIC_OVERFLOW = {
+    "curves": [{"label": "quadratic-overflow", "desired": _nakagami(1.0, -1700.0),
+                "interferers": [{"family": "gaussian", "mean_mw": 1e-160, "variance_mw2": 1e-321},
+                                _nakagami(1.0, -1500.0)]}],
+    "grid": {"start_db": -2.0, "stop_db": 2.0, "step_db": 1.0},
+    "methods": ["spa", "gil_pelaez"],
+}
+
 # (name, arguments before the config, a shipped config's name or a config
 # to write, arguments after it)
 RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
@@ -115,6 +130,10 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("outage_zero_scale_interferer", ["outage"], ZERO_SCALE_INTERFERER, []),
     ("compare_placement_edges", ["compare"],
      dict(PLACEMENT_EDGES, curves=PLACEMENT_EDGES["curves"][:1]),
+     ["--method", "monte_carlo,closed_form"]),
+    ("outage_quadratic_overflow", ["outage"], QUADRATIC_OVERFLOW, []),
+    ("compare_closed_form_overflow", ["compare"],
+     dict(PLACEMENT_EDGES, curves=PLACEMENT_EDGES["curves"][1:]),
      ["--method", "monte_carlo,closed_form"]),
 ]
 
