@@ -35,6 +35,8 @@ _EDGE_MARGIN = 1e-12
 # a Newton correction within this fraction of |t| (2 to 4 ulps of t) has
 # resolved the root to float precision
 _RESOLVED = 4.0 * 2.0 ** -53
+# a residual |K'(t) - x| within this fraction of max(1, |x|, sigma) meets the root
+_TOL = 1e-8
 # a saddle point with |w| below this is too close to the mean for the tail formula
 _NEAR_MEAN_W = 1e-4
 # the near-mean branch interpolates between mean -+ this many standard deviations
@@ -43,14 +45,11 @@ _NEAR_MEAN_DELTA = 1e-3
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton-solver tolerance and iteration budget."""
+    """Newton-solver iteration budget; the residual tolerance is fixed."""
 
-    tol: float = 1e-8
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -103,14 +102,14 @@ def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig, rootless: np.ndarr
     replaced by the midpoint of the iterate and the bracket edge it crossed,
     and no iterate comes closer to a strip edge than ``_EDGE_MARGIN`` of its
     distance from 0. A row stops one Newton step (the polish) after its
-    residual meets tol * max(1, |x|, sigma), or its Newton correction is
+    residual meets 1e-8 * max(1, |x|, sigma), or its Newton correction is
     within a few ulps of t (the root resolved to float precision), or when
-    it can no longer move. Returns each row's last iterate, its
-    residual and K'', its iteration count and whether it converged, and the
-    margins of the strip.
+    it can no longer move, or after ``cfg.max_iter`` rounds. Returns each
+    row's last iterate, its residual and K'', its iteration count and
+    whether it converged, and the margins of the strip.
     """
     n = len(x)
-    scale = cfg.tol * np.maximum(np.maximum(np.abs(x), 1.0), np.sqrt(blk.variance))
+    scale = _TOL * np.maximum(np.maximum(np.abs(x), 1.0), np.sqrt(blk.variance))
     lo, hi = blk.lower, blk.upper
     floor, ceiling = lo * (1.0 - _EDGE_MARGIN), hi * (1.0 - _EDGE_MARGIN)
     t = _start(blk, x, floor, ceiling)
@@ -155,7 +154,8 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     with no root inside the strip's margins (``edge``) or with K''
     underflowing to 0 at a root off 0 (``flat``); ``_failure`` gives those
     errors. A row is solved only if ``blk.finite`` marks it and its x lies
-    between K' at the strip's edges (``blk.k1_limits``).
+    strictly between K' at the strip's edges (``blk.k1_limits``); any other
+    x, an infinite or NaN one too, is ``edge``.
 
     Once converged, one more Newton step without a new evaluation: x*t - K(t)
     is stationary at the root, so the step adds -g*dt/2 to it (second
@@ -164,7 +164,7 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     there K' is rounding noise, and g / K'' need not point at the root.
     """
     k1_lower, k1_upper = blk.k1_limits
-    rootless = (x <= k1_lower) | (x >= k1_upper)  # K' never reaches x on the strip
+    rootless = ~((x > k1_lower) & (x < k1_upper))  # K' never reaches x on the strip
     with np.errstate(all="ignore"):  # the rows not solved, and 0/0 where K'' is 0
         t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg, rootless)
         k = blk.k(t)
@@ -194,13 +194,11 @@ def _failure(x: float, t: float, edge: bool, flat: bool) -> SirspaError:
 def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
     """Solve K'(t) = x by safeguarded Newton iteration (see ``_newton``).
 
-    Raises ``NoSaddleInStrip`` when the root lies closer to a strip edge
-    than the edge margin, and ``InvalidScenario`` when K'' underflows to 0
-    at a root off 0; a solve that runs out of iterations is returned
-    with ``converged`` False.
+    Raises ``NoSaddleInStrip`` when K' does not cross x (an infinite or NaN
+    x too) or the root lies closer to a strip edge than the edge margin, and
+    ``InvalidScenario`` when K'' underflows to 0 at a root off 0; a solve
+    that runs out of iterations is returned with ``converged`` False.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
     t, w, u, iterations, converged, near_mean, edge, flat = (
         a.item() for a in _solutions(c.scenario.block([c.q]), np.array([x]), cfg))
     if edge or flat:
@@ -226,7 +224,7 @@ def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
     """Tail value at one near-mean anchor, solved on its own and clamped."""
     sol = solve_saddle(c, x, cfg)
     if not sol.converged:
-        raise DivergedSolver(f"saddle solver did not converge at x={x}")
+        raise _failure(x, sol.t_hat, False, False)
     return min(1.0, max(0.0, ccdf_at_mean(c) if sol.near_mean else
                         _lugannani_rice(sol.w, sol.u)))
 
@@ -252,12 +250,11 @@ def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> lis
     ``s.block(qs)``.
 
     A threshold that ``s.at`` rejects is a row the solve leaves inactive; it
-    gives the same ``InvalidScenario``.
+    gives the same ``InvalidScenario``. A row whose x is infinite or NaN
+    fails alone, with ``NoSaddleInStrip``.
     """
     qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
     blk = s.block(qs)
-    if not np.isfinite(x[blk.finite]).all():  # only a placeable row is solved at its x
-        raise ValueError(f"x must be finite, got {x}")
     t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)
     rows = []
     for q, xi, ti, wi, ui, n, ok, m, e, f, valid, v in zip(
@@ -293,7 +290,8 @@ def ccdf(c: CompositeCgf, x: float,
     mean -+ 1e-3 standard deviations, each solved on its own and clamped; an
     anchor that is itself near the mean takes ``ccdf_at_mean``, and where
     both anchors round to the mean their common value is returned. Raises
-    ``DivergedSolver`` when a solve runs out of iterations.
+    the error of ``solve_saddle``, or ``DivergedSolver`` for a solve out of
+    iterations.
     """
     (r,) = ccdf_block(c.scenario, [c.q], [x], cfg)
     if isinstance(r, SirspaError):

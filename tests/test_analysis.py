@@ -155,7 +155,7 @@ class TestOutageCurve:
     def test_failed_point_carries_error_marker(self):
         # fig3: fig1's start is its root, which one iteration meets
         grid = ThresholdGrid(-3.0, 3.0, 3.0)
-        solver = SolverConfig(tol=1e-15, max_iter=1)
+        solver = SolverConfig(max_iter=1)
         results = outage_curve(fig3_template(), grid, "spa", solver=solver)
         assert len(results) == 3
         for r in results:
@@ -263,6 +263,18 @@ class TestOneCompositePerCall:
         placed = [True] * 4 if method == "closed_form" else [False] * 2 + [True] * 2
         assert [r.error is None for r in results] == placed
         assert all("underflows the variance" in r.error for r in results if r.error)
+
+    def test_noise_overflow_fails_points(self):
+        # a -3000 dBm interferer with N0 = 10 mW: x = -q * N0 is -1e308 at
+        # 3070 dB and overflows to -inf from 3075 dB on. Each row fails
+        # alone, as an x beyond K''s range does
+        template = SirScenario(desired=NakagamiM(1.0, 1.0),
+                               interferers=(NakagamiM(1.0, 1e-300),), threshold_q=1.0,
+                               noise_power=10.0)
+        results = assert_curve_matches_points(template, ThresholdGrid(3070.0, 3080.0, 5.0))
+        assert [r.error for r in results] == [
+            f"NoSaddleInStrip: K' does not cross x={x} inside the strip"
+            for x in (-1e308, -math.inf, -math.inf)]
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_ergodic_capacity(self, method, monkeypatch):

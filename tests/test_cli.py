@@ -129,7 +129,7 @@ class TestConfigLoading:
         (lambda c: c["grid"].pop("step_db"), "grid"),
         (lambda c: c.update(methods=["spa", "newton"]), "methods/1"),
         (lambda c: c["curves"][0].update(interferers=[]), "curves/0/interferers"),
-        (lambda c: c.update(solver={"tol": "small"}), "solver/tol"),
+        (lambda c: c.update(quadrature={"rel_tol": "small"}), "quadrature/rel_tol"),
         (lambda c: c["curves"][0]["desired"].update(m=True), "curves/0/desired/m"),
         (lambda c: c.update(output={"format": "xml"}), "output"),
         (lambda c: c.update(compare={"bounds": {"spa,gil_pelaez": -1.0}}),
@@ -138,10 +138,11 @@ class TestConfigLoading:
         (lambda c: c.update(solver={"near_mean_method": "skewness"}), "solver"),
         (lambda c: c.update(solver={"interpolation_delta": 1e-3}), "solver"),
         (lambda c: c.update(solver={"near_mean_w_threshold": 1e-4}), "solver"),
+        (lambda c: c.update(solver={"tol": 1e-8}), "solver"),
     ], ids=["extra_field", "unknown_family", "string_step", "no_curves", "missing_step",
             "unknown_method", "no_interferers", "string_tol", "bool_m", "xml_format",
             "negative_bound", "fractional_samples", "removed_near_mean_method",
-            "removed_interpolation_delta", "removed_near_mean_w_threshold"])
+            "removed_interpolation_delta", "removed_near_mean_w_threshold", "removed_tol"])
     def test_messages_name_the_field(self, tmp_path, edit, where):
         raw = base_config()
         edit(raw)
@@ -161,7 +162,7 @@ class TestConfigLoading:
          "curves/0/noise_power_dbm"),
         (lambda c: c["curves"][0]["desired"].update(mean_power_dbm="4000"),
          "curves/0/desired/mean_power_dbm"),
-        (lambda c: c.update(solver={"tol": "Infinity"}), "solver/tol"),
+        (lambda c: c.update(quadrature={"rel_tol": "Infinity"}), "quadrature/rel_tol"),
         (lambda c: c.update(compare={"default_bound": "NaN"}), "compare/default_bound"),
     ], ids=["overflow_stop_db", "inf_m", "inf_r", "nan_noise", "inf_noise",
             "overflow_mean_power", "inf_tol", "nan_bound"])
@@ -360,6 +361,25 @@ class TestOutageCommand:
             "FAILED pair spa q_db=0: InvalidScenario: K'' underflows to 0 at the "
             "saddle point t=-5e+169 of x=-0.0"]
         assert out.read_text().splitlines()[2].split(",")[3:5] == ["gil_pelaez", "1.0"]
+
+    def test_noise_overflow_fails_points(self, tmp_path, capsys):
+        # x = -q * N0 overflows from 3075 dB on: spa fails each point with a
+        # typed error, and the run goes on to the other methods. Gil-Pelaez's
+        # NaN integrals spend the whole panel budget, so it is a small one
+        cfg = base_config(grid={"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
+                          methods=["spa", "gil_pelaez", "closed_form"],
+                          quadrature={"max_panels": 256})
+        cfg["curves"][0].update(interferers=[nakagami(1.0, -3000.0)], noise_power_dbm=10.0)
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(out)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        failed = [l for l in err.splitlines() if l.startswith("FAILED")]
+        assert [l.split(": ")[1] for l in failed] == (
+            ["NoSaddleInStrip"] * 3 + ["QuadratureNotConverged"] * 3)
+        rows = list(csv.DictReader(out.open()))
+        assert [r["p_out"] for r in rows if r["method"] == "closed_form"] == ["1.0"] * 3
 
     def test_unknown_method_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

@@ -20,25 +20,34 @@ and a -1540 dBm signal from 1525 to 1550 dB, the same on a -2000 dBm
 interferer around -1500 dB, and ``compare`` on the Rayleigh pair from 1525
 to 1550 dB with ``--method monte_carlo,closed_form``, and two more:
 ``outage`` with ``spa,gil_pelaez`` around 0 dB on a -1700 dBm signal under
-a Gaussian-family interferer whose (s*t)**2 overflows at the root, and
+a Gaussian-family interferer whose (s*t)**2 overflows at the root,
 ``compare`` on the -1540 dBm signal from 1525 to 1550 dB with ``--method
-monte_carlo,closed_form``, where q times the signal's rate overflows.
+monte_carlo,closed_form``, where q times the signal's rate overflows, and
+``outage`` with ``spa,gil_pelaez,closed_form`` from 3070 to 3080 dB on a
+-3000 dBm interferer with N0 = 10 mW, where x = -q * N0 overflows.
 Each config that is not shipped is written into OUTDIR as ``<name>.json``.
 Each run writes its CSV into OUTDIR through ``--output``, and its stdout,
 stderr and exit code beside it, as ``<name>.stdout``, ``<name>.stderr``
-and ``<name>.exit``.
+and ``<name>.exit``; ``versions.txt`` names the Python and numpy that ran.
 Nothing is written at the root of the tree. Two trees give the same
 outputs when ``diff -r`` finds no difference between their OUTDIRs.
 
     python3 tools/reference_outputs.py OUTDIR --against OLDDIR
 
 compares two such directories instead of writing one, and needs no source
-tree. For each CSV table (the ``.csv`` files, and ``compare``'s table on
+tree; it prints nothing when every file is the same, byte for byte. For
+each CSV table that differs (the ``.csv`` files, and ``compare``'s table on
 stdout) and each method in it, it prints how many rows differ and the
 largest |difference| of each value column (``p_out``, ``capacity_bits``,
 ``max_abs_dev``, ``mean_abs_dev``, ``error_estimate``, and the solve's
-``t_hat`` and ``iterations``); rows are matched by position. Every other
-file is reported only when its bytes differ.
+``t_hat`` and ``iterations``); rows are matched by position. Any other
+file that differs is named.
+
+``tests/reference`` holds this tree's outputs, and a tier-1 test compares
+a new run with them through ``against``. After a change that is meant to
+move them, rewrite them with
+
+    python3 tools/reference_outputs.py tests/reference
 """
 
 import contextlib
@@ -46,6 +55,7 @@ import csv
 import io
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -110,6 +120,17 @@ QUADRATIC_OVERFLOW = {
     "methods": ["spa", "gil_pelaez"],
 }
 
+# x = -q * N0 is -1e308 at 3070 dB and overflows to -inf from 3075 dB on.
+# Gil-Pelaez's integrals are NaN there, and a NaN integral spends its whole
+# panel budget, and the retry's, before it fails: 17 s at the default budget
+NOISE_OVERFLOW = {
+    "curves": [{"label": "noise-overflow", "desired": _nakagami(1.0, 0.0),
+                "interferers": [_nakagami(1.0, -3000.0)], "noise_power_dbm": 10.0}],
+    "grid": {"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
+    "methods": ["spa", "gil_pelaez", "closed_form"],
+    "quadrature": {"max_panels": 256},
+}
+
 # (name, arguments before the config, a shipped config's name or a config
 # to write, arguments after it)
 RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
@@ -135,6 +156,7 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("compare_closed_form_overflow", ["compare"],
      dict(PLACEMENT_EDGES, curves=PLACEMENT_EDGES["curves"][1:]),
      ["--method", "monte_carlo,closed_form"]),
+    ("outage_noise_overflow", ["outage"], NOISE_OVERFLOW, []),
 ]
 
 
@@ -142,11 +164,14 @@ def run(outdir: Path) -> None:
     if not (ROOT / "src" / "sirspa").is_dir():
         sys.exit(f"{ROOT} is not the root of a sirspa source tree")
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy
     import sirspa
     from sirspa.cli import main
 
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"sirspa from {Path(sirspa.__file__).parent}")
+    (outdir / "versions.txt").write_text(
+        f"python {platform.python_version()}\nnumpy {numpy.__version__}\n")
     for name, command, config, extra in RUNS:
         if isinstance(config, dict):
             path = outdir / f"{name}.json"
@@ -183,17 +208,21 @@ def _delta(old: str, new: str) -> float:
     return math.inf if math.isnan(d) else d
 
 
-def against(newdir: Path, olddir: Path) -> None:
+def against(newdir: Path, olddir: Path) -> list[str]:
+    """One line for each file of either directory that is not the same,
+    byte for byte, in the other; none when the two are the same."""
+    lines = []
     names = sorted({p.name for p in newdir.iterdir()} | {p.name for p in olddir.iterdir()})
     for name in names:
         new, old = newdir / name, olddir / name
         if not (new.is_file() and old.is_file()):
-            print(f"{name}: only in {newdir if new.is_file() else olddir}")
+            lines.append(f"{name}: only in {newdir if new.is_file() else olddir}")
+            continue
+        if new.read_bytes() == old.read_bytes():
             continue
         rows_new, rows_old = _table(new), _table(old)
         if rows_new is None or rows_old is None or len(rows_new) != len(rows_old):
-            if new.read_bytes() != old.read_bytes():
-                print(f"{name}: differs")
+            lines.append(f"{name}: differs")
             continue
         methods: dict[str, list] = {}
         for a, b in zip(rows_old, rows_new):
@@ -205,12 +234,15 @@ def against(newdir: Path, olddir: Path) -> None:
                     counts[2][col] = max(counts[2].get(col, 0.0), _delta(a[col], b.get(col, "")))
         for method, (rows, differ, deltas) in methods.items():
             largest = ", ".join(f"{col} {d:.3g}" for col, d in deltas.items())
-            print(f"{name} {method}: {differ} of {rows} rows differ; max |delta| {largest}")
+            lines.append(f"{name} {method}: {differ} of {rows} rows differ; "
+                         f"max |delta| {largest}")
+    return lines
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[2] == "--against":
-        against(Path(sys.argv[1]), Path(sys.argv[3]))
+        for line in against(Path(sys.argv[1]), Path(sys.argv[3])):
+            print(line)
     elif len(sys.argv) == 2:
         run(Path(sys.argv[1]))
     else:
