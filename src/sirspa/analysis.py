@@ -189,13 +189,15 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     Integrates the success probability over the capacity axis c with
     q = 2**c - 1, which equals the mean by the tail-integral identity.
     Truncates where the success probability falls below 1e-8. The integral
-    runs over s = sqrt(c) with integrand 2s * success(s**2) (``adaptive_gl``,
-    to an absolute tolerance of max(1e-9, 1e-8 * |C|)): the success
-    probability goes as 1 - O(c**m0) near c = 0, which is smooth in s. The
-    returned error estimate is the quadrature's plus a bound on the dropped
-    tail. Raises ``QuadratureNotConverged`` carrying the integral so far if
-    the panel budget runs out with the error above tolerance, or if the
-    success probability is still at or above 1e-8 at the cap c = 64.
+    runs over s = sqrt(c) with integrand 2s * success(s**2) (the G20/K41
+    panels of ``adaptive_gl``, to an absolute tolerance of
+    max(1e-9, 1e-8 * |C|)): the success probability goes as 1 - O(c**m0)
+    near c = 0, which is smooth in s. The returned error estimate is the
+    quadrature's (its panels' |K41 - G20|) plus a bound on the dropped tail.
+    Raises ``QuadratureNotConverged`` carrying the integral so far if the
+    panel budget runs out with the error above tolerance, or if the success
+    probability is still at or above 1e-8 at the cap c = 64, and without a
+    value if a probe, the integral or its error estimate is not finite.
     ``closed_form`` has no capacity yet and raises ``UnsupportedScenario``.
     The saddle-point method solves each batch of integrand nodes, and the
     truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
@@ -229,8 +231,14 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     def tol(estimate: float) -> float:
         return max(1e-9, 1e-8 * abs(estimate))
 
+    if not math.isfinite(tail):
+        raise QuadratureNotConverged(
+            f"success probability {tail} at the probe c = {c_max:g} is not finite")
     value, err, exhausted = adaptive_gl(
         integrand, np.array([0.0, math.sqrt(c_max)]), tol, _CAPACITY_PANELS)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureNotConverged(
+            f"capacity {value} with error estimate {err} is not finite")
     if exhausted and err > tol(value):
         raise QuadratureNotConverged(
             f"capacity error estimate {err:.3e} above tolerance at "

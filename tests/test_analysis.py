@@ -578,7 +578,7 @@ class TestErgodicCapacity:
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_exhausted_budget_raises(self, method, monkeypatch):
-        # m0 = 0.75 takes two rounds of halving; one panel stops after the first
+        # m0 = 0.75 halves its first panel once; a budget of one panel stops before that
         monkeypatch.setattr(analysis, "_CAPACITY_PANELS", 1)
         with pytest.raises(QuadratureNotConverged, match="panels") as exc_info:
             ergodic_capacity(fig1_template(m0=0.75), method)
@@ -612,7 +612,27 @@ class TestErgodicCapacity:
         monkeypatch.setattr(analysis, "gil_pelaez_ccdf",
                             counting(analysis.gil_pelaez_ccdf))
         ergodic_capacity(template, method)
-        assert calls[0] <= 160
+        assert calls[0] <= 135
+
+    @pytest.mark.parametrize("nan_at, message", [
+        (lambda q: q >= 3.0, "at the probe c = 2 is not finite"),
+        (lambda q: 1.5 < q < 2.5, "capacity nan with error estimate nan is not finite"),
+    ], ids=["probe", "integrand"])
+    @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
+    def test_non_finite_success_raises(self, method, nan_at, message, monkeypatch):
+        # a NaN success probability from the probe c = 2 (q = 3) on, where no
+        # node of the integral up to c = 2 reads it, once gave a capacity
+        # truncated at c = 2 with no error; one between the probes gave
+        # (nan, nan)
+        tails = analysis._tails
+
+        def nan_tails(s, qs, *args):
+            for q, tail in zip(qs, tails(s, qs, *args)):
+                yield (math.nan, None) if nan_at(q) else tail
+
+        monkeypatch.setattr(analysis, "_tails", nan_tails)
+        with pytest.raises(QuadratureNotConverged, match=message):
+            ergodic_capacity(rayleigh_pair_template(), method)
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
     def test_truncation_at_the_cap_raises(self, method):

@@ -60,12 +60,21 @@ class TestGilPelaez:
         assert 0.0 <= err <= 1e-9
 
     def test_non_finite_integral_raises(self, monkeypatch):
-        # a nan integral is no probability; it is never clamped into [0, 1]
+        # a nan integral is no probability; it is never clamped into [0, 1].
+        # It is known after the first pass, which once went on to spend the
+        # whole panel budget
         c = build_composite(rayleigh_pair())
-        monkeypatch.setattr(CompositeCgf, "characteristic_function",
-                            lambda self, t: np.full(np.shape(t), complex("nan")))
+        calls = []
+
+        def nan_cf(self, t):
+            calls.append(np.size(t))
+            return np.full(np.shape(t), complex("nan"))
+
+        monkeypatch.setattr(CompositeCgf, "characteristic_function", nan_cf)
         with pytest.raises(QuadratureNotConverged, match="not finite"):
             gil_pelaez_ccdf(c, 0.0)
+        first_panels = len(oracles._initial_edges(c._layout, math.sqrt(c.variance))) - 1
+        assert calls == [41 * first_panels]
 
     def test_gaussian_at_mean(self):
         s = SirScenario(desired=GaussianTest(mu=1.0, sigma2=0.5),
@@ -124,6 +133,125 @@ class TestGilPelaez:
             QuadratureConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_panels=0)
+
+
+def gauss_kronrod_41(dps: int = 60):
+    """The G20/K41 rule on [-1, 1] in mpmath at ``dps`` digits: the 21 nodes
+    from the largest down to 0, their K41 weights, and their G20 weights
+    (0 at a Kronrod node)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        legendre = mpmath.taylor(lambda x: mpmath.legendre(20, x), 0, 20)
+
+        def moment(k):  # the integral of x**k over [-1, 1]
+            return mpmath.mpf(2) / (k + 1) if k % 2 == 0 else mpmath.mpf(0)
+
+        def p20_moment(k):  # the integral of P20(x) * x**k
+            return mpmath.fsum(c * moment(i + k) for i, c in enumerate(legendre))
+
+        # E21 = x**21 + sum of c_j x**j over odd j < 21; P20 * E21 is odd, so
+        # it is orthogonal to every even x**k, and the odd k <= 19 fix the c_j
+        odd = range(1, 21, 2)
+        c = mpmath.lu_solve(mpmath.matrix([[p20_moment(j + k) for j in odd] for k in odd]),
+                            mpmath.matrix([-p20_moment(21 + k) for k in odd]))
+        e21 = [mpmath.mpf(0)] * 22
+        e21[21] = mpmath.mpf(1)
+        for j, cj in zip(odd, c):
+            e21[j] = cj
+
+        def nonnegative_roots(coeffs):
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=2 * dps)
+            return [mpmath.re(r) for r in roots if mpmath.re(r) >= 0]
+
+        kronrod, gauss = nonnegative_roots(e21), nonnegative_roots(legendre)
+        nodes = sorted(kronrod + gauss, reverse=True)
+        # the moment equations of the even powers, for the weights of +x and -x
+        factor = [1 if x == 0 else 2 for x in nodes]
+        w_k = mpmath.lu_solve(
+            mpmath.matrix([[f * x ** (2 * k) for x, f in zip(nodes, factor)] for k in range(21)]),
+            mpmath.matrix([moment(2 * k) for k in range(21)]))
+        gauss = sorted(gauss, reverse=True)
+        w_g = mpmath.lu_solve(
+            mpmath.matrix([[2 * x ** (2 * k) for x in gauss] for k in range(10)]),
+            mpmath.matrix([moment(2 * k) for k in range(10)]))
+        w_g = {x: w for x, w in zip(gauss, w_g)}
+        return ([float(x) for x in nodes], [float(w) for w in w_k],
+                [float(w_g.get(x, 0)) for x in nodes])
+
+
+class TestGaussKronrod:
+    def test_exact_to_degree_61(self):
+        for a, b in ((-1.0, 1.0), (0.5, 1.75)):
+            for k in range(62):
+                value, _ = oracles._gl_batch(lambda x: x ** k, np.array([a]), np.array([b]))
+                exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                assert abs(value[0] - exact) <= 1e-14 * max(1.0, abs(exact)), (a, b, k)
+
+    def test_gauss_nodes_are_leggauss(self):
+        # numpy's leggauss(20) weights are within 1.3e-15 of the 60-digit ones
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        np.testing.assert_allclose(oracles._GK_NODES[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(oracles._GK_WEIGHTS[1::2, 1], weights, rtol=0, atol=2e-15)
+        assert not oracles._GK_WEIGHTS[::2, 1].any()
+
+    def test_weights_positive(self):
+        assert oracles._GK_WEIGHTS[:, 0].min() > 3e-3
+        assert oracles._GK_WEIGHTS[1::2, 1].min() > 0.0
+
+    def test_literals_are_the_mpmath_values(self):
+        nodes, k41, g20 = gauss_kronrod_41()
+        assert nodes == oracles._GK_X.tolist()
+        assert k41 == oracles._K41_W.tolist()
+        assert g20 == oracles._G20_W.tolist()
+
+    @pytest.mark.parametrize("coeffs, a, b", [
+        (np.random.default_rng(3).normal(size=40), 0.5, 1.75),  # degree 39: G20 is exact
+        ([1.0] + [0.0] * 21 + [1.0] + [0.0] * 38 + [1.0], -1.0, 1.0),  # x**61 + x**39 + 1
+    ], ids=["degree-39", "degree-61"])
+    def test_one_panel_of_a_polynomial(self, coeffs, a, b):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.polynomial.polynomial.polyval(x, coeffs)
+
+        value, err, exhausted = oracles.adaptive_gl(f, np.array([a, b]), lambda e: 1e-12, 2 ** 15)
+        antiderivative = np.polynomial.polynomial.polyint(coeffs)
+        exact = (np.polynomial.polynomial.polyval(b, antiderivative)
+                 - np.polynomial.polynomial.polyval(a, antiderivative))
+        assert calls == [41]
+        assert abs(value - exact) <= 1e-14 * max(1.0, abs(exact))
+        # G20 agrees with K41 to their rounding level
+        assert err <= max(1e-12, oracles._ROUNDOFF * abs(value)) and not exhausted
+
+    @pytest.mark.parametrize("nan_from", [0.0, 0.5], ids=["all", "half"])
+    def test_nan_integrand_costs_one_pass(self, nan_from):
+        # where only part of the first pass is NaN, the tolerance it gives is
+        # NaN too, and no finite panel would ever meet it
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.where(x >= nan_from, np.nan, np.cos(40.0 * x))
+
+        value, err, exhausted = oracles.adaptive_gl(f, np.linspace(0.0, 1.0, 17),
+                                                    lambda e: 1e-9 * abs(e), 2 ** 15)
+        assert calls == [16 * 41]
+        assert math.isnan(value) and math.isnan(err) and not exhausted
+
+    def test_non_finite_panels_are_accepted(self):
+        # cos(40x) refines [-1, 1] into its halves; one node of each is +inf
+        # and -inf there, and both halves are accepted as they stand
+        left, right = -0.5 + 0.5 * oracles._GK_NODES[5], 0.5 + 0.5 * oracles._GK_NODES[5]
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.where(x == left, np.inf, np.where(x == right, -np.inf, np.cos(40.0 * x)))
+
+        value, err, _ = oracles.adaptive_gl(f, np.array([-1.0, 1.0]), lambda e: 1e-9, 2 ** 15)
+        assert calls == [41, 82]
+        assert math.isnan(value) and math.isnan(err)
 
 
 # Characteristic-function nodes of one Rayleigh-pair Gil-Pelaez capacity
