@@ -30,7 +30,6 @@ from .oracles import (
 )
 from .saddlepoint import (
     SaddleSolution,
-    SolverConfig,
     ccdf,
     ccdf_at_mean,
     solve_saddle,

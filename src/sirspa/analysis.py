@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .composite import SirScenario
-from .exceptions import QuadratureNotConverged, SirspaError, UnsupportedScenario
+from .exceptions import InvalidScenario, QuadratureNotConverged, SirspaError, UnsupportedScenario
 from .oracles import (
     MonteCarloConfig,
     QuadratureConfig,
@@ -24,7 +24,7 @@ from .oracles import (
     map_batches,
     monte_carlo_curve,
 )
-from .saddlepoint import SolverConfig, ccdf_block
+from .saddlepoint import ccdf_block
 from .saddlepoint import ccdf  # noqa: F401  perfbench's test_tracer_restores_originals reads it
 
 METHODS = ("spa", "gil_pelaez", "monte_carlo", "closed_form")
@@ -90,19 +90,19 @@ def db_to_linear(db: float) -> float:
 
 
 def outage_point(s: SirScenario, method: str = "spa",
-                 solver: SolverConfig = SolverConfig(),
                  quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig(),
                  q_db: float | None = None) -> OutageResult:
     """Outage probability for one scenario with the selected method: the
-    one-point case of ``outage_curve``, raising the point's error.
+    one-point case of ``outage_curve``, raising the point's error (for
+    ``spa``, ``DivergedSolver`` after the solve's fixed 200 Newton rounds).
 
     SINR outage with noise power N0 > 0 evaluates the composite tail at
     x = -q * N0; with N0 = 0 this is the plain SIR outage at x = 0.
     """
     q = s.threshold_q
     (r,) = _outage(s, [(10.0 * math.log10(q) if q_db is None else q_db, q)], method,
-                   solver, quadrature, monte_carlo)
+                   quadrature, monte_carlo)
     if isinstance(r, SirspaError):
         raise r
     return r
@@ -116,20 +116,18 @@ def error_result(q_db: float, q_linear: float, method: str,
 
 
 def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa",
-                 solver: SolverConfig = SolverConfig(),
                  quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
     per point. A failed point carries an error marker instead of being dropped."""
     points = [(q_db, db_to_linear(q_db)) for q_db in grid.values_db().tolist()]
     return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
-            for (q_db, q), r in zip(points, _outage(template, points, method, solver,
+            for (q_db, q), r in zip(points, _outage(template, points, method,
                                                     quadrature, monte_carlo))]
 
 
 def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
-            solver: SolverConfig, quadrature: QuadratureConfig,
-            monte_carlo: MonteCarloConfig) -> list:
+            quadrature: QuadratureConfig, monte_carlo: MonteCarloConfig) -> list:
     """The ``OutageResult`` of ``method`` at each (q_db, q) of ``points``, the
     threshold of ``s`` replaced by q, or the ``SirspaError`` it raised. Monte
     Carlo draws once for every point; if that fails, every point carries it."""
@@ -140,7 +138,7 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
         except SirspaError as exc:
             tails = [exc] * len(qs)
     elif method in METHODS:
-        tails = _tails(s, qs, method, solver, quadrature)
+        tails = _tails(s, qs, method, quadrature)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     results = []
@@ -156,14 +154,13 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
     return results
 
 
-def _tails(s: SirScenario, qs: list[float], method: str, solver: SolverConfig,
-           quadrature: QuadratureConfig):
+def _tails(s: SirScenario, qs: list[float], method: str, quadrature: QuadratureConfig):
     """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
     (p, error estimate) or (p, None), each with p first, or the
     ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call;
     ``gil_pelaez`` (on ``s.at(q)``) and ``closed_form`` go one per read."""
     if method == "spa":
-        yield from ccdf_block(s, qs, [-q * s.noise_power for q in qs], solver)
+        yield from ccdf_block(s, qs, [-q * s.noise_power for q in qs])
         return
     for q in qs:
         try:
@@ -182,7 +179,6 @@ _CAPACITY_PROBES = [2.0 ** k for k in range(7)]  # c = 1, 2, 4, ..., 64
 
 
 def ergodic_capacity(template: SirScenario, method: str = "spa",
-                     solver: SolverConfig = SolverConfig(),
                      quadrature: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
     """Mean capacity E[log2(1 + SINR)] in bits/s/Hz.
 
@@ -196,8 +192,9 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     quadrature's (its panels' |K41 - G20|) plus a bound on the dropped tail.
     Raises ``QuadratureNotConverged`` carrying the integral so far if the
     panel budget runs out with the error above tolerance, or if the success
-    probability is still at or above 1e-8 at the cap c = 64, and without a
-    value if a probe, the integral or its error estimate is not finite.
+    probability is still at or above 1e-8 at the cap c = 64, and
+    ``InvalidScenario`` if a probe, the integral or its error estimate is
+    not finite.
     ``closed_form`` has no capacity yet and raises ``UnsupportedScenario``.
     The saddle-point method solves each batch of integrand nodes, and the
     truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
@@ -210,7 +207,7 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         """Success probability at each capacity of ``cs``, in order. A failed
         point raises its error when it is reached."""
         qs = [2.0 ** c - 1.0 for c in cs]
-        tails = _tails(template, [q for q in qs if q > 0.0], method, solver, quadrature)
+        tails = _tails(template, [q for q in qs if q > 0.0], method, quadrature)
         for q in qs:
             tail = next(tails) if q > 0.0 else (0.0, None)
             if isinstance(tail, SirspaError):
@@ -232,12 +229,12 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         return max(1e-9, 1e-8 * abs(estimate))
 
     if not math.isfinite(tail):
-        raise QuadratureNotConverged(
+        raise InvalidScenario(
             f"success probability {tail} at the probe c = {c_max:g} is not finite")
     value, err, exhausted = adaptive_gl(
         integrand, np.array([0.0, math.sqrt(c_max)]), tol, _CAPACITY_PANELS)
     if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureNotConverged(
+        raise InvalidScenario(
             f"capacity {value} with error estimate {err} is not finite")
     if exhausted and err > tol(value):
         raise QuadratureNotConverged(

@@ -23,12 +23,7 @@ from .analysis import (
     outage_point,
 )
 from .config import RunConfig, load_config, parse_methods
-from .exceptions import (
-    ConfigError,
-    DivergedSolver,
-    QuadratureNotConverged,
-    SirspaError,
-)
+from .exceptions import ConfigError, QuadratureNotConverged, SirspaError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,8 +33,8 @@ EXIT_COMPARE = 3
 OUTAGE_HEADER = ("curve,q_db,q_linear,method,p_out,t_hat,iterations,"
                  "near_mean,clamped,error_estimate")
 CAPACITY_HEADER = "curve,capacity_bits,method,error_estimate"
-# the marker prefixes (``error_result``) of the errors a larger budget can mend
-_BUDGET_ERRORS = tuple(f"{e.__name__}:" for e in (DivergedSolver, QuadratureNotConverged))
+# the marker prefix (``error_result``) of the error a larger budget can mend
+_BUDGET_ERROR = f"{QuadratureNotConverged.__name__}:"
 
 
 def _outage_row(label: str, r: OutageResult) -> str:
@@ -62,29 +57,29 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
-    """label -> method -> per-grid-point results. Each point that ran out of
-    its solver or quadrature budget is recomputed once with larger budgets,
-    and each retry is reported on stderr with those budgets. A point that
-    fails again keeps its error."""
+    """label -> method -> per-grid-point results. Each point whose quadrature
+    ran out of its budget (``QuadratureNotConverged``, only ever from
+    ``gil_pelaez``) is recomputed once with a larger budget, and each retry
+    is reported on stderr with that budget. A point that fails again keeps
+    its error. No other failure is retried: the saddle solve has one fixed
+    budget, and a non-finite integral is an ``InvalidScenario``."""
     out: dict[str, dict[str, list[OutageResult]]] = {}
     retry_quad = replace(cfg.quadrature, max_panels=cfg.quadrature.max_panels * 4,
                          rel_tol=max(cfg.quadrature.rel_tol, 1e-7))
-    retry_solver = replace(cfg.solver, max_iter=cfg.solver.max_iter * 4)
     for curve in cfg.curves:
         per_method = {}
         for method in cfg.methods:
             results = outage_curve(curve.template, cfg.grid, method,
-                                   cfg.solver, cfg.quadrature, cfg.monte_carlo)
+                                   cfg.quadrature, cfg.monte_carlo)
             for i, r in enumerate(results):
-                if not (r.error or "").startswith(_BUDGET_ERRORS):
+                if not (r.error or "").startswith(_BUDGET_ERROR):
                     continue
                 print(f"retry {curve.label} {method} q_db={r.q_db:g}: "
                       f"rel_tol={retry_quad.rel_tol:g} "
-                      f"max_panels={retry_quad.max_panels} "
-                      f"max_iter={retry_solver.max_iter}", file=sys.stderr)
+                      f"max_panels={retry_quad.max_panels}", file=sys.stderr)
                 s = replace(curve.template, threshold_q=r.q_linear)
                 try:
-                    results[i] = outage_point(s, method, retry_solver, retry_quad,
+                    results[i] = outage_point(s, method, retry_quad,
                                               cfg.monte_carlo, q_db=r.q_db)
                 except SirspaError as exc:
                     results[i] = error_result(r.q_db, r.q_linear, method, exc)
@@ -140,8 +135,7 @@ def cmd_capacity(cfg: RunConfig) -> int:
                 if method == "monte_carlo":
                     cap, err = monte_carlo_capacity(curve.template, cfg.monte_carlo)
                 else:
-                    cap, err = ergodic_capacity(curve.template, method,
-                                                cfg.solver, cfg.quadrature)
+                    cap, err = ergodic_capacity(curve.template, method, cfg.quadrature)
             except SirspaError as exc:
                 print(f"FAILED {curve.label} {method}: {type(exc).__name__}: {exc}",
                       file=sys.stderr)

@@ -22,7 +22,6 @@ from .composite import SirScenario
 from .exceptions import ConfigError
 from .fading import GaussianTest, Hoyt, NakagamiM, PowerDistribution, Rician
 from .oracles import MonteCarloConfig, QuadratureConfig
-from .saddlepoint import SolverConfig
 
 # family -> (class, the keys of its two arguments); a *_dbm key is read in mW
 _FAMILIES = {
@@ -61,7 +60,6 @@ class RunConfig:
     curves: tuple[CurveSpec, ...]
     grid: ThresholdGrid
     methods: tuple[str, ...]
-    solver: SolverConfig
     quadrature: QuadratureConfig
     monte_carlo: MonteCarloConfig
     output_path: str | None
@@ -200,7 +198,7 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     raw = _object(raw, "", ("curves", "grid", "methods"),
-                  ("solver", "quadrature", "monte_carlo", "output", "compare"))
+                  ("quadrature", "monte_carlo", "output", "compare"))
     curves = tuple(_curve(cv, f"curves/{i}")
                    for i, cv in enumerate(_array(raw["curves"], "curves")))
     labels = [c.label for c in curves]
@@ -214,7 +212,6 @@ def load_config(path: str | Path) -> RunConfig:
         curves=curves,
         grid=_build(ThresholdGrid, raw["grid"], "grid"),
         methods=parse_methods(raw["methods"], "methods"),
-        solver=_build(SolverConfig, raw.get("solver", {}), "solver"),
         quadrature=_build(QuadratureConfig, raw.get("quadrature", {}), "quadrature"),
         monte_carlo=_build(MonteCarloConfig, raw.get("monte_carlo", {}), "monte_carlo"),
         output_path=_value(out, "path", "output", str) if "path" in out else None,

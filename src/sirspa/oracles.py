@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composite import SirScenario
-from .exceptions import QuadratureNotConverged, UnsupportedScenario
+from .exceptions import InvalidScenario, QuadratureNotConverged, UnsupportedScenario
 from .fading import NakagamiM
 
 # Monte Carlo streams use numpy's PCG64 via SeedSequence(seed).spawn(batch);
@@ -228,8 +228,11 @@ def gil_pelaez_ccdf(c, x: float,
 
     Returns the clamped probability and the quadrature's own error estimate
     (in probability units). An integral or error estimate that is not finite
-    raises ``QuadratureNotConverged``; it is never clamped into [0, 1]. A
-    first pass that is not finite raises after that one pass.
+    raises ``InvalidScenario`` (the numbers have left the float range, and
+    no panel budget mends that); it is never clamped into [0, 1]. A first
+    pass that is not finite raises after that one pass. A panel budget that
+    runs out with the error above tolerance raises
+    ``QuadratureNotConverged``, carrying the value and its estimate.
     """
     mean = c.mean
     sigma = math.sqrt(c.variance)
@@ -253,7 +256,7 @@ def gil_pelaez_ccdf(c, x: float,
         integrand, _initial_edges(c._layout, sigma), tol, qc.max_panels)
     err_p = err / np.pi
     if not (math.isfinite(integral) and math.isfinite(err)):
-        raise QuadratureNotConverged(
+        raise InvalidScenario(
             f"integral {integral} with error estimate {err_p} is not finite")
     p = min(1.0, max(0.0, 0.5 + integral / np.pi))
     if exhausted and err > tol(integral):

@@ -37,21 +37,12 @@ _EDGE_MARGIN = 1e-12
 _RESOLVED = 4.0 * 2.0 ** -53
 # a residual |K'(t) - x| within this fraction of max(1, |x|, sigma) meets the root
 _TOL = 1e-8
+# Newton rounds a row may take before it fails with ``DivergedSolver``
+_MAX_ITER = 200
 # a saddle point with |w| below this is too close to the mean for the tail formula
 _NEAR_MEAN_W = 1e-4
 # the near-mean branch interpolates between mean -+ this many standard deviations
 _NEAR_MEAN_DELTA = 1e-3
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Newton-solver iteration budget; the residual tolerance is fixed."""
-
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ def _start(blk: AtomBlock, x: np.ndarray, floor: np.ndarray, ceiling: np.ndarray
     return np.where(np.isfinite(t), np.minimum(np.maximum(t, floor), ceiling), 0.0)
 
 
-def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig, rootless: np.ndarray):
+def _newton(blk: AtomBlock, x: np.ndarray, rootless: np.ndarray):
     """Safeguarded Newton iteration on K'(t) = x for the rows of ``blk`` that
     ``blk.finite`` marks and that are not ``rootless``, in lockstep, each
     from the root of its two-pole model of K' (``_start``), with one
@@ -104,7 +95,7 @@ def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig, rootless: np.ndarr
     distance from 0. A row stops one Newton step (the polish) after its
     residual meets 1e-8 * max(1, |x|, sigma), or its Newton correction is
     within a few ulps of t (the root resolved to float precision), or when
-    it can no longer move, or after ``cfg.max_iter`` rounds. Returns each
+    it can no longer move, or after ``_MAX_ITER`` rounds. Returns each
     row's last iterate, its residual and K'', its iteration count and
     whether it converged, and the margins of the strip.
     """
@@ -118,7 +109,7 @@ def _newton(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig, rootless: np.ndarr
     iterations = np.zeros(n, dtype=int)
     converged = np.zeros(n, dtype=bool)  # a row polishes once it has converged
     active = blk.finite & ~rootless
-    for _ in range(cfg.max_iter):
+    for _ in range(_MAX_ITER):
         iterations += active
         g = k1 - x
         met = _met(g, k2, t, scale)
@@ -148,7 +139,7 @@ def _met(g, k2, t, scale):
     return np.abs(g) <= np.maximum(scale, np.where(np.isfinite(k2), resolved, 0.0))
 
 
-def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
+def _solutions(blk: AtomBlock, x: np.ndarray):
     """Every row's solve of K'(t) = x on ``blk`` at its own x, as arrays:
     t, w, u, iterations, converged, near_mean, and whether the row failed
     with no root inside the strip's margins (``edge``) or with K''
@@ -166,7 +157,7 @@ def _solutions(blk: AtomBlock, x: np.ndarray, cfg: SolverConfig):
     k1_lower, k1_upper = blk.k1_limits
     rootless = ~((x > k1_lower) & (x < k1_upper))  # K' never reaches x on the strip
     with np.errstate(all="ignore"):  # the rows not solved, and 0/0 where K'' is 0
-        t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, cfg, rootless)
+        t, g, k2, iterations, converged, floor, ceiling = _newton(blk, x, rootless)
         k = blk.k(t)
         dt = -g / k2
         dt = np.where(converged & (t + dt >= floor) & (t + dt <= ceiling), dt, 0.0)
@@ -191,16 +182,17 @@ def _failure(x: float, t: float, edge: bool, flat: bool) -> SirspaError:
     return DivergedSolver(f"saddle solver did not converge at x={x}")
 
 
-def solve_saddle(c: CompositeCgf, x: float, cfg: SolverConfig = SolverConfig()) -> SaddleSolution:
+def solve_saddle(c: CompositeCgf, x: float) -> SaddleSolution:
     """Solve K'(t) = x by safeguarded Newton iteration (see ``_newton``).
 
     Raises ``NoSaddleInStrip`` when K' does not cross x (an infinite or NaN
     x too) or the root lies closer to a strip edge than the edge margin, and
     ``InvalidScenario`` when K'' underflows to 0 at a root off 0; a solve
-    that runs out of iterations is returned with ``converged`` False.
+    that does not converge in ``_MAX_ITER`` (200) rounds is returned with
+    ``converged`` False.
     """
     t, w, u, iterations, converged, near_mean, edge, flat = (
-        a.item() for a in _solutions(c.scenario.block([c.q]), np.array([x]), cfg))
+        a.item() for a in _solutions(c.scenario.block([c.q]), np.array([x])))
     if edge or flat:
         raise _failure(x, t, edge, flat)
     return SaddleSolution(t, w, u, iterations, converged, near_mean)
@@ -220,27 +212,27 @@ def _lugannani_rice(w: float, u: float) -> float:
     return 0.5 * math.erfc(w / _SQRT_2) + math.exp(-0.5 * w * w) / _SQRT_2PI * (1.0 / u - 1.0 / w)
 
 
-def _anchor(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
+def _anchor(c: CompositeCgf, x: float) -> float:
     """Tail value at one near-mean anchor, solved on its own and clamped."""
-    sol = solve_saddle(c, x, cfg)
+    sol = solve_saddle(c, x)
     if not sol.converged:
         raise _failure(x, sol.t_hat, False, False)
     return min(1.0, max(0.0, ccdf_at_mean(c) if sol.near_mean else
                         _lugannani_rice(sol.w, sol.u)))
 
 
-def _near_mean(c: CompositeCgf, x: float, cfg: SolverConfig) -> float:
+def _near_mean(c: CompositeCgf, x: float) -> float:
     delta = _NEAR_MEAN_DELTA * math.sqrt(c.variance)
     x_lo, x_hi = c.mean - delta, c.mean + delta
-    p_lo = _anchor(c, x_lo, cfg)
+    p_lo = _anchor(c, x_lo)
     if x_hi == x_lo:  # |mean| / sigma above ~1e13: both anchors round to the mean
         return p_lo
-    p_hi = _anchor(c, x_hi, cfg)
+    p_hi = _anchor(c, x_hi)
     frac = (x - x_lo) / (x_hi - x_lo)
     return (1.0 - frac) * p_lo + frac * p_hi
 
 
-def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> list:
+def ccdf_block(s: SirScenario, qs, x) -> list:
     """Upper-tail probability of the composite variable of ``s`` at each
     threshold of ``qs`` (``s.at(q)``) and its own x, from one lockstep
     saddle-point solve of every threshold, as ``ccdf`` takes it: per
@@ -251,11 +243,12 @@ def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> lis
 
     A threshold that ``s.at`` rejects is a row the solve leaves inactive; it
     gives the same ``InvalidScenario``. A row whose x is infinite or NaN
-    fails alone, with ``NoSaddleInStrip``.
+    fails alone, with ``NoSaddleInStrip``, and a row still unconverged after
+    ``_MAX_ITER`` (200) rounds with ``DivergedSolver``.
     """
     qs, x = np.asarray(qs, dtype=float), np.asarray(x, dtype=float)
     blk = s.block(qs)
-    t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x, cfg)
+    t, w, u, iterations, converged, near_mean, edge, flat = _solutions(blk, x)
     rows = []
     for q, xi, ti, wi, ui, n, ok, m, e, f, valid, v in zip(
             qs.tolist(), x.tolist(), t.tolist(), w.tolist(), u.tolist(),
@@ -269,7 +262,7 @@ def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> lis
             continue
         if m:
             try:
-                p_raw = _near_mean(s.at(q), xi, cfg)
+                p_raw = _near_mean(s.at(q), xi)
             except SirspaError as exc:
                 rows.append(exc)
                 continue
@@ -280,8 +273,7 @@ def ccdf_block(s: SirScenario, qs, x, cfg: SolverConfig = SolverConfig()) -> lis
     return rows
 
 
-def ccdf(c: CompositeCgf, x: float,
-         cfg: SolverConfig = SolverConfig()) -> tuple[float, SaddleSolution]:
+def ccdf(c: CompositeCgf, x: float) -> tuple[float, SaddleSolution]:
     """Upper-tail probability of the composite variable at x, with the saddle
     point solved as ``solve_saddle`` solves it, clamped to [0, 1].
 
@@ -290,10 +282,10 @@ def ccdf(c: CompositeCgf, x: float,
     mean -+ 1e-3 standard deviations, each solved on its own and clamped; an
     anchor that is itself near the mean takes ``ccdf_at_mean``, and where
     both anchors round to the mean their common value is returned. Raises
-    the error of ``solve_saddle``, or ``DivergedSolver`` for a solve out of
-    iterations.
+    the error of ``solve_saddle``, or ``DivergedSolver`` for a solve still
+    unconverged after ``_MAX_ITER`` (200) rounds.
     """
-    (r,) = ccdf_block(c.scenario, [c.q], [x], cfg)
+    (r,) = ccdf_block(c.scenario, [c.q], [x])
     if isinstance(r, SirspaError):
         raise r
     p, t_hat, w, u, iterations, near_mean, clamped = r

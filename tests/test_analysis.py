@@ -14,7 +14,6 @@ from sirspa import (
     OutageResult,
     monte_carlo_outage,
     SirScenario,
-    SolverConfig,
     ThresholdGrid,
     ergodic_capacity,
     monte_carlo_capacity,
@@ -25,6 +24,7 @@ from sirspa import analysis, build_composite, composite, saddlepoint
 from sirspa.analysis import METHODS, db_to_linear
 from sirspa.config import load_config
 from sirspa.exceptions import (
+    InvalidScenario,
     QuadratureNotConverged,
     SirspaError,
     UnsupportedScenario,
@@ -152,11 +152,11 @@ class TestOutageCurve:
             r = outage_curve(fig1_template(m0=m0), grid, "gil_pelaez")[0]
             assert r.p_out < 1e-3
 
-    def test_failed_point_carries_error_marker(self):
+    def test_failed_point_carries_error_marker(self, monkeypatch):
         # fig3: fig1's start is its root, which one iteration meets
         grid = ThresholdGrid(-3.0, 3.0, 3.0)
-        solver = SolverConfig(max_iter=1)
-        results = outage_curve(fig3_template(), grid, "spa", solver=solver)
+        monkeypatch.setattr(saddlepoint, "_MAX_ITER", 1)
+        results = outage_curve(fig3_template(), grid, "spa")
         assert len(results) == 3
         for r in results:
             assert r.error is not None and "DivergedSolver" in r.error
@@ -283,18 +283,17 @@ class TestOneCompositePerCall:
         assert builds == [1]
 
 
-def assert_curve_matches_points(template, grid, solver=SolverConfig(), method="spa",
-                                monte_carlo=MonteCarloConfig()):
+def assert_curve_matches_points(template, grid, method="spa", monte_carlo=MonteCarloConfig()):
     """The curve of ``method`` against one-point results at its grid's
     thresholds: equal, bit for bit, errors included. For spa both run one
-    solver, and a threshold's row of the block does not depend on the other
+    solve, and a threshold's row of the block does not depend on the other
     rows."""
-    results = outage_curve(template, grid, method, solver, monte_carlo=monte_carlo)
+    results = outage_curve(template, grid, method, monte_carlo=monte_carlo)
     assert [(r.q_db, r.q_linear) for r in results] == [
         (float(q_db), db_to_linear(float(q_db))) for q_db in grid.values_db()]
     for r in results:
         try:
-            ref = outage_point(replace(template, threshold_q=r.q_linear), method, solver,
+            ref = outage_point(replace(template, threshold_q=r.q_linear), method,
                                monte_carlo=monte_carlo, q_db=r.q_db)
         except SirspaError as exc:
             ref = analysis.error_result(r.q_db, r.q_linear, method, exc)
@@ -340,7 +339,7 @@ class TestWarmStart:
         cfg = load_config(CONFIG_DIR / f"{fig}.json")
         iterations = []
         for curve in cfg.curves:
-            results = assert_curve_matches_points(curve.template, cfg.grid, cfg.solver)
+            results = assert_curve_matches_points(curve.template, cfg.grid)
             iterations += [r.iterations for r in results]
         assert max(iterations) <= 25
 
@@ -394,9 +393,9 @@ class TestWarmStart:
         solves = []
         solutions = saddlepoint._solutions
 
-        def fail_fourth(blk, x, cfg):
+        def fail_fourth(blk, x):
             solves.append(len(x))
-            t, w, u, iterations, converged, *flags = solutions(blk, x, cfg)
+            t, w, u, iterations, converged, *flags = solutions(blk, x)
             converged[3] = False
             return (t, w, u, iterations, converged, *flags)
 
@@ -409,7 +408,8 @@ class TestWarmStart:
         for r in results[:3] + results[4:]:
             assert r == outage_point(replace(fig1_template(), threshold_q=r.q_linear), "spa",
                                      q_db=r.q_db)
-        results = assert_curve_matches_points(fig3_template(), grid, SolverConfig(max_iter=3))
+        monkeypatch.setattr(saddlepoint, "_MAX_ITER", 3)
+        results = assert_curve_matches_points(fig3_template(), grid)
         assert [r.error is None for r in results].count(False) == 2
         assert all(r.error.startswith("DivergedSolver") for r in results if r.error)
 
@@ -419,7 +419,7 @@ class TestWarmStart:
         for fig, label, q_db, p in PINNED:
             cfg = configs[fig]
             template = next(cv.template for cv in cfg.curves if cv.label == label)
-            r = next(r for r in outage_curve(template, cfg.grid, "spa", cfg.solver)
+            r = next(r for r in outage_curve(template, cfg.grid, "spa")
                      if r.q_db == q_db)
             assert abs(r.p_out - p) <= 1e-12, (fig, label, q_db)
 
@@ -440,7 +440,7 @@ class TestWarmStart:
             results = outage_curve(fig1_template(m0=1.5, noise_power=0.2), grid, "spa")
             assert len(results) == points
             assert not any(r.error or r.near_mean for r in results)
-            assert evals[0] == max(r.iterations for r in results) <= SolverConfig().max_iter
+            assert evals[0] == max(r.iterations for r in results) <= saddlepoint._MAX_ITER
 
     # lockstep rounds (``k12`` calls) per curve on the shipped grids: the
     # largest count over each figure's curves as measured, plus 2. From
@@ -460,7 +460,7 @@ class TestWarmStart:
         cfg = load_config(CONFIG_DIR / f"{fig}.json")
         for curve in cfg.curves:
             evals[0] = 0
-            results = outage_curve(curve.template, cfg.grid, "spa", cfg.solver)
+            results = outage_curve(curve.template, cfg.grid, "spa")
             assert not any(r.error for r in results)
             assert evals[0] <= self.ROUNDS[fig], curve.label
 
@@ -565,15 +565,15 @@ class TestErgodicCapacity:
         calls = []
         ccdf_block = analysis.ccdf_block
 
-        def counting(s, qs, x, cfg):
+        def counting(s, qs, x):
             calls.append(len(qs))
-            return ccdf_block(s, qs, x, cfg)
+            return ccdf_block(s, qs, x)
 
         monkeypatch.setattr(analysis, "ccdf_block", counting)
         batched = ergodic_capacity(template, "spa")
         assert calls[0] == 7 and len(calls) < 10 and max(calls[1:]) >= 40
-        monkeypatch.setattr(analysis, "ccdf_block", lambda s, qs, x, cfg: [
-            r for qi, xi in zip(qs, x) for r in ccdf_block(s, [qi], [xi], cfg)])
+        monkeypatch.setattr(analysis, "ccdf_block", lambda s, qs, x: [
+            r for qi, xi in zip(qs, x) for r in ccdf_block(s, [qi], [xi])])
         assert ergodic_capacity(template, "spa") == batched
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])
@@ -631,7 +631,7 @@ class TestErgodicCapacity:
                 yield (math.nan, None) if nan_at(q) else tail
 
         monkeypatch.setattr(analysis, "_tails", nan_tails)
-        with pytest.raises(QuadratureNotConverged, match=message):
+        with pytest.raises(InvalidScenario, match=message):
             ergodic_capacity(rayleigh_pair_template(), method)
 
     @pytest.mark.parametrize("method", ["spa", "gil_pelaez"])

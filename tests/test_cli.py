@@ -26,7 +26,6 @@ from sirspa import (
     QuadratureNotConverged,
     Rician,
     SirScenario,
-    SolverConfig,
     analysis,
     cli,
     outage_point,
@@ -136,14 +135,16 @@ class TestConfigLoading:
         (lambda c: c.update(compare={"bounds": {"spa,gil_pelaez": -1.0}}),
          "compare/bounds/spa,gil_pelaez"),
         (lambda c: c.update(monte_carlo={"samples": 2000.5}), "monte_carlo/samples"),
-        (lambda c: c.update(solver={"near_mean_method": "skewness"}), "solver"),
-        (lambda c: c.update(solver={"interpolation_delta": 1e-3}), "solver"),
-        (lambda c: c.update(solver={"near_mean_w_threshold": 1e-4}), "solver"),
-        (lambda c: c.update(solver={"tol": 1e-8}), "solver"),
+        (lambda c: c.update(solver={"near_mean_method": "skewness"}), "<root>"),
+        (lambda c: c.update(solver={"interpolation_delta": 1e-3}), "<root>"),
+        (lambda c: c.update(solver={"near_mean_w_threshold": 1e-4}), "<root>"),
+        (lambda c: c.update(solver={"tol": 1e-8}), "<root>"),
+        (lambda c: c.update(solver={"max_iter": 50}), "<root>"),
     ], ids=["extra_field", "unknown_family", "string_step", "no_curves", "missing_step",
             "unknown_method", "no_interferers", "string_tol", "bool_m", "xml_format",
             "negative_bound", "fractional_samples", "removed_near_mean_method",
-            "removed_interpolation_delta", "removed_near_mean_w_threshold", "removed_tol"])
+            "removed_interpolation_delta", "removed_near_mean_w_threshold", "removed_tol",
+            "removed_solver"])
     def test_messages_name_the_field(self, tmp_path, edit, where):
         raw = base_config()
         edit(raw)
@@ -193,11 +194,11 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("section,key", [
         ("monte_carlo", "samples"), ("monte_carlo", "batches"), ("monte_carlo", "seed"),
-        ("solver", "max_iter"), ("quadrature", "max_panels")])
+        ("quadrature", "max_panels")])
     def test_whole_float_counts(self, tmp_path, section, key):
         # json reads 2000.0 (or 2e3) as a float; a count takes it as the int
         cfg = base_config(methods=["spa", "gil_pelaez", "monte_carlo"],
-                          solver={"max_iter": 50}, quadrature={"max_panels": 4096},
+                          quadrature={"max_panels": 4096},
                           monte_carlo={"samples": 2000, "batches": 4, "seed": 1})
         ints = tmp_path / "ints.csv"
         assert main(["outage", write_config(tmp_path, cfg, "ints.json"),
@@ -222,7 +223,7 @@ class TestOutageCommand:
         assert [p > 1.0 for p in raw] == [True, False, True, False, False]
         assert [p < 0.0 for p in raw] == [False, True, False, True, False]
 
-        def synthetic(blk, x, cfg):
+        def synthetic(blk, x):
             n = len(x)
             w, no = np.array(ws[:n]), np.zeros(n, dtype=bool)
             return w, w, np.array(us[:n]), np.ones(n, dtype=int), ~no, no, no, no
@@ -366,8 +367,9 @@ class TestOutageCommand:
     def test_noise_overflow_fails_points(self, tmp_path, capsys):
         # x = -q * N0 overflows from 3075 dB on: spa fails each point with a
         # typed error, and the run goes on to the other methods. Gil-Pelaez's
-        # NaN integrals stop after one pass, at the default panel budget and
-        # at the retry's: they once spent both budgets, 17 s for this curve
+        # NaN integrals stop after one pass and are not retried: they once
+        # spent both the default panel budget and the retry's, 17 s for this
+        # curve
         cfg = base_config(grid={"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
                           methods=["spa", "gil_pelaez", "closed_form"])
         cfg["curves"][0].update(interferers=[nakagami(1.0, -3000.0)], noise_power_dbm=10.0)
@@ -380,7 +382,7 @@ class TestOutageCommand:
         assert "Traceback" not in err
         failed = [l for l in err.splitlines() if l.startswith("FAILED")]
         assert [l.split(": ")[1] for l in failed] == (
-            ["NoSaddleInStrip"] * 3 + ["QuadratureNotConverged"] * 3)
+            ["NoSaddleInStrip"] * 3 + ["InvalidScenario"] * 3)
         rows = list(csv.DictReader(out.open()))
         assert [r["p_out"] for r in rows if r["method"] == "closed_form"] == ["1.0"] * 3
 
@@ -638,8 +640,8 @@ class TestCompareCommand:
 class TestRetry:
     def test_only_the_failed_point_is_recomputed(self, tmp_path, monkeypatch, capsys):
         # the curve's Gil-Pelaez points and the retry's outage_point both call
-        # analysis.gil_pelaez_ccdf; only the retry passes a solver
-        calls, solvers = [], []
+        # analysis.gil_pelaez_ccdf
+        calls, retries = [], []
         real_gp, real_outage_point = analysis.gil_pelaez_ccdf, cli.outage_point
 
         def flaky(c, x, quadrature):
@@ -648,9 +650,9 @@ class TestRetry:
                 raise QuadratureNotConverged("forced")
             return real_gp(c, x, quadrature)
 
-        def retry(s, method, solver, *budgets, **kwargs):
-            solvers.append(solver)
-            return real_outage_point(s, method, solver, *budgets, **kwargs)
+        def retry(s, method, *budgets, **kwargs):
+            retries.append(method)
+            return real_outage_point(s, method, *budgets, **kwargs)
 
         monkeypatch.setattr(analysis, "gil_pelaez_ccdf", flaky)
         monkeypatch.setattr(cli, "outage_point", retry)
@@ -658,22 +660,21 @@ class TestRetry:
         out = tmp_path / "out.csv"
         assert main(["outage", cfg_path, "--output", str(out)]) == EXIT_OK
         assert [c[0] for c in calls] == [-4.0, -2.0, 0.0, 2.0, 4.0, 2.0]
-        (solver,), (_, quadrature) = solvers, calls[-1]
-        assert solver.max_iter == 4 * SolverConfig().max_iter
+        assert retries == ["gil_pelaez"]
+        quadrature = calls[-1][1]
         assert quadrature.max_panels == 4 * QuadratureConfig().max_panels
         assert quadrature.rel_tol == 1e-7
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            f"retry pair gil_pelaez q_db=2: rel_tol=1e-07 "
-            f"max_panels={quadrature.max_panels} max_iter={solver.max_iter}"]
+            f"retry pair gil_pelaez q_db=2: rel_tol=1e-07 max_panels={quadrature.max_panels}"]
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 5 and all(0.0 <= float(r[4]) <= 1.0 for r in rows)
 
     @pytest.mark.parametrize("method", ["closed_form", "monte_carlo"])
     def test_no_retry_for_methods_without_budgets(self, tmp_path, monkeypatch, capsys,
                                                    method):
-        # neither takes the solver's or the quadrature's budgets, so a retry
-        # would compute the same error again
+        # neither takes the quadrature's budget, so a retry would compute the
+        # same error again
         def fail(template, qs, mc):
             raise SirspaError("sampler broke")
 
@@ -685,35 +686,40 @@ class TestRetry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 5 and all(l.startswith(f"FAILED pair {method} q_db=") for l in err)
 
-    def test_spa_divergence_is_retried(self, tmp_path, monkeypatch, capsys):
-        # the curve's solve reports a DivergedSolver at 2 dB; the retry's
-        # one-point solve, with 4x the iterations, does not
-        solvers = []
-        real_block, real_outage_point = analysis.ccdf_block, cli.outage_point
+    def test_spa_divergence_is_not_retried(self, tmp_path, monkeypatch, capsys):
+        # the curve's solve reports a DivergedSolver at 2 dB: the solve has
+        # one fixed budget, which a retry would only spend again
+        real_block = analysis.ccdf_block
 
-        def diverging(c, qs, x, cfg):
-            out = real_block(c, qs, x, cfg)
+        def diverging(c, qs, x):
+            out = real_block(c, qs, x)
             if len(qs) == 5:
                 out[3] = DivergedSolver("forced")
             return out
 
-        def retry(s, method, solver, *budgets, **kwargs):
-            solvers.append(solver)
-            return real_outage_point(s, method, solver, *budgets, **kwargs)
-
         monkeypatch.setattr(analysis, "ccdf_block", diverging)
-        monkeypatch.setattr(cli, "outage_point", retry)
         out = tmp_path / "out.csv"
         assert main(["outage", write_config(tmp_path, base_config(methods=["spa"])),
-                     "--output", str(out)]) == EXIT_OK
-        (solver,) = solvers
-        assert solver.max_iter == 4 * SolverConfig().max_iter
+                     "--output", str(out)]) == EXIT_NUMERICAL
         assert capsys.readouterr().err.splitlines() == [
-            f"retry pair spa q_db=2: rel_tol=1e-07 "
-            f"max_panels={4 * QuadratureConfig().max_panels} max_iter={solver.max_iter}"]
+            "FAILED pair spa q_db=2: DivergedSolver: forced"]
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert [r[1] for r in rows] == ["-4.0", "-2.0", "0.0", "2.0", "4.0"]
-        assert all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+        assert rows[3][4] == "nan"
+        assert all(0.0 <= float(r[4]) <= 1.0 for r in rows[:3] + rows[4:])
+
+    def test_no_retry_for_a_non_finite_integral(self, tmp_path, capsys):
+        # x = -q * N0 overflows from 3075 dB on, and Gil-Pelaez's integral is
+        # NaN at every point: no panel budget mends that
+        cfg = base_config(grid={"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
+                          methods=["gil_pelaez"])
+        cfg["curves"][0].update(interferers=[nakagami(1.0, -3000.0)], noise_power_dbm=10.0)
+        assert main(["outage", write_config(tmp_path, cfg),
+                     "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()
+        assert [l.split(": ")[:2] for l in err] == [
+            [f"FAILED pair gil_pelaez q_db={q_db}", "InvalidScenario"]
+            for q_db in (3070, 3075, 3080)]
 
     def test_no_retry_for_an_invalid_scenario(self, tmp_path, capsys):
         # at 1550 dB the cumulants overflow: no larger budget mends that

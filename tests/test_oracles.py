@@ -12,6 +12,7 @@ from sirspa import (
     CompositeCgf,
     GaussianTest,
     Hoyt,
+    InvalidScenario,
     MonteCarloConfig,
     NakagamiM,
     QuadratureConfig,
@@ -60,7 +61,8 @@ class TestGilPelaez:
         assert 0.0 <= err <= 1e-9
 
     def test_non_finite_integral_raises(self, monkeypatch):
-        # a nan integral is no probability; it is never clamped into [0, 1].
+        # a nan integral is no probability; it is never clamped into [0, 1],
+        # and no panel budget mends it, so it is no QuadratureNotConverged.
         # It is known after the first pass, which once went on to spend the
         # whole panel budget
         c = build_composite(rayleigh_pair())
@@ -71,7 +73,7 @@ class TestGilPelaez:
             return np.full(np.shape(t), complex("nan"))
 
         monkeypatch.setattr(CompositeCgf, "characteristic_function", nan_cf)
-        with pytest.raises(QuadratureNotConverged, match="not finite"):
+        with pytest.raises(InvalidScenario, match="not finite"):
             gil_pelaez_ccdf(c, 0.0)
         first_panels = len(oracles._initial_edges(c._layout, math.sqrt(c.variance))) - 1
         assert calls == [41 * first_panels]

@@ -65,7 +65,8 @@ VALUES = ("p_out", "capacity_bits", "max_abs_dev", "mean_abs_dev", "error_estima
 
 # Gaussian-family interferers beside gamma and noncentral ones, where the
 # two-pole start decides how many Newton steps a point takes: with their
-# slope on the signal's side, the 10 dB point took 73 and a CLI retry
+# slope on the signal's side, the 10 dB point once took 73, which the one
+# fixed budget of 200 rounds holds with no retry (it takes at most 5 now)
 GAUSSIAN_MIX = {
     "curves": [{
         "label": "g",
