@@ -102,7 +102,7 @@ def outage_point(s: SirScenario, method: str = "spa",
     """
     q = s.threshold_q
     (r,) = _outage(s, [(10.0 * math.log10(q) if q_db is None else q_db, q)], method,
-                   quadrature, monte_carlo)
+                   monte_carlo, quadrature)
     if isinstance(r, SirspaError):
         raise r
     return r
@@ -116,21 +116,22 @@ def error_result(q_db: float, q_linear: float, method: str,
 
 
 def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa",
-                 quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
-    per point. A failed point carries an error marker instead of being dropped."""
+    per point. ``gil_pelaez`` integrates at the default ``QuadratureConfig``.
+    A failed point carries an error marker instead of being dropped."""
     points = [(q_db, db_to_linear(q_db)) for q_db in grid.values_db().tolist()]
     return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
-            for (q_db, q), r in zip(points, _outage(template, points, method,
-                                                    quadrature, monte_carlo))]
+            for (q_db, q), r in zip(points, _outage(template, points, method, monte_carlo))]
 
 
 def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
-            quadrature: QuadratureConfig, monte_carlo: MonteCarloConfig) -> list:
+            monte_carlo: MonteCarloConfig,
+            quadrature: QuadratureConfig = QuadratureConfig()) -> list:
     """The ``OutageResult`` of ``method`` at each (q_db, q) of ``points``, the
-    threshold of ``s`` replaced by q, or the ``SirspaError`` it raised. Monte
-    Carlo draws once for every point; if that fails, every point carries it."""
+    threshold of ``s`` replaced by q, or the ``SirspaError`` it raised.
+    ``gil_pelaez`` integrates at ``quadrature``. Monte Carlo draws once for
+    every point; if that fails, every point carries it."""
     qs = [q for _, q in points]
     if method == "monte_carlo":
         try:
@@ -154,7 +155,8 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
     return results
 
 
-def _tails(s: SirScenario, qs: list[float], method: str, quadrature: QuadratureConfig):
+def _tails(s: SirScenario, qs: list[float], method: str,
+           quadrature: QuadratureConfig = QuadratureConfig()):
     """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
     (p, error estimate) or (p, None), each with p first, or the
     ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call;
@@ -178,8 +180,7 @@ _CAPACITY_PANELS = 400
 _CAPACITY_PROBES = [2.0 ** k for k in range(7)]  # c = 1, 2, 4, ..., 64
 
 
-def ergodic_capacity(template: SirScenario, method: str = "spa",
-                     quadrature: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
+def ergodic_capacity(template: SirScenario, method: str = "spa") -> tuple[float, float]:
     """Mean capacity E[log2(1 + SINR)] in bits/s/Hz.
 
     Integrates the success probability over the capacity axis c with
@@ -196,8 +197,10 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
     ``InvalidScenario`` if a probe, the integral or its error estimate is
     not finite.
     ``closed_form`` has no capacity yet and raises ``UnsupportedScenario``.
-    The saddle-point method solves each batch of integrand nodes, and the
-    truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
+    ``gil_pelaez`` inverts each integrand node at the default
+    ``QuadratureConfig``. The saddle-point method solves each batch of
+    integrand nodes, and the truncation probes c = 1, 2, 4, ..., 64, in one
+    ``ccdf_block`` call.
     """
     if method not in ("spa", "gil_pelaez"):
         error = UnsupportedScenario if method == "closed_form" else ValueError
@@ -207,7 +210,7 @@ def ergodic_capacity(template: SirScenario, method: str = "spa",
         """Success probability at each capacity of ``cs``, in order. A failed
         point raises its error when it is reached."""
         qs = [2.0 ** c - 1.0 for c in cs]
-        tails = _tails(template, [q for q in qs if q > 0.0], method, quadrature)
+        tails = _tails(template, [q for q in qs if q > 0.0], method)
         for q in qs:
             tail = next(tails) if q > 0.0 else (0.0, None)
             if isinstance(tail, SirspaError):

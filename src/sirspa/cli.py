@@ -24,6 +24,7 @@ from .analysis import (
 )
 from .config import RunConfig, load_config, parse_methods
 from .exceptions import ConfigError, QuadratureNotConverged, SirspaError
+from .oracles import QuadratureConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -33,8 +34,16 @@ EXIT_COMPARE = 3
 OUTAGE_HEADER = ("curve,q_db,q_linear,method,p_out,t_hat,iterations,"
                  "near_mean,clamped,error_estimate")
 CAPACITY_HEADER = "curve,capacity_bits,method,error_estimate"
-# the marker prefix (``error_result``) of the error a larger budget can mend
+# the marker prefix (``error_result``) of the error a larger budget can mend,
+# and that budget: 4x the default panels at a tolerance loosened to 1e-7
 _BUDGET_ERROR = f"{QuadratureNotConverged.__name__}:"
+_RETRY_QUADRATURE = QuadratureConfig(rel_tol=1e-7, max_panels=4 * 2 ** 15)
+# compare's bound on |p1 - p2|, acceptance criterion 4's: at every point, in
+# the breakdown band (where Lugannani-Rice is least accurate), and in Monte
+# Carlo standard errors
+_BOUND = 1e-2
+_BREAKDOWN_BOUND = 5e-2
+_MC_STD_ERRORS = 4.0
 
 
 def _outage_row(label: str, r: OutageResult) -> str:
@@ -58,28 +67,25 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
     """label -> method -> per-grid-point results. Each point whose quadrature
-    ran out of its budget (``QuadratureNotConverged``, only ever from
-    ``gil_pelaez``) is recomputed once with a larger budget, and each retry
-    is reported on stderr with that budget. A point that fails again keeps
-    its error. No other failure is retried: the saddle solve has one fixed
-    budget, and a non-finite integral is an ``InvalidScenario``."""
+    ran out of the default budget (``QuadratureNotConverged``, only ever from
+    ``gil_pelaez``) is recomputed once at ``_RETRY_QUADRATURE``, and each
+    retry is reported on stderr with that budget. A point that fails again
+    keeps its error. No other failure is retried: the saddle solve has one
+    fixed budget, and a non-finite integral is an ``InvalidScenario``."""
     out: dict[str, dict[str, list[OutageResult]]] = {}
-    retry_quad = replace(cfg.quadrature, max_panels=cfg.quadrature.max_panels * 4,
-                         rel_tol=max(cfg.quadrature.rel_tol, 1e-7))
     for curve in cfg.curves:
         per_method = {}
         for method in cfg.methods:
-            results = outage_curve(curve.template, cfg.grid, method,
-                                   cfg.quadrature, cfg.monte_carlo)
+            results = outage_curve(curve.template, cfg.grid, method, cfg.monte_carlo)
             for i, r in enumerate(results):
                 if not (r.error or "").startswith(_BUDGET_ERROR):
                     continue
                 print(f"retry {curve.label} {method} q_db={r.q_db:g}: "
-                      f"rel_tol={retry_quad.rel_tol:g} "
-                      f"max_panels={retry_quad.max_panels}", file=sys.stderr)
+                      f"rel_tol={_RETRY_QUADRATURE.rel_tol:g} "
+                      f"max_panels={_RETRY_QUADRATURE.max_panels}", file=sys.stderr)
                 s = replace(curve.template, threshold_q=r.q_linear)
                 try:
-                    results[i] = outage_point(s, method, retry_quad,
+                    results[i] = outage_point(s, method, _RETRY_QUADRATURE,
                                               cfg.monte_carlo, q_db=r.q_db)
                 except SirspaError as exc:
                     results[i] = error_result(r.q_db, r.q_linear, method, exc)
@@ -135,7 +141,7 @@ def cmd_capacity(cfg: RunConfig) -> int:
                 if method == "monte_carlo":
                     cap, err = monte_carlo_capacity(curve.template, cfg.monte_carlo)
                 else:
-                    cap, err = ergodic_capacity(curve.template, method, cfg.quadrature)
+                    cap, err = ergodic_capacity(curve.template, method)
             except SirspaError as exc:
                 print(f"FAILED {curve.label} {method}: {type(exc).__name__}: {exc}",
                       file=sys.stderr)
@@ -157,6 +163,10 @@ def _in_breakdown(template, qs: list[float]) -> list[bool]:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    """Each pair of methods per curve, with its largest and mean |p1 - p2|
+    and whether every point is within its bound: ``_BOUND``, widened to
+    ``_BREAKDOWN_BOUND`` in the breakdown band and, against ``monte_carlo``,
+    to ``_MC_STD_ERRORS`` standard errors. Exits 3 if any pair is not."""
     if len(cfg.methods) < 2:
         print("compare needs at least 2 methods", file=sys.stderr)
         return EXIT_CONFIG
@@ -170,15 +180,13 @@ def cmd_compare(cfg: RunConfig) -> int:
         in_breakdown = _in_breakdown(curve.template,
                                      [r.q_linear for r in per_method[cfg.methods[0]]])
         for m1, m2, pair in _deviations(per_method, cfg.methods):
-            pair_bound = cfg.compare.bounds.get(
-                f"{m1},{m2}", cfg.compare.bounds.get(f"{m2},{m1}", cfg.compare.default_bound))
             devs, bounds = [], []
             for (dev, r1, r2), breakdown in zip(pair, in_breakdown):
-                bound = max(pair_bound, cfg.compare.breakdown_bound) if breakdown else pair_bound
+                bound = _BREAKDOWN_BOUND if breakdown else _BOUND
                 if "monte_carlo" in (m1, m2):
                     se = (r1.error_estimate if m1 == "monte_carlo"
                           else r2.error_estimate) or 0.0
-                    bound = max(bound, cfg.compare.mc_std_errors * se)
+                    bound = max(bound, _MC_STD_ERRORS * se)
                 devs.append(dev)
                 bounds.append(bound)
             ok = all(d <= b for d, b in zip(devs, bounds))

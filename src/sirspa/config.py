@@ -14,14 +14,14 @@ import functools
 import json
 import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import METHODS, ThresholdGrid, db_to_linear
 from .composite import SirScenario
 from .exceptions import ConfigError
 from .fading import GaussianTest, Hoyt, NakagamiM, PowerDistribution, Rician
-from .oracles import MonteCarloConfig, QuadratureConfig
+from .oracles import MonteCarloConfig
 
 # family -> (class, the keys of its two arguments); a *_dbm key is read in mW
 _FAMILIES = {
@@ -43,27 +43,12 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class CompareSpec:
-    default_bound: float = 1e-2
-    breakdown_bound: float = 5e-2
-    mc_std_errors: float = 4.0
-    bounds: dict = field(default_factory=dict)  # "methodA,methodB" -> bound
-
-    def __post_init__(self):
-        for name in ("default_bound", "breakdown_bound", "mc_std_errors"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     curves: tuple[CurveSpec, ...]
     grid: ThresholdGrid
     methods: tuple[str, ...]
-    quadrature: QuadratureConfig
     monte_carlo: MonteCarloConfig
     output_path: str | None
-    compare: CompareSpec
 
 
 def _fail(where: str, message) -> typing.NoReturn:
@@ -113,17 +98,16 @@ def _value(raw: dict, key: str, where: str, kind: type):
     return value
 
 
-def _build(cls, raw, where: str, **parsed):
+def _build(cls, raw, where: str):
     """``cls`` from the JSON object ``raw``, whose keys are its fields: a field
-    without a default is required. ``parsed`` gives fields read already."""
+    without a default is required."""
     fields = dataclasses.fields(cls)
     spec = _object(raw, where, [f.name for f in fields
-                                if f.default is f.default_factory is dataclasses.MISSING],
+                                if f.default is dataclasses.MISSING],
                    [f.name for f in fields])
     kinds = _hints(cls)
     try:
-        return cls(**{k: _value(spec, k, where, kinds[k]) for k in spec if k not in parsed},
-                   **parsed)
+        return cls(**{k: _value(spec, k, where, kinds[k]) for k in spec})
     except (ValueError, OverflowError) as exc:
         _fail(where, exc)
 
@@ -165,17 +149,6 @@ def _curve(raw, where: str) -> CurveSpec:
     return CurveSpec(label=_value(cv, "label", where, str), template=template)
 
 
-def _bounds(raw, where: str) -> dict:
-    """Per-pair compare bounds: keys "a,b" of two different ``METHODS``, values > 0."""
-    bounds = _object(raw, where, (), None)
-    for pair in bounds:
-        if pair.count(",") != 1 or len(set(pair.split(",")) & set(METHODS)) != 2:
-            _fail(f"{where}/{pair}", f"{pair!r} is not 'a,b' with a != b in {list(METHODS)}")
-        if not _value(bounds, pair, where, float) > 0:
-            _fail(f"{where}/{pair}", f"{bounds[pair]!r} must be > 0")
-    return dict(bounds)
-
-
 def parse_methods(raw, where: str) -> tuple[str, ...]:
     """The method list: non-empty, no method twice, each one of ``METHODS``."""
     methods = _array(raw, where)
@@ -198,7 +171,7 @@ def load_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     raw = _object(raw, "", ("curves", "grid", "methods"),
-                  ("quadrature", "monte_carlo", "output", "compare"))
+                  ("monte_carlo", "output"))
     curves = tuple(_curve(cv, f"curves/{i}")
                    for i, cv in enumerate(_array(raw["curves"], "curves")))
     labels = [c.label for c in curves]
@@ -206,14 +179,10 @@ def load_config(path: str | Path) -> RunConfig:
         if label in labels[:i]:
             _fail(f"curves/{i}/label", f"{label!r} is the label of an earlier curve")
     out = _object(raw.get("output", {}), "output", (), ("path",))
-    comp = _object(raw.get("compare", {}), "compare", (), None)  # _build checks the keys
-    bounds = _bounds(comp.get("bounds", {}), "compare/bounds")
     return RunConfig(
         curves=curves,
         grid=_build(ThresholdGrid, raw["grid"], "grid"),
         methods=parse_methods(raw["methods"], "methods"),
-        quadrature=_build(QuadratureConfig, raw.get("quadrature", {}), "quadrature"),
         monte_carlo=_build(MonteCarloConfig, raw.get("monte_carlo", {}), "monte_carlo"),
         output_path=_value(out, "path", "output", str) if "path" in out else None,
-        compare=_build(CompareSpec, comp, "compare", bounds=bounds),
     )

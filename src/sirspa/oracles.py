@@ -64,7 +64,9 @@ _ROUNDOFF = 64 * np.finfo(float).eps
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and panel budget of the Gil-Pelaez inversion's adaptive
-    Gauss-Kronrod quadrature."""
+    Gauss-Kronrod quadrature. No run config sets them: every curve and
+    capacity integrates at the default, and the CLI retries a point whose
+    budget ran out once at its own fixed, larger budget."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12

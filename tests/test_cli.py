@@ -129,22 +129,21 @@ class TestConfigLoading:
         (lambda c: c["grid"].pop("step_db"), "grid"),
         (lambda c: c.update(methods=["spa", "newton"]), "methods/1"),
         (lambda c: c["curves"][0].update(interferers=[]), "curves/0/interferers"),
-        (lambda c: c.update(quadrature={"rel_tol": "small"}), "quadrature/rel_tol"),
         (lambda c: c["curves"][0]["desired"].update(m=True), "curves/0/desired/m"),
         (lambda c: c.update(output={"format": "xml"}), "output"),
-        (lambda c: c.update(compare={"bounds": {"spa,gil_pelaez": -1.0}}),
-         "compare/bounds/spa,gil_pelaez"),
         (lambda c: c.update(monte_carlo={"samples": 2000.5}), "monte_carlo/samples"),
         (lambda c: c.update(solver={"near_mean_method": "skewness"}), "<root>"),
         (lambda c: c.update(solver={"interpolation_delta": 1e-3}), "<root>"),
         (lambda c: c.update(solver={"near_mean_w_threshold": 1e-4}), "<root>"),
         (lambda c: c.update(solver={"tol": 1e-8}), "<root>"),
         (lambda c: c.update(solver={"max_iter": 50}), "<root>"),
+        (lambda c: c.update(quadrature={"rel_tol": 1e-9}), "<root>"),
+        (lambda c: c.update(compare={"default_bound": 1e-2}), "<root>"),
     ], ids=["extra_field", "unknown_family", "string_step", "no_curves", "missing_step",
-            "unknown_method", "no_interferers", "string_tol", "bool_m", "xml_format",
-            "negative_bound", "fractional_samples", "removed_near_mean_method",
+            "unknown_method", "no_interferers", "bool_m", "xml_format",
+            "fractional_samples", "removed_near_mean_method",
             "removed_interpolation_delta", "removed_near_mean_w_threshold", "removed_tol",
-            "removed_solver"])
+            "removed_solver", "removed_quadrature", "removed_compare"])
     def test_messages_name_the_field(self, tmp_path, edit, where):
         raw = base_config()
         edit(raw)
@@ -164,10 +163,8 @@ class TestConfigLoading:
          "curves/0/noise_power_dbm"),
         (lambda c: c["curves"][0]["desired"].update(mean_power_dbm="4000"),
          "curves/0/desired/mean_power_dbm"),
-        (lambda c: c.update(quadrature={"rel_tol": "Infinity"}), "quadrature/rel_tol"),
-        (lambda c: c.update(compare={"default_bound": "NaN"}), "compare/default_bound"),
     ], ids=["overflow_stop_db", "inf_m", "inf_r", "nan_noise", "inf_noise",
-            "overflow_mean_power", "inf_tol", "nan_bound"])
+            "overflow_mean_power"])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, edit, where):
         # the edit puts a JSON number literal in a string; it is spliced in
         # unquoted, since json.dumps writes no such literal itself
@@ -193,12 +190,10 @@ class TestConfigLoading:
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key", [
-        ("monte_carlo", "samples"), ("monte_carlo", "batches"), ("monte_carlo", "seed"),
-        ("quadrature", "max_panels")])
+        ("monte_carlo", "samples"), ("monte_carlo", "batches"), ("monte_carlo", "seed")])
     def test_whole_float_counts(self, tmp_path, section, key):
         # json reads 2000.0 (or 2e3) as a float; a count takes it as the int
         cfg = base_config(methods=["spa", "gil_pelaez", "monte_carlo"],
-                          quadrature={"max_panels": 4096},
                           monte_carlo={"samples": 2000, "batches": 4, "seed": 1})
         ints = tmp_path / "ints.csv"
         assert main(["outage", write_config(tmp_path, cfg, "ints.json"),
@@ -555,35 +550,16 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "max_abs_dev" in out
 
-    def test_tight_bound_exit_compare(self, tmp_path):
-        cfg = base_config(methods=["spa", "monte_carlo"],
-                          monte_carlo={"samples": 20000, "seed": 7, "batches": 10},
-                          compare={"default_bound": 1e-12, "mc_std_errors": 1e-9})
-        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
-
-    @pytest.mark.parametrize("key", ["spa,gil_pelez", "spa,spa", "spa",
-                                     "spa, gil_pelaez", "spa,gil_pelaez,closed_form"],
-                             ids=["misspelled", "repeated", "one_name", "space",
-                                  "three_names"])
-    def test_bounds_key_must_name_a_pair(self, tmp_path, key):
-        # a key that names no method pair would never be read: cmd_compare
-        # would silently apply default_bound instead
-        cfg = base_config(compare={"bounds": {key: 1e-9}})
-        with pytest.raises(ConfigError) as got:
-            load_config(write_config(tmp_path, cfg))
-        assert str(got.value).startswith(f"config field compare/bounds/{key}: ")
-
-    @pytest.mark.parametrize("key", ["spa,gil_pelaez", "gil_pelaez,spa"])
-    def test_bounds_key_applies_in_either_order(self, tmp_path, capsys, key):
-        # a bound below the spa/gil_pelaez deviation fails the pair,
-        # whichever order the key names the methods in
-        cfg = base_config(methods=["spa", "gil_pelaez"],
-                          compare={"default_bound": 1.0, "breakdown_bound": 1e-9,
-                                   "bounds": {key: 1e-9}})
-        assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
-        row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert row[1:3] == ["spa", "gil_pelaez"]
-        assert row[5:] == ["1e-09", "false"]
+    def test_tight_bound_exit_compare(self, capsys):
+        # fig3's b0 = 0.6 and 0.9 curves deviate from Gil-Pelaez by more than
+        # the fixed bound 1e-2 outside the breakdown band: the first-order
+        # Lugannani-Rice error that criterion 4 reports
+        assert main(["compare", str(CONFIG_DIR / "fig3.json"),
+                     "--method", "spa,gil_pelaez"]) == EXIT_COMPARE
+        rows = [l.split(",") for l in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[5], r[6]) for r in rows] == [
+            ("b0=0", "0.01", "true"), ("b0=0.3", "0.01", "true"),
+            ("b0=0.6", "0.01", "false"), ("b0=0.9", "0.01", "false")]
 
     def test_every_failed_point_is_labelled(self, tmp_path, capsys):
         # the second curve's variance underflows at every point: each failed
@@ -669,6 +645,27 @@ class TestRetry:
             f"retry pair gil_pelaez q_db=2: rel_tol=1e-07 max_panels={quadrature.max_panels}"]
         rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
         assert len(rows) == 5 and all(0.0 <= float(r[4]) <= 1.0 for r in rows)
+
+    def test_retry_mends_a_real_point(self, tmp_path, capsys):
+        # a weak signal 15 dB under the noise: at 25 dB the outage is
+        # 1 - 7.4e-11, and the default 32 768 panels end with the error
+        # above tolerance; the retry's budget converges
+        cfg = base_config(grid={"start_db": 25.0, "stop_db": 25.0, "step_db": 1.0},
+                          methods=["gil_pelaez"])
+        cfg["curves"][0].update(
+            label="weak", desired=nakagami(2.25, -5.2), noise_power_dbm=9.7,
+            interferers=[{"family": "hoyt", "b": -0.73, "mean_power_dbm": -14.0}])
+        path = write_config(tmp_path, cfg)
+        template = load_config(path).curves[0].template
+        with pytest.raises(QuadratureNotConverged):
+            outage_point(replace(template, threshold_q=db_to_linear(25.0)), "gil_pelaez")
+        out = tmp_path / "out.csv"
+        assert main(["outage", path, "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "retry weak gil_pelaez q_db=25: rel_tol=1e-07 max_panels=131072"]
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[3:5] == ["gil_pelaez", "0.999999999925521"]
+        assert float(row[9]) == pytest.approx(1.89e-9, rel=1e-2)
 
     @pytest.mark.parametrize("method", ["closed_form", "monte_carlo"])
     def test_no_retry_for_methods_without_budgets(self, tmp_path, monkeypatch, capsys,
@@ -764,15 +761,14 @@ class TestCompareBound:
     def test_bound_is_the_failing_points(self, tmp_path, monkeypatch, capsys):
         # the 0 dB point of the Rayleigh pair is in breakdown, so its bound is
         # the wider breakdown bound, not the smallest bound of the curve
-        def fake_curve(template, grid, method, *budgets):
+        def fake_curve(template, grid, method, monte_carlo):
             return [OutageResult(q_db=float(q_db), q_linear=10.0 ** (q_db / 10.0),
                                  p_out=0.5 + (0.2 if method == "spa" and q_db == 0.0 else 0.0),
                                  method=method)
                     for q_db in grid.values_db()]
 
         monkeypatch.setattr(cli, "outage_curve", fake_curve)
-        cfg = base_config(methods=["spa", "gil_pelaez"],
-                          compare={"default_bound": 1e-2, "breakdown_bound": 5e-2})
+        cfg = base_config(methods=["spa", "gil_pelaez"])
         assert main(["compare", write_config(tmp_path, cfg)]) == EXIT_COMPARE
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[:3] == ["pair", "spa", "gil_pelaez"]
@@ -783,7 +779,7 @@ class TestCompareBound:
         # the breakdown flags of a curve's points come from one block, once
         # per curve, not once per method pair, and no composite is moved to
         # a point; the curves are stubbed, so every block is compare's
-        def fake_curve(template, grid, method, *budgets):
+        def fake_curve(template, grid, method, monte_carlo):
             return [OutageResult(q_db=float(q_db), q_linear=10.0 ** (q_db / 10.0),
                                  p_out=0.5, method=method) for q_db in grid.values_db()]
 

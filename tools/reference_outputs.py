@@ -9,8 +9,10 @@ tree, an older one without it too. It runs ``sirspa.cli.main`` in this
 process, from that tree's ``src`` and with its ``configs``, for
 ``outage`` on fig1-fig4, ``capacity`` on rayleigh_pair (with the configured
 methods and with ``--method spa,gil_pelaez``), ``compare`` on fig4,
-``outage`` on rayleigh_pair with every method (its 0 dB point is a
-near-mean ``spa`` row), three runs that fail points: ``outage`` on fig2
+``compare`` on fig3 with ``--method spa,gil_pelaez`` (two curves exceed
+the fixed bound, so it exits 3), ``outage`` on rayleigh_pair with every
+method (its 0 dB point is a near-mean ``spa`` row), three runs that fail
+points: ``outage`` on fig2
 with ``--method closed_form``, ``capacity`` on rayleigh_pair and
 ``compare`` on fig2, each with ``--method spa,closed_form``, ``outage``
 with ``spa`` on a Rician signal under Gaussian-family interferers beside
@@ -137,6 +139,8 @@ RUNS = [(f"outage_fig{i}", ["outage"], f"fig{i}", []) for i in range(1, 5)] + [
     ("capacity_rayleigh_pair_spa_gil_pelaez", ["capacity"], "rayleigh_pair",
      ["--method", "spa,gil_pelaez"]),
     ("compare_fig4", ["compare"], "fig4", []),
+    # b0 = 0.6 and 0.9 deviate by 1.4e-2 and 1.8e-2, past the bound 1e-2
+    ("compare_fig3", ["compare"], "fig3", ["--method", "spa,gil_pelaez"]),
     ("outage_rayleigh_pair_all_methods", ["outage"], "rayleigh_pair",
      ["--method", "spa,gil_pelaez,monte_carlo,closed_form"]),
     # failure paths: closed_form fails on every fig2 point (Rician signals)
