@@ -17,7 +17,6 @@ from .composite import SirScenario
 from .exceptions import InvalidScenario, QuadratureNotConverged, SirspaError, UnsupportedScenario
 from .oracles import (
     MonteCarloConfig,
-    QuadratureConfig,
     adaptive_gl,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
@@ -90,19 +89,20 @@ def db_to_linear(db: float) -> float:
 
 
 def outage_point(s: SirScenario, method: str = "spa",
-                 quadrature: QuadratureConfig = QuadratureConfig(),
                  monte_carlo: MonteCarloConfig = MonteCarloConfig(),
                  q_db: float | None = None) -> OutageResult:
     """Outage probability for one scenario with the selected method: the
     one-point case of ``outage_curve``, raising the point's error (for
-    ``spa``, ``DivergedSolver`` after the solve's fixed 200 Newton rounds).
+    ``spa``, ``DivergedSolver`` after the solve's fixed 200 Newton rounds;
+    for ``gil_pelaez``, ``QuadratureNotConverged`` where the default
+    budget runs out and no certain tail holds).
 
     SINR outage with noise power N0 > 0 evaluates the composite tail at
     x = -q * N0; with N0 = 0 this is the plain SIR outage at x = 0.
     """
     q = s.threshold_q
     (r,) = _outage(s, [(10.0 * math.log10(q) if q_db is None else q_db, q)], method,
-                   monte_carlo, quadrature)
+                   monte_carlo)
     if isinstance(r, SirspaError):
         raise r
     return r
@@ -118,7 +118,8 @@ def error_result(q_db: float, q_linear: float, method: str,
 def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa",
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
-    per point. ``gil_pelaez`` integrates at the default ``QuadratureConfig``.
+    per point. ``gil_pelaez`` integrates at the default ``QuadratureConfig``,
+    or gives the certain tail where that gives no answer (``gil_pelaez_ccdf``).
     A failed point carries an error marker instead of being dropped."""
     points = [(q_db, db_to_linear(q_db)) for q_db in grid.values_db().tolist()]
     return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
@@ -126,12 +127,11 @@ def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa"
 
 
 def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
-            monte_carlo: MonteCarloConfig,
-            quadrature: QuadratureConfig = QuadratureConfig()) -> list:
+            monte_carlo: MonteCarloConfig) -> list:
     """The ``OutageResult`` of ``method`` at each (q_db, q) of ``points``, the
     threshold of ``s`` replaced by q, or the ``SirspaError`` it raised.
-    ``gil_pelaez`` integrates at ``quadrature``. Monte Carlo draws once for
-    every point; if that fails, every point carries it."""
+    Monte Carlo draws once for every point; if that fails, every point
+    carries it."""
     qs = [q for _, q in points]
     if method == "monte_carlo":
         try:
@@ -139,7 +139,7 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
         except SirspaError as exc:
             tails = [exc] * len(qs)
     elif method in METHODS:
-        tails = _tails(s, qs, method, quadrature)
+        tails = _tails(s, qs, method)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     results = []
@@ -155,12 +155,12 @@ def _outage(s: SirScenario, points: list[tuple[float, float]], method: str,
     return results
 
 
-def _tails(s: SirScenario, qs: list[float], method: str,
-           quadrature: QuadratureConfig = QuadratureConfig()):
+def _tails(s: SirScenario, qs: list[float], method: str):
     """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
     (p, error estimate) or (p, None), each with p first, or the
     ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call;
-    ``gil_pelaez`` (on ``s.at(q)``) and ``closed_form`` go one per read."""
+    ``gil_pelaez`` (on ``s.at(q)``, at the default ``QuadratureConfig``)
+    and ``closed_form`` go one per read."""
     if method == "spa":
         yield from ccdf_block(s, qs, [-q * s.noise_power for q in qs])
         return
@@ -169,7 +169,7 @@ def _tails(s: SirScenario, qs: list[float], method: str,
             if method == "closed_form":
                 tail = exponential_signal_closed_form(replace(s, threshold_q=q)), None
             else:
-                tail = gil_pelaez_ccdf(s.at(q), -q * s.noise_power, quadrature)
+                tail = gil_pelaez_ccdf(s.at(q), -q * s.noise_power)
         except SirspaError as exc:
             tail = exc
         yield tail

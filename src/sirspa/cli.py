@@ -14,17 +14,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import (
-    OutageResult,
-    ergodic_capacity,
-    error_result,
-    monte_carlo_capacity,
-    outage_curve,
-    outage_point,
-)
+from .analysis import OutageResult, ergodic_capacity, monte_carlo_capacity, outage_curve
 from .config import RunConfig, load_config, parse_methods
-from .exceptions import ConfigError, QuadratureNotConverged, SirspaError
-from .oracles import QuadratureConfig
+from .exceptions import ConfigError, SirspaError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,10 +26,6 @@ EXIT_COMPARE = 3
 OUTAGE_HEADER = ("curve,q_db,q_linear,method,p_out,t_hat,iterations,"
                  "near_mean,clamped,error_estimate")
 CAPACITY_HEADER = "curve,capacity_bits,method,error_estimate"
-# the marker prefix (``error_result``) of the error a larger budget can mend,
-# and that budget: 4x the default panels at a tolerance loosened to 1e-7
-_BUDGET_ERROR = f"{QuadratureNotConverged.__name__}:"
-_RETRY_QUADRATURE = QuadratureConfig(rel_tol=1e-7, max_panels=4 * 2 ** 15)
 # compare's bound on |p1 - p2|, acceptance criterion 4's: at every point, in
 # the breakdown band (where Lugannani-Rice is least accurate), and in Monte
 # Carlo standard errors
@@ -66,32 +54,13 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def _run_curves(cfg: RunConfig) -> dict[str, dict[str, list[OutageResult]]]:
-    """label -> method -> per-grid-point results. Each point whose quadrature
-    ran out of the default budget (``QuadratureNotConverged``, only ever from
-    ``gil_pelaez``) is recomputed once at ``_RETRY_QUADRATURE``, and each
-    retry is reported on stderr with that budget. A point that fails again
-    keeps its error. No other failure is retried: the saddle solve has one
-    fixed budget, and a non-finite integral is an ``InvalidScenario``."""
-    out: dict[str, dict[str, list[OutageResult]]] = {}
-    for curve in cfg.curves:
-        per_method = {}
-        for method in cfg.methods:
-            results = outage_curve(curve.template, cfg.grid, method, cfg.monte_carlo)
-            for i, r in enumerate(results):
-                if not (r.error or "").startswith(_BUDGET_ERROR):
-                    continue
-                print(f"retry {curve.label} {method} q_db={r.q_db:g}: "
-                      f"rel_tol={_RETRY_QUADRATURE.rel_tol:g} "
-                      f"max_panels={_RETRY_QUADRATURE.max_panels}", file=sys.stderr)
-                s = replace(curve.template, threshold_q=r.q_linear)
-                try:
-                    results[i] = outage_point(s, method, _RETRY_QUADRATURE,
-                                              cfg.monte_carlo, q_db=r.q_db)
-                except SirspaError as exc:
-                    results[i] = error_result(r.q_db, r.q_linear, method, exc)
-            per_method[method] = results
-        out[curve.label] = per_method
-    return out
+    """label -> method -> per-grid-point results, one ``outage_curve`` each.
+    No point is retried: the saddle solve and the Gil-Pelaez quadrature each
+    have one fixed budget, and a failed point keeps its error."""
+    return {curve.label: {method: outage_curve(curve.template, cfg.grid, method,
+                                               cfg.monte_carlo)
+                          for method in cfg.methods}
+            for curve in cfg.curves}
 
 
 def _report_failures(by_curve: dict[str, dict[str, list[OutageResult]]]) -> bool:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .composite import SirScenario
 from .exceptions import InvalidScenario, QuadratureNotConverged, UnsupportedScenario
-from .fading import NakagamiM
+from .fading import AtomBlock, NakagamiM
+from .saddlepoint import _solutions
 
 # Monte Carlo streams use numpy's PCG64 via SeedSequence(seed).spawn(batch);
 # recorded so results are reproducible across implementations
@@ -65,8 +66,7 @@ _ROUNDOFF = 64 * np.finfo(float).eps
 class QuadratureConfig:
     """Tolerances and panel budget of the Gil-Pelaez inversion's adaptive
     Gauss-Kronrod quadrature. No run config sets them: every curve and
-    capacity integrates at the default, and the CLI retries a point whose
-    budget ran out once at its own fixed, larger budget."""
+    capacity integrates at the default."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -209,6 +209,22 @@ def adaptive_gl(f, edges, tol, max_panels: int) -> tuple[float, float, bool]:
         used += int(keep.sum())
 
 
+def _certain_tail(c, x: float) -> tuple[float, float]:
+    """P(X > x) as a Chernoff bound makes it certain, 1 or 0, and the bound
+    e^(K(t) - t*x), summed in the exponent: on P(X <= x) for t < 0 in the
+    strip, on P(X > x) for t > 0. t is the solve of x on one row of
+    ``c._layout`` (its root, or a last iterate inside the strip), or where
+    that is 0 (no start, as at an infinite x) half the strip edge on x's
+    side of the mean."""
+    blk = AtomBlock(c._layout)
+    t = _solutions(blk, np.array([x]))[0]
+    if t[0] == 0.0:
+        t = 0.5 * (blk.lower if x < blk.mean[0] else blk.upper)
+    with np.errstate(all="ignore"):
+        bound = np.exp(blk.k(t) - t * x).item()
+    return (1.0 if t[0] < 0.0 else 0.0), bound
+
+
 def gil_pelaez_ccdf(c, x: float,
                     qc: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
     """Upper-tail probability by numerical inversion of the characteristic function.
@@ -229,11 +245,12 @@ def gil_pelaez_ccdf(c, x: float,
     and a single power distribution qualify, by one path.
 
     Returns the clamped probability and the quadrature's own error estimate
-    (in probability units). An integral or error estimate that is not finite
-    raises ``InvalidScenario`` (the numbers have left the float range, and
-    no panel budget mends that); it is never clamped into [0, 1]. A first
-    pass that is not finite raises after that one pass. A panel budget that
-    runs out with the error above tolerance raises
+    (in probability units). Where the integral gives no answer (the budget
+    ran out with the error above tolerance, or it is not finite) and the
+    bound of ``_certain_tail`` is within the tolerance at its certain p,
+    that p and the bound are returned. Otherwise an integral or error
+    estimate that is not finite raises ``InvalidScenario`` after the first
+    pass (it is never clamped into [0, 1]), and a budget that ran out
     ``QuadratureNotConverged``, carrying the value and its estimate.
     """
     mean = c.mean
@@ -249,23 +266,28 @@ def gil_pelaez_ccdf(c, x: float,
             val = np.multiply(z.imag, u + 1.0 / u, out=np.zeros_like(u), where=u < np.inf)
         return np.where(u < 1e-12, (mean - x) / sigma, val)
 
-    def tol(integral: float) -> float:
-        # the tolerance on the probability, in integral units
-        p = 0.5 + integral / np.pi
-        return np.pi * max(qc.abs_tol, qc.rel_tol * max(abs(p), 1e-3))
+    def tol(p: float) -> float:
+        # the tolerance on the probability p
+        return max(qc.abs_tol, qc.rel_tol * max(abs(p), 1e-3))
 
     integral, err, exhausted = adaptive_gl(
-        integrand, _initial_edges(c._layout, sigma), tol, qc.max_panels)
+        integrand, _initial_edges(c._layout, sigma),
+        lambda integral: np.pi * tol(0.5 + integral / np.pi), qc.max_panels)
     err_p = err / np.pi
-    if not (math.isfinite(integral) and math.isfinite(err)):
+    finite = math.isfinite(integral) and math.isfinite(err)
+    p_raw = 0.5 + integral / np.pi
+    p = min(1.0, max(0.0, p_raw))
+    if finite and not (exhausted and err > np.pi * tol(p_raw)):
+        return p, err_p
+    certain, bound = _certain_tail(c, x)
+    if bound <= tol(certain):
+        return certain, bound
+    if not finite:
         raise InvalidScenario(
             f"integral {integral} with error estimate {err_p} is not finite")
-    p = min(1.0, max(0.0, 0.5 + integral / np.pi))
-    if exhausted and err > tol(integral):
-        raise QuadratureNotConverged(
-            f"error estimate {err_p:.3e} above tolerance at {qc.max_panels} panels",
-            value=p, error_estimate=err_p)
-    return p, err_p
+    raise QuadratureNotConverged(
+        f"error estimate {err_p:.3e} above tolerance at {qc.max_panels} panels",
+        value=p, error_estimate=err_p)
 
 
 def _batch_sizes(samples: int, batches: int) -> list[int]:

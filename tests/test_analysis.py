@@ -545,7 +545,7 @@ class TestErgodicCapacity:
         def success(c):
             return math.exp(-psi(c))
 
-        monkeypatch.setattr(analysis, "gil_pelaez_ccdf", lambda c, x, qc: (
+        monkeypatch.setattr(analysis, "gil_pelaez_ccdf", lambda c, x: (
             -math.expm1(-psi(math.log2(1.0 + c.q))), 0.0))
         cap, err = ergodic_capacity(rayleigh_pair_template(), "gil_pelaez")
         tail = quad(success, 32.0, math.inf, epsabs=1e-18, epsrel=1e-12)[0]

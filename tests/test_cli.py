@@ -22,12 +22,11 @@ from sirspa import (
     MonteCarloConfig,
     NakagamiM,
     OutageResult,
-    QuadratureConfig,
-    QuadratureNotConverged,
     Rician,
     SirScenario,
     analysis,
     cli,
+    oracles,
     outage_point,
     saddlepoint,
 )
@@ -362,9 +361,8 @@ class TestOutageCommand:
     def test_noise_overflow_fails_points(self, tmp_path, capsys):
         # x = -q * N0 overflows from 3075 dB on: spa fails each point with a
         # typed error, and the run goes on to the other methods. Gil-Pelaez's
-        # NaN integrals stop after one pass and are not retried: they once
-        # spent both the default panel budget and the retry's, 17 s for this
-        # curve
+        # NaN integrals stop after one pass, and the Chernoff bound gives 1.0,
+        # as closed_form does
         cfg = base_config(grid={"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
                           methods=["spa", "gil_pelaez", "closed_form"])
         cfg["curves"][0].update(interferers=[nakagami(1.0, -3000.0)], noise_power_dbm=10.0)
@@ -376,10 +374,10 @@ class TestOutageCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         failed = [l for l in err.splitlines() if l.startswith("FAILED")]
-        assert [l.split(": ")[1] for l in failed] == (
-            ["NoSaddleInStrip"] * 3 + ["InvalidScenario"] * 3)
+        assert [l.split(": ")[:2] for l in failed] == [
+            [f"FAILED pair spa q_db={q_db}", "NoSaddleInStrip"] for q_db in (3070, 3075, 3080)]
         rows = list(csv.DictReader(out.open()))
-        assert [r["p_out"] for r in rows if r["method"] == "closed_form"] == ["1.0"] * 3
+        assert [r["p_out"] for r in rows if r["method"] != "spa"] == ["1.0"] * 6
 
     def test_unknown_method_override(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -614,58 +612,29 @@ class TestCompareCommand:
 
 
 class TestRetry:
-    def test_only_the_failed_point_is_recomputed(self, tmp_path, monkeypatch, capsys):
-        # the curve's Gil-Pelaez points and the retry's outage_point both call
-        # analysis.gil_pelaez_ccdf
-        calls, retries = [], []
-        real_gp, real_outage_point = analysis.gil_pelaez_ccdf, cli.outage_point
-
-        def flaky(c, x, quadrature):
-            calls.append((round(10.0 * math.log10(c.q), 9), quadrature))
-            if calls[-1][0] == 2.0 and len(calls) == 4:
-                raise QuadratureNotConverged("forced")
-            return real_gp(c, x, quadrature)
-
-        def retry(s, method, *budgets, **kwargs):
-            retries.append(method)
-            return real_outage_point(s, method, *budgets, **kwargs)
-
-        monkeypatch.setattr(analysis, "gil_pelaez_ccdf", flaky)
-        monkeypatch.setattr(cli, "outage_point", retry)
-        cfg_path = write_config(tmp_path, base_config(methods=["gil_pelaez"]))
-        out = tmp_path / "out.csv"
-        assert main(["outage", cfg_path, "--output", str(out)]) == EXIT_OK
-        assert [c[0] for c in calls] == [-4.0, -2.0, 0.0, 2.0, 4.0, 2.0]
-        assert retries == ["gil_pelaez"]
-        quadrature = calls[-1][1]
-        assert quadrature.max_panels == 4 * QuadratureConfig().max_panels
-        assert quadrature.rel_tol == 1e-7
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            f"retry pair gil_pelaez q_db=2: rel_tol=1e-07 max_panels={quadrature.max_panels}"]
-        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
-        assert len(rows) == 5 and all(0.0 <= float(r[4]) <= 1.0 for r in rows)
-
-    def test_retry_mends_a_real_point(self, tmp_path, capsys):
-        # a weak signal 15 dB under the noise: at 25 dB the outage is
-        # 1 - 7.4e-11, and the default 32 768 panels end with the error
-        # above tolerance; the retry's budget converges
-        cfg = base_config(grid={"start_db": 25.0, "stop_db": 25.0, "step_db": 1.0},
+    def test_certain_tail_mends_a_real_point(self, tmp_path, capsys):
+        # a weak signal 15 dB under the noise: from 25 dB on the default
+        # 32 768 panels end with the error above tolerance (at 40 and 50 dB
+        # 131 072 do too), but the lower tail is far below the double range,
+        # about 1e-9541 at 25 dB, and its Chernoff bound proves p = 1
+        cfg = base_config(grid={"start_db": 25.0, "stop_db": 50.0, "step_db": 25.0},
                           methods=["gil_pelaez"])
         cfg["curves"][0].update(
             label="weak", desired=nakagami(2.25, -5.2), noise_power_dbm=9.7,
             interferers=[{"family": "hoyt", "b": -0.73, "mean_power_dbm": -14.0}])
         path = write_config(tmp_path, cfg)
         template = load_config(path).curves[0].template
-        with pytest.raises(QuadratureNotConverged):
-            outage_point(replace(template, threshold_q=db_to_linear(25.0)), "gil_pelaez")
+        for q_db in (25.0, 40.0, 50.0):
+            s = replace(template, threshold_q=db_to_linear(q_db))
+            r = outage_point(s, "gil_pelaez")
+            assert r.p_out == 1.0 and r.error_estimate <= 1e-9
+            p, bound = oracles._certain_tail(s.at(s.threshold_q), -s.threshold_q * s.noise_power)
+            assert (p, bound) == (1.0, r.error_estimate)
         out = tmp_path / "out.csv"
         assert main(["outage", path, "--output", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err.splitlines() == [
-            "retry weak gil_pelaez q_db=25: rel_tol=1e-07 max_panels=131072"]
-        row = out.read_text().splitlines()[1].split(",")
-        assert row[3:5] == ["gil_pelaez", "0.999999999925521"]
-        assert float(row[9]) == pytest.approx(1.89e-9, rel=1e-2)
+        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        assert [r[3:5] for r in rows] == [["gil_pelaez", "1.0"]] * 2
 
     @pytest.mark.parametrize("method", ["closed_form", "monte_carlo"])
     def test_no_retry_for_methods_without_budgets(self, tmp_path, monkeypatch, capsys,
@@ -707,16 +676,16 @@ class TestRetry:
 
     def test_no_retry_for_a_non_finite_integral(self, tmp_path, capsys):
         # x = -q * N0 overflows from 3075 dB on, and Gil-Pelaez's integral is
-        # NaN at every point: no panel budget mends that
+        # NaN at every point: no panel budget mends that, but the Chernoff
+        # bound on the lower tail is 0 there, so every point is certain
         cfg = base_config(grid={"start_db": 3070.0, "stop_db": 3080.0, "step_db": 5.0},
                           methods=["gil_pelaez"])
         cfg["curves"][0].update(interferers=[nakagami(1.0, -3000.0)], noise_power_dbm=10.0)
-        assert main(["outage", write_config(tmp_path, cfg),
-                     "--output", str(tmp_path / "out.csv")]) == EXIT_NUMERICAL
-        err = capsys.readouterr().err.splitlines()
-        assert [l.split(": ")[:2] for l in err] == [
-            [f"FAILED pair gil_pelaez q_db={q_db}", "InvalidScenario"]
-            for q_db in (3070, 3075, 3080)]
+        out = tmp_path / "out.csv"
+        assert main(["outage", write_config(tmp_path, cfg), "--output", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["p_out"], r["error_estimate"]) for r in rows] == [("1.0", "0.0")] * 3
 
     def test_no_retry_for_an_invalid_scenario(self, tmp_path, capsys):
         # at 1550 dB the cumulants overflow: no larger budget mends that

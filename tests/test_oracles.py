@@ -27,6 +27,7 @@ from sirspa import (
     gil_pelaez_ccdf,
     monte_carlo_curve,
     monte_carlo_outage,
+    solve_saddle,
 )
 from sirspa import oracles
 from sirspa.config import load_config
@@ -117,6 +118,40 @@ class TestGilPelaez:
                             QuadratureConfig(rel_tol=1e-12, max_panels=16))
         assert exc_info.value.error_estimate > 0.0
         assert 0.0 <= exc_info.value.value <= 1.0
+
+    def test_certain_tail_past_the_budget(self):
+        # a single exponential far above its mean: 16 panels cannot resolve
+        # the integral, but the Chernoff bound e^(K(t) - t*x) at the saddle
+        # point t = 1 - 1/x, 40 e^-39 at x = 40, proves P(X > x) = 0 within
+        # the tolerance 1e-12. Near the mean the bound is about 1
+        qc = QuadratureConfig(max_panels=16)
+        d = NakagamiM(m=1.0, mean_power=1.0)
+        p, bound = gil_pelaez_ccdf(d, 40.0, qc)
+        assert p == 0.0 and bound == pytest.approx(40.0 * math.exp(-39.0), rel=1e-12)
+        assert math.exp(-40.0) <= bound <= qc.abs_tol
+        p, bound = gil_pelaez_ccdf(d, 200.0, qc)
+        assert p == 0.0 and bound == pytest.approx(200.0 * math.exp(-199.0), rel=1e-12)
+        with pytest.raises(QuadratureNotConverged):
+            gil_pelaez_ccdf(d, 1.0, qc)
+        assert oracles._certain_tail(d, 1.0)[1] > 0.5
+
+    @pytest.mark.parametrize("q_db", [-10.0, 0.0, 10.0, 20.0])
+    def test_chernoff_bound_holds(self, q_db):
+        # the Rayleigh pair with N0 > 0 at x = -q * N0: e^(K(t) - t*x) bounds
+        # the lower tail 1 - p for t < 0 and the upper tail p for t > 0, at
+        # the saddle point (which _certain_tail takes) and at half of either
+        # strip edge
+        q = 10.0 ** (q_db / 10.0)
+        s = replace(rayleigh_pair(q), noise_power=0.3)
+        c, x = build_composite(s), -q * s.noise_power
+        p = exponential_signal_closed_form(s)
+        t_hat = solve_saddle(c, x).t_hat
+        certain, bound = oracles._certain_tail(c, x)
+        assert certain == (1.0 if t_hat < 0.0 else 0.0)
+        assert bound == pytest.approx(math.exp(c.k(t_hat) - t_hat * x), rel=1e-12)
+        for t in (t_hat, 0.5 * c.strip.lower, 0.5 * c.strip.upper):
+            tail = 1.0 - p if t < 0.0 else p
+            assert math.exp(c.k(t) - t * x) >= tail
 
     def test_monte_carlo_agreement_hoyt(self):
         # Hoyt-family scenario at a 5 dB threshold

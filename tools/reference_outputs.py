@@ -26,7 +26,9 @@ a Gaussian-family interferer whose (s*t)**2 overflows at the root,
 ``compare`` on the -1540 dBm signal from 1525 to 1550 dB with ``--method
 monte_carlo,closed_form``, where q times the signal's rate overflows, and
 ``outage`` with ``spa,gil_pelaez,closed_form`` from 3070 to 3080 dB on a
--3000 dBm interferer with N0 = 10 mW, where x = -q * N0 overflows.
+-3000 dBm interferer with N0 = 10 mW, where x = -q * N0 overflows, so
+``spa`` fails every point and ``gil_pelaez``'s integral is not finite, but
+its Chernoff bound makes every point a certain 1.0.
 Each config that is not shipped is written into OUTDIR as ``<name>.json``.
 Each run writes its CSV into OUTDIR through ``--output``, and its stdout,
 stderr and exit code beside it, as ``<name>.stdout``, ``<name>.stderr``
@@ -124,7 +126,8 @@ QUADRATIC_OVERFLOW = {
 }
 
 # x = -q * N0 is -1e308 at 3070 dB and overflows to -inf from 3075 dB on.
-# Gil-Pelaez's integrals are NaN there, and each fails after its first pass
+# Gil-Pelaez's integrals are NaN there after one pass, and the Chernoff bound
+# on the lower tail, 0.0, gives the certain 1.0
 NOISE_OVERFLOW = {
     "curves": [{"label": "noise-overflow", "desired": _nakagami(1.0, 0.0),
                 "interferers": [_nakagami(1.0, -3000.0)], "noise_power_dbm": 10.0}],
