@@ -22,7 +22,6 @@ from .exceptions import (
 from .fading import GaussianTest, Hoyt, NakagamiM, PowerDistribution, Rician, Strip
 from .oracles import (
     MonteCarloConfig,
-    QuadratureConfig,
     exponential_signal_closed_form,
     gil_pelaez_ccdf,
     monte_carlo_curve,

@@ -118,8 +118,8 @@ def error_result(q_db: float, q_linear: float, method: str,
 def outage_curve(template: SirScenario, grid: ThresholdGrid, method: str = "spa",
                  monte_carlo: MonteCarloConfig = MonteCarloConfig()) -> list[OutageResult]:
     """One outage result per grid point; the template's threshold is replaced
-    per point. ``gil_pelaez`` integrates at the default ``QuadratureConfig``,
-    or gives the certain tail where that gives no answer (``gil_pelaez_ccdf``).
+    per point. ``gil_pelaez`` integrates on its one panel budget, or gives
+    the certain tail where that gives no answer (``gil_pelaez_ccdf``).
     A failed point carries an error marker instead of being dropped."""
     points = [(q_db, db_to_linear(q_db)) for q_db in grid.values_db().tolist()]
     return [error_result(q_db, q, method, r) if isinstance(r, SirspaError) else r
@@ -159,7 +159,7 @@ def _tails(s: SirScenario, qs: list[float], method: str):
     """Each threshold's tail at x = -q * N0, in order: a ``ccdf_block`` row,
     (p, error estimate) or (p, None), each with p first, or the
     ``SirspaError``. ``spa`` solves all in one ``ccdf_block`` call;
-    ``gil_pelaez`` (on ``s.at(q)``, at the default ``QuadratureConfig``)
+    ``gil_pelaez`` (on ``s.at(q)``, on its one panel budget)
     and ``closed_form`` go one per read."""
     if method == "spa":
         yield from ccdf_block(s, qs, [-q * s.noise_power for q in qs])
@@ -197,10 +197,9 @@ def ergodic_capacity(template: SirScenario, method: str = "spa") -> tuple[float,
     ``InvalidScenario`` if a probe, the integral or its error estimate is
     not finite.
     ``closed_form`` has no capacity yet and raises ``UnsupportedScenario``.
-    ``gil_pelaez`` inverts each integrand node at the default
-    ``QuadratureConfig``. The saddle-point method solves each batch of
-    integrand nodes, and the truncation probes c = 1, 2, 4, ..., 64, in one
-    ``ccdf_block`` call.
+    ``gil_pelaez`` inverts each integrand node on its one panel budget.
+    The saddle-point method solves each batch of integrand nodes, and the
+    truncation probes c = 1, 2, 4, ..., 64, in one ``ccdf_block`` call.
     """
     if method not in ("spa", "gil_pelaez"):
         error = UnsupportedScenario if method == "closed_form" else ValueError

@@ -211,10 +211,11 @@ def _strip_edges(layout):
             np.minimum.reduce(np.where(poles > 0.0, poles, np.inf), axis=1, initial=np.inf))
 
 
-def _fsum_row(terms: list) -> float:
+def _fsum(xs: list[float]) -> float:
+    """``math.fsum``, or nan where there is no finite sum to give."""
     try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):  # a term or a partial sum left the float range
+        return math.fsum(xs)
+    except (ValueError, OverflowError):  # inf - inf, or an overflowing partial sum
         return math.nan
 
 
@@ -230,7 +231,7 @@ def _moments(layout):
         if f in layout:
             w, s = layout[f]
             variance = variance + np.add.reduce(f(2) * (w * (s * s)), axis=1)
-    mean = np.array([_fsum_row(r) for r in slopes.tolist()])
+    mean = np.array([_fsum(r) for r in slopes.tolist()])
     return mean, variance, np.isfinite(mean) & np.isfinite(variance) & (variance > 0.0), slopes
 
 

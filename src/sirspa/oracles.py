@@ -14,7 +14,7 @@ import numpy as np
 
 from .composite import SirScenario
 from .exceptions import InvalidScenario, QuadratureNotConverged, UnsupportedScenario
-from .fading import AtomBlock, NakagamiM
+from .fading import AtomBlock, NakagamiM, _fsum
 from .saddlepoint import _solutions
 
 # Monte Carlo streams use numpy's PCG64 via SeedSequence(seed).spawn(batch);
@@ -60,23 +60,6 @@ _GK_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
 _GK_WEIGHTS = np.stack([np.concatenate([w[:-1], w[::-1]]) for w in (_K41_W, _G20_W)], axis=1)
 # the relative rounding level of a panel's sum
 _ROUNDOFF = 64 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and panel budget of the Gil-Pelaez inversion's adaptive
-    Gauss-Kronrod quadrature. No run config sets them: every curve and
-    capacity integrates at the default."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_panels: int = 2 ** 15
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be > 0")
-        if not self.max_panels >= 1:
-            raise ValueError("max_panels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -149,14 +132,6 @@ def _initial_edges(layout, sigma: float) -> np.ndarray:
     return np.array(sorted(edges))
 
 
-def _fsum(xs: list[float]) -> float:
-    """``math.fsum``, or nan where there is no finite sum to give."""
-    try:
-        return math.fsum(xs)
-    except (ValueError, OverflowError):  # inf - inf, or an overflowing partial sum
-        return math.nan
-
-
 def adaptive_gl(f, edges, tol, max_panels: int) -> tuple[float, float, bool]:
     """Integral of ``f`` from ``edges[0]`` to ``edges[-1]`` by adaptive
     Gauss-Kronrod G20/K41 panels.
@@ -209,6 +184,17 @@ def adaptive_gl(f, edges, tol, max_panels: int) -> tuple[float, float, bool]:
         used += int(keep.sum())
 
 
+# The Gil-Pelaez quadrature's tolerances and its one panel budget.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_PANELS = 2 ** 15
+
+
+def _tolerance(p: float) -> float:
+    """The absolute tolerance on the probability p."""
+    return max(_ABS_TOL, _REL_TOL * max(abs(p), 1e-3))
+
+
 def _certain_tail(c, x: float) -> tuple[float, float]:
     """P(X > x) as a Chernoff bound makes it certain, 1 or 0, and the bound
     e^(K(t) - t*x), summed in the exponent: on P(X <= x) for t < 0 in the
@@ -225,8 +211,7 @@ def _certain_tail(c, x: float) -> tuple[float, float]:
     return (1.0 if t[0] < 0.0 else 0.0), bound
 
 
-def gil_pelaez_ccdf(c, x: float,
-                    qc: QuadratureConfig = QuadratureConfig()) -> tuple[float, float]:
+def gil_pelaez_ccdf(c, x: float) -> tuple[float, float]:
     """Upper-tail probability by numerical inversion of the characteristic function.
 
     Evaluates 1/2 + (1/pi) * integral_0^inf Im{M(jt) exp(-jtx)} / t dt with
@@ -235,7 +220,7 @@ def gil_pelaez_ccdf(c, x: float,
     integrand sits at u ~ 1 whatever the scale of the variable. The first
     panels are cut at every atom scale far from sigma (``_initial_edges``),
     and each is evaluated at 41 nodes and halved by ``adaptive_gl`` until its
-    |K41 - G20| estimate is within its share of the tolerance. The
+    |K41 - G20| estimate is within its share of ``_tolerance(p)``. The
     integrand limit at t -> 0 is supplied analytically ((mean - x) / sigma)
     to avoid 0/0 cancellation, and where u overflows to inf the integrand
     takes its limit, 0.
@@ -245,13 +230,14 @@ def gil_pelaez_ccdf(c, x: float,
     and a single power distribution qualify, by one path.
 
     Returns the clamped probability and the quadrature's own error estimate
-    (in probability units). Where the integral gives no answer (the budget
-    ran out with the error above tolerance, or it is not finite) and the
-    bound of ``_certain_tail`` is within the tolerance at its certain p,
-    that p and the bound are returned. Otherwise an integral or error
-    estimate that is not finite raises ``InvalidScenario`` after the first
-    pass (it is never clamped into [0, 1]), and a budget that ran out
-    ``QuadratureNotConverged``, carrying the value and its estimate.
+    (in probability units). Where the integral gives no answer (its one
+    budget, ``_MAX_PANELS``, ran out with the error above tolerance, or it
+    is not finite) and the bound of ``_certain_tail`` is within
+    ``_tolerance`` at its certain p, that p and the bound are returned.
+    Otherwise an integral or error estimate that is not finite raises
+    ``InvalidScenario`` after the first pass (it is never clamped into
+    [0, 1]), and a budget that ran out ``QuadratureNotConverged``, carrying
+    the value and its estimate.
     """
     mean = c.mean
     sigma = math.sqrt(c.variance)
@@ -266,27 +252,23 @@ def gil_pelaez_ccdf(c, x: float,
             val = np.multiply(z.imag, u + 1.0 / u, out=np.zeros_like(u), where=u < np.inf)
         return np.where(u < 1e-12, (mean - x) / sigma, val)
 
-    def tol(p: float) -> float:
-        # the tolerance on the probability p
-        return max(qc.abs_tol, qc.rel_tol * max(abs(p), 1e-3))
-
     integral, err, exhausted = adaptive_gl(
         integrand, _initial_edges(c._layout, sigma),
-        lambda integral: np.pi * tol(0.5 + integral / np.pi), qc.max_panels)
+        lambda integral: np.pi * _tolerance(0.5 + integral / np.pi), _MAX_PANELS)
     err_p = err / np.pi
     finite = math.isfinite(integral) and math.isfinite(err)
     p_raw = 0.5 + integral / np.pi
     p = min(1.0, max(0.0, p_raw))
-    if finite and not (exhausted and err > np.pi * tol(p_raw)):
+    if finite and not (exhausted and err > np.pi * _tolerance(p_raw)):
         return p, err_p
     certain, bound = _certain_tail(c, x)
-    if bound <= tol(certain):
+    if bound <= _tolerance(certain):
         return certain, bound
     if not finite:
         raise InvalidScenario(
             f"integral {integral} with error estimate {err_p} is not finite")
     raise QuadratureNotConverged(
-        f"error estimate {err_p:.3e} above tolerance at {qc.max_panels} panels",
+        f"error estimate {err_p:.3e} above tolerance at {_MAX_PANELS} panels",
         value=p, error_estimate=err_p)
 
 

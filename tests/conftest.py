@@ -96,6 +96,21 @@ def workers(request, monkeypatch):
 
 
 @pytest.fixture
+def gp_budget(monkeypatch):
+    """``gp_budget(rel_tol=..., abs_tol=..., max_panels=...)``, any of them,
+    sets the Gil-Pelaez quadrature's module constants for one test."""
+    from sirspa import oracles
+
+    names = {"rel_tol": "_REL_TOL", "abs_tol": "_ABS_TOL", "max_panels": "_MAX_PANELS"}
+
+    def set_budget(**overrides):
+        for key, value in overrides.items():
+            monkeypatch.setattr(oracles, names[key], value)
+
+    return set_budget
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
 

@@ -6,8 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from sirspa import (GaussianTest, Hoyt, NakagamiM, QuadratureConfig, QuadratureNotConverged,
-                    Rician, Strip, StripViolation, build_composite, gil_pelaez_ccdf)
+from sirspa import (GaussianTest, Hoyt, NakagamiM, QuadratureNotConverged, Rician, Strip,
+                    StripViolation, build_composite, gil_pelaez_ccdf)
 from sirspa import fading
 from sirspa.fading import (
     Atom,
@@ -199,11 +199,10 @@ class TestStrips:
 
 
 def gil_pelaez(d, x: float) -> tuple[float, float]:
-    """Gil-Pelaez (p, error estimate) of one family at x, on a budget of 256
-    panels: a single exponential's CF decays like 1/t, and the default
-    tolerance would take 2**17 panels."""
+    """Gil-Pelaez (p, error estimate) of one family at x, or the value and
+    estimate at which the panel budget ran out."""
     try:
-        return gil_pelaez_ccdf(d, x, QuadratureConfig(max_panels=256))
+        return gil_pelaez_ccdf(d, x)
     except QuadratureNotConverged as e:
         return e.value, e.error_estimate
 
@@ -219,9 +218,12 @@ class TestFamilyCollapse:
                 assert abs(ric.cgf(t) - ref) <= 1e-12
                 assert abs(hoyt.cgf(t) - ref) <= 1e-12
 
-    def test_hoyt_b0_merges_to_nakagami_m1(self, rng):
+    def test_hoyt_b0_merges_to_nakagami_m1(self, rng, gp_budget):
         # Hoyt's two half-weight gamma atoms of one scale are one atom of
-        # weight 1: NakagamiM(1)'s layout, so the same bits from every reader
+        # weight 1: NakagamiM(1)'s layout, so the same bits from every reader.
+        # Gil-Pelaez runs on 256 panels: a single exponential's CF decays
+        # like 1/t, and the default tolerance would take 2**17 panels
+        gp_budget(max_panels=256)
         for p in (0.5, 1.0, 3.1622776601683795):
             nak, hoyt = NakagamiM(m=1.0, mean_power=p), Hoyt(b=0.0, mean_power=p)
             assert list(hoyt._layout) == list(nak._layout) == [gamma]

@@ -15,7 +15,6 @@ from sirspa import (
     InvalidScenario,
     MonteCarloConfig,
     NakagamiM,
-    QuadratureConfig,
     QuadratureNotConverged,
     Rician,
     SirScenario,
@@ -27,6 +26,7 @@ from sirspa import (
     gil_pelaez_ccdf,
     monte_carlo_curve,
     monte_carlo_outage,
+    outage_curve,
     solve_saddle,
 )
 from sirspa import oracles
@@ -86,13 +86,13 @@ class TestGilPelaez:
         p, err = gil_pelaez_ccdf(build_composite(s), 0.0)
         assert p == pytest.approx(0.5, abs=1e-9)
 
-    def test_degenerate_exponential(self):
+    def test_degenerate_exponential(self, gp_budget):
         # a bare distribution exposes characteristic_function and mean,
         # which is all the inversion needs. The single-exponential CF decays
         # like 1/t, the slowest of all supported cases, so the oscillatory
         # tail needs a larger panel budget than the composite default.
-        qc = QuadratureConfig(rel_tol=1e-6, max_panels=2 ** 17)
-        p, err = gil_pelaez_ccdf(NakagamiM(m=1.0, mean_power=1.0), 1.0, qc)
+        gp_budget(rel_tol=1e-6, max_panels=2 ** 17)
+        p, err = gil_pelaez_ccdf(NakagamiM(m=1.0, mean_power=1.0), 1.0)
         assert p == pytest.approx(math.exp(-1.0), abs=1e-9)
         assert err >= 0.0
 
@@ -102,38 +102,55 @@ class TestGilPelaez:
             p_gp, _ = gil_pelaez_ccdf(build_composite(s), 0.0)
             assert abs(p_gp - exponential_signal_closed_form(s)) <= 1e-8
 
-    def test_self_consistency(self):
+    def test_self_consistency(self, gp_budget):
         s = fig1_scenario(m0=1.5, q=2.0)
         c = build_composite(s)
-        qc = QuadratureConfig()
-        tight = QuadratureConfig(rel_tol=qc.rel_tol / 2.0, abs_tol=qc.abs_tol / 2.0)
-        p1, err1 = gil_pelaez_ccdf(c, 0.0, qc)
-        p2, _ = gil_pelaez_ccdf(c, 0.0, tight)
+        p1, err1 = gil_pelaez_ccdf(c, 0.0)
+        gp_budget(rel_tol=oracles._REL_TOL / 2.0, abs_tol=oracles._ABS_TOL / 2.0)
+        p2, _ = gil_pelaez_ccdf(c, 0.0)
         assert abs(p1 - p2) <= max(err1, 1e-12)
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, gp_budget):
         # slowest-decaying case with a tiny panel budget
+        gp_budget(rel_tol=1e-12, max_panels=16)
         with pytest.raises(QuadratureNotConverged) as exc_info:
-            gil_pelaez_ccdf(NakagamiM(m=1.0, mean_power=1.0), 1.0,
-                            QuadratureConfig(rel_tol=1e-12, max_panels=16))
+            gil_pelaez_ccdf(NakagamiM(m=1.0, mean_power=1.0), 1.0)
         assert exc_info.value.error_estimate > 0.0
         assert 0.0 <= exc_info.value.value <= 1.0
 
-    def test_certain_tail_past_the_budget(self):
+    def test_certain_tail_past_the_budget(self, gp_budget):
         # a single exponential far above its mean: 16 panels cannot resolve
         # the integral, but the Chernoff bound e^(K(t) - t*x) at the saddle
         # point t = 1 - 1/x, 40 e^-39 at x = 40, proves P(X > x) = 0 within
         # the tolerance 1e-12. Near the mean the bound is about 1
-        qc = QuadratureConfig(max_panels=16)
+        gp_budget(max_panels=16)
         d = NakagamiM(m=1.0, mean_power=1.0)
-        p, bound = gil_pelaez_ccdf(d, 40.0, qc)
+        p, bound = gil_pelaez_ccdf(d, 40.0)
         assert p == 0.0 and bound == pytest.approx(40.0 * math.exp(-39.0), rel=1e-12)
-        assert math.exp(-40.0) <= bound <= qc.abs_tol
-        p, bound = gil_pelaez_ccdf(d, 200.0, qc)
+        assert math.exp(-40.0) <= bound <= oracles._ABS_TOL
+        p, bound = gil_pelaez_ccdf(d, 200.0)
         assert p == 0.0 and bound == pytest.approx(200.0 * math.exp(-199.0), rel=1e-12)
         with pytest.raises(QuadratureNotConverged):
-            gil_pelaez_ccdf(d, 1.0, qc)
+            gil_pelaez_ccdf(d, 1.0)
         assert oracles._certain_tail(d, 1.0)[1] > 0.5
+
+    def test_shipped_traffic_fits_a_small_budget(self, gp_budget):
+        # every Gil-Pelaez integral of the shipped configs is accepted on its
+        # first pass, of at most 35 panels, so on a budget of 64 each curve,
+        # and the Rayleigh pair's capacity, gives the same bits as on the
+        # default 32 768
+        def run():
+            points = []
+            for path in sorted(CONFIG_DIR.glob("*.json")):
+                config = load_config(path)
+                for curve in config.curves:
+                    points += [(r.p_out, r.error_estimate, r.error) for r in
+                               outage_curve(curve.template, config.grid, "gil_pelaez")]
+            return repr(points), ergodic_capacity(rayleigh_pair(), "gil_pelaez")
+
+        default = run()
+        gp_budget(max_panels=64)
+        assert run() == default
 
     @pytest.mark.parametrize("q_db", [-10.0, 0.0, 10.0, 20.0])
     def test_chernoff_bound_holds(self, q_db):
@@ -164,12 +181,6 @@ class TestGilPelaez:
         p_mc, se = monte_carlo_outage(s, MonteCarloConfig(samples=10 ** 6, seed=5))
         binom_se = math.sqrt(p_gp * (1.0 - p_gp) / 10 ** 6)
         assert abs(p_gp - p_mc) <= 3.0 * max(se, binom_se)
-
-    def test_quadrature_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_panels=0)
 
 
 def gauss_kronrod_41(dps: int = 60):
@@ -337,18 +348,17 @@ class TestGilPelaezScale:
     def test_rayleigh_pair_success_at_large_q(self, q):
         # the success probability 1/(1+q) is a feature of the signal's CF
         # far below the scale sigma ~ q of the composite
-        qc = QuadratureConfig()
-        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0, qc)
-        tol = max(qc.abs_tol, qc.rel_tol * p) + err
+        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0)
+        tol = max(oracles._ABS_TOL, oracles._REL_TOL * p) + err
         assert abs((1.0 - p) - 1.0 / (1.0 + q)) <= tol
 
     @pytest.mark.parametrize("q", [1e8, 4e9, 1e12])
-    def test_rayleigh_pair_success_tight_tolerance(self, q):
+    def test_rayleigh_pair_success_tight_tolerance(self, q, gp_budget):
         # a tolerance well below the success probability: the signal's
         # feature must be resolved, not just stay under the default budget
-        qc = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16)
-        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0, qc)
-        tol = max(qc.abs_tol, qc.rel_tol * p) + err
+        gp_budget(rel_tol=1e-14, abs_tol=1e-16)
+        p, err = gil_pelaez_ccdf(build_composite(rayleigh_pair(q)), 0.0)
+        tol = max(oracles._ABS_TOL, oracles._REL_TOL * p) + err
         assert abs((1.0 - p) - 1.0 / (1.0 + q)) <= tol
 
     @pytest.mark.parametrize("q_db", [76.0, 80.0, 90.0])
